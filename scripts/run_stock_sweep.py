@@ -39,10 +39,11 @@ def main() -> int:
         if c.error:
             print(f"  storage {c.storage_time_ns:5.0f} ns: FAILED ({c.error})")
             continue
+        shifted = c.shifted_error or f"{c.shifted_purity:.4f}"
         print(
             f"  storage {c.storage_time_ns:5.0f} ns: "
             f"purity {c.tomography.purity:.4f} +- {c.tomography.purity_err:.4f}  "
-            f"shifted {c.shifted_purity:.4f}  W(0,0) = {c.tomography.wigner_origin:+.4f}"
+            f"shifted {shifted}  W(0,0) = {c.tomography.wigner_origin:+.4f}"
         )
     if report.decay_raw:
         print(f"raw decay fit:     P0 = {report.decay_raw.p0:.4f}, tau = {report.decay_raw.tau_us:.3f} us")

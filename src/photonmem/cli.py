@@ -36,7 +36,6 @@ from .pipeline import (
     emit_figure_data,
     estimate_frames,
     run_sweep,
-    write_report_json,
 )
 from .synth import AdcSpec, load_frames, save_frames, synth_condition
 
@@ -145,6 +144,8 @@ def _cmd_estimate(args) -> int:
         "purity_err": report.purity_err,
         "wigner_origin": report.wigner_origin,
         "pca_eigenvalue": pca.eigenvalue,
+        "mle_converged": report.mle.converged,
+        "mle_kkt_residual": report.mle.kkt_residual,
         "n_frames": fs.n_frames,
     }
     atomic_write_text(args.out / "tomography.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -159,7 +160,6 @@ def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     report = run_sweep(cfg)
     emit_figure_data(report, args.out)
-    write_report_json(report, args.out / "report.json")
     for c in report.conditions:
         status = c.error or f"purity {c.tomography.purity:.4f} +- {c.tomography.purity_err:.4f}"
         print(f"storage {c.storage_time_ns:6.1f} ns: {status}")

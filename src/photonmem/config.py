@@ -166,7 +166,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     det_phase = _get(cp, "imperfections", "detuning_phase_rad", float, 0.0)
     imperfections = ImperfectionConfig(
         displacement=complex(disp_re, disp_im) if (disp_re or disp_im) else None,
-        detuning=(det, det_phase) if det else None,
+        detuning=(det, det_phase) if (det or det_phase) else None,
         extra_loss=_get(cp, "imperfections", "extra_loss", float, 1.0),
         electronic_noise_std=_get(cp, "imperfections", "electronic_noise_std", float, 0.0),
     )

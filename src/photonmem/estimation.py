@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fock import DEFAULT_N_MAX, FockDiagonalState, hermite_functions, wigner_origin
 from .modes import ModeFunction
-from .synth import FrameSet, bin_frames, extract_quadratures
+from .synth import FrameSet, bin_frames
 
 MIN_MLE_SAMPLES = 1000
 #: lifetimes longer than this multiple of the data span are capped and flagged
@@ -49,8 +49,11 @@ class PcaResult:
 class MleResult:
     state: FockDiagonalState
     loglik: float
+    #: objective evaluations the optimizer spent
     n_evals: int
+    #: ``kkt_residual <= MLE_KKT_TOL``
     converged: bool
+    kkt_residual: float
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,7 @@ class HistogramOverlay:
 class TomographyReport:
     """Per-condition estimation results."""
 
-    state: FockDiagonalState
-    loglik: float
+    mle: MleResult
     purity: float
     purity_err: float
     wigner_origin: float
@@ -79,6 +81,14 @@ class TomographyReport:
             raise ValueError(f"purity must lie in [0, 1], got {self.purity}")
         if self.purity_err < 0.0:
             raise ValueError("purity_err must be non-negative")
+
+    @property
+    def state(self) -> FockDiagonalState:
+        return self.mle.state
+
+    @property
+    def loglik(self) -> float:
+        return self.mle.loglik
 
 
 @dataclass(frozen=True)
@@ -175,39 +185,62 @@ def matched_window_pca(fs: FrameSet) -> PcaResult:
     return pca_from_frames(fs, window=(lo, hi), bin_ns=PCA_BIN)
 
 
-def _softmax(y: np.ndarray) -> np.ndarray:
-    z = np.concatenate(([0.0], y))
-    z = np.exp(z - z.max())
-    return z / z.sum()
+#: a fit whose KKT residual (see :func:`_kkt_residual`) is at most this
+#: counts as converged
+MLE_KKT_TOL = 1e-6
+#: L-BFGS-B stopping rules; tight enough that fits land well inside MLE_KKT_TOL
+_LBFGSB_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}
 
 
-def mle_photon_distribution(
-    samples: np.ndarray,
-    n_max: int = DEFAULT_N_MAX,
-    *,
-    initial: FockDiagonalState | None = None,
-    restarts: bool = True,
-) -> MleResult:
-    """Maximum-likelihood photon-number distribution from quadrature samples.
+def _objective(c: np.ndarray, pdf_matrix: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """``-sum_j w_j log(c . P_j) + sum_n c_n`` and its gradient in ``c``.
 
-    Maximizes ``sum_j log sum_n c_n P_n(x_j)`` over the probability simplex
-    with the downhill simplex method on a softmax reparameterization (the
-    redundant degree of freedom is removed by pinning the vacuum logit).
-    Convergence: mean-log-likelihood change below 1e-9 or 1e5 evaluations.
-
-    Parameters
-    ----------
-    samples:
-        Quadrature values; at least 1000 are required.
-    n_max:
-        Fock cutoff in [1, 10].
-    initial:
-        Optional starting distribution (used e.g. to warm-start bootstrap
-        refits).  When given, ``restarts`` is ignored.
-    restarts:
-        Also start from vacuum-heavy and photon-heavy corners and keep the
-        best final likelihood.
+    Built from einsum rather than ``@``, which hands these (n_max+1) x N
+    products to a threaded BLAS: on a 2-core host a 40-resample bootstrap of
+    15 000 samples took 7.0 s that way against 1.0 s with einsum.
     """
+    mix = np.maximum(np.einsum("n,nj->j", c, pdf_matrix), 1e-300)
+    value = float(c.sum() - np.einsum("j,j->", w, np.log(mix)))
+    grad = 1.0 - np.einsum("nj,j->n", pdf_matrix, w / mix)
+    return value, grad
+
+
+def _kkt_residual(c: np.ndarray, pdf_matrix: np.ndarray, w: np.ndarray) -> float:
+    """Worst violation of the optimality conditions of :func:`_objective`
+    on ``c >= 0``: ``max |grad|`` where ``c_n > 0`` and ``max(-grad, 0)``
+    where ``c_n = 0``."""
+    _, grad = _objective(c, pdf_matrix, w)
+    support = c > 0
+    return float(max(
+        np.max(np.abs(grad[support]), initial=0.0),
+        np.max(-grad[~support], initial=0.0),
+    ))
+
+
+def _fit_weighted(
+    pdf_matrix: np.ndarray, w: np.ndarray, c0: np.ndarray
+) -> tuple[np.ndarray, int, float]:
+    """Minimize :func:`_objective` over ``c >= 0`` from ``c0``.
+
+    Returns the minimizer, the evaluation count and its KKT residual.  The
+    log term is homogeneous of degree 1 and ``sum w = 1``, so the minimizer
+    already satisfies ``sum c = 1``.  Convergence is judged by the KKT
+    residual alone: L-BFGS-B may end its line search "abnormally" at a point
+    that is optimal to rounding.
+    """
+    res = minimize(
+        _objective,
+        c0,
+        args=(pdf_matrix, w),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, None)] * c0.size,
+        options=_LBFGSB_OPTIONS,
+    )
+    return res.x, int(res.nfev), _kkt_residual(res.x, pdf_matrix, w)
+
+
+def _checked_samples(samples: np.ndarray, n_max: int) -> np.ndarray:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < MIN_MLE_SAMPLES:
         raise InsufficientDataError(f"need >= {MIN_MLE_SAMPLES} samples, got {x.size}")
@@ -217,95 +250,83 @@ def mle_photon_distribution(
         raise ValueError("samples must be finite")
     if float(np.var(x)) < 1e-12:
         raise FitFailureError("degenerate samples: zero variance")
+    return x
 
+
+def mle_photon_distribution(samples: np.ndarray, n_max: int = DEFAULT_N_MAX) -> MleResult:
+    """Maximum-likelihood photon-number distribution from quadrature samples.
+
+    Maximizes ``sum_j log sum_n c_n P_n(x_j)`` over the probability simplex,
+    which is concave in ``c``.  It is solved as one bound-constrained
+    L-BFGS-B minimization of ``-mean_j log(c . P_j) + sum_n c_n`` over
+    ``c >= 0`` with an analytic gradient, started from the uniform
+    distribution; the optimum of that problem lies on the simplex.
+    ``converged`` means the KKT residual is at most :data:`MLE_KKT_TOL`.
+
+    Parameters
+    ----------
+    samples:
+        Quadrature values; at least 1000 are required.
+    n_max:
+        Fock cutoff in [1, 10].
+    """
+    x = _checked_samples(samples, n_max)
     # P_n(x_j), fixed throughout the optimization
     pdf_matrix = hermite_functions(n_max, x) ** 2
-
-    def neg_mean_loglik(y: np.ndarray) -> float:
-        mix = _softmax(y) @ pdf_matrix
-        return -float(np.mean(np.log(np.maximum(mix, 1e-300))))
-
-    def logits(c: np.ndarray) -> np.ndarray:
-        safe = np.maximum(c, 1e-9)
-        return np.log(safe[1:] / safe[0])
-
-    if initial is not None:
-        c0 = np.zeros(n_max + 1)
-        take = min(initial.c.size, n_max + 1)
-        c0[:take] = initial.c[:take]
-        starts = [logits(c0)]
-    else:
-        starts = [np.zeros(n_max)]
-        if restarts:
-            vacuum_heavy = np.full(n_max + 1, 0.1 / n_max)
-            vacuum_heavy[0] = 0.9
-            photon_heavy = np.full(n_max + 1, 0.1 / n_max)
-            photon_heavy[1] = 0.9
-            starts += [logits(vacuum_heavy), logits(photon_heavy)]
-
-    best = None
-    total_evals = 0
-    for y0 in starts:
-        res = minimize(
-            neg_mean_loglik,
-            y0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-7,
-                "fatol": 1e-9,
-                "maxfev": 100_000,
-                "adaptive": True,
-            },
-        )
-        total_evals += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-
-    c = _softmax(best.x)
+    w = np.full(x.size, 1.0 / x.size)
+    c, n_evals, kkt = _fit_weighted(pdf_matrix, w, np.full(n_max + 1, 1.0 / (n_max + 1)))
     state = FockDiagonalState(c / c.sum())
+    mix = np.maximum(np.einsum("n,nj->j", state.c, pdf_matrix), 1e-300)
     return MleResult(
         state=state,
-        loglik=-best.fun * x.size,
-        n_evals=total_evals,
-        converged=bool(best.success),
+        loglik=float(np.log(mix).sum()),
+        n_evals=n_evals,
+        converged=kkt <= MLE_KKT_TOL,
+        kkt_residual=kkt,
     )
 
 
 def bootstrap_purity(
-    fs: FrameSet,
-    psi0: ModeFunction,
+    quads: np.ndarray,
+    point: FockDiagonalState,
     n_resamples: int = 40,
     *,
     n_max: int = DEFAULT_N_MAX,
-    master_seed: int | None = None,
+    master_seed: int,
 ) -> float:
     """Bootstrap standard deviation of the single-photon weight c_1.
 
     Frames are resampled with replacement; extraction commutes with the
-    resampling, so the extracted quadratures are resampled directly.  Refits
-    warm-start at the full-data estimate.  More than 10% failed refits raise
+    resampling, so resample ``b`` is the weight vector ``bincount(idx) / N``
+    over the extracted quadratures ``quads``, with ``idx`` drawn from stream
+    ``(master_seed, DOMAIN_BOOTSTRAP, b)``.  Each refit warm-starts at the
+    full-data estimate ``point`` on one shared ``P_n(x_j)`` matrix.  A refit
+    fails when its KKT residual exceeds :data:`MLE_KKT_TOL`; more than 10%
+    failed refits, or degenerate quadratures, raise
     :class:`UnstableEstimateError`.
     """
     if n_resamples < 20:
         raise ValueError(f"need >= 20 resamples, got {n_resamples}")
-    seed = fs.master_seed if master_seed is None else master_seed
-    quads = extract_quadratures(fs, psi0)
     try:
-        point = mle_photon_distribution(quads, n_max)
+        x = _checked_samples(quads, n_max)
     except FitFailureError as exc:
-        raise UnstableEstimateError(f"point estimate failed: {exc}") from exc
+        raise UnstableEstimateError(f"cannot resample: {exc}") from exc
 
+    pdf_matrix = hermite_functions(n_max, x) ** 2
+    c0 = np.zeros(n_max + 1)
+    take = min(point.c.size, n_max + 1)
+    c0[:take] = point.c[:take]
     values = []
     failures = 0
     for b in range(n_resamples):
-        rng = seeds.stream(seed, seeds.DOMAIN_BOOTSTRAP, b)
-        idx = rng.integers(0, quads.size, size=quads.size)
-        try:
-            refit = mle_photon_distribution(quads[idx], n_max, initial=point.state)
-        except FitFailureError:
+        rng = seeds.stream(master_seed, seeds.DOMAIN_BOOTSTRAP, b)
+        idx = rng.integers(0, x.size, size=x.size)
+        w = np.bincount(idx, minlength=x.size) / x.size
+        c, _, kkt = _fit_weighted(pdf_matrix, w, c0)
+        if kkt > MLE_KKT_TOL:
             failures += 1
             continue
-        values.append(refit.state.c[1])
+        values.append(c[1] / c.sum())
     if failures > 0.1 * n_resamples:
         raise UnstableEstimateError(
             f"{failures}/{n_resamples} bootstrap refits failed"
@@ -389,19 +410,16 @@ def write_histogram_csv(overlay: HistogramOverlay, path: str | Path) -> None:
 
 def build_tomography_report(
     quads: np.ndarray,
+    mle: MleResult,
     *,
-    n_max: int = DEFAULT_N_MAX,
     purity_err: float = 0.0,
     bins: int = 60,
-) -> tuple[TomographyReport, MleResult]:
-    """MLE + derived quantities for one batch of extracted quadratures."""
-    mle = mle_photon_distribution(quads, n_max)
-    report = TomographyReport(
-        state=mle.state,
-        loglik=mle.loglik,
+) -> TomographyReport:
+    """Derived quantities of the point estimate ``mle`` fitted to ``quads``."""
+    return TomographyReport(
+        mle=mle,
         purity=float(mle.state.c[1]),
         purity_err=purity_err,
         wigner_origin=wigner_origin(mle.state),
         histogram=histogram_with_overlay(quads, mle.state, bins),
     )
-    return report, mle

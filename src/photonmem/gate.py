@@ -296,8 +296,14 @@ def criterion_loss_and_correlations() -> tuple[bool, str]:
     mc_invariant = bool(np.all(np.abs(full.g2 - thinned.g2) <= bands))
     antibunched = full.g2[0] <= 3.0 * full.err[0]
 
+    fs = _full_scale_frames()
+    quads = extract_quadratures(fs, _full_scale_pca().mode)
     boot_std = bootstrap_purity(
-        _full_scale_frames(), _full_scale_pca().mode, 40, n_max=5
+        quads,
+        mle_photon_distribution(quads, n_max=5).state,
+        40,
+        n_max=5,
+        master_seed=fs.master_seed,
     )
     boot_ok = 0.0025 <= boot_std <= 0.01
 

@@ -63,6 +63,8 @@ class ConditionRecord:
     quadratures: np.ndarray | None = None
     tomography: TomographyReport | None = None
     shifted_purity: float | None = None
+    #: why the shifted reanalysis did not run, when it did not
+    shifted_error: str | None = None
     error: str | None = None
 
 
@@ -93,10 +95,15 @@ def estimate_frames(
     """
     pca = matched_window_pca(fs)
     quads = extract_quadratures(fs, pca.mode)
+    mle = mle_photon_distribution(quads, n_max)
     err = bootstrap_purity(
-        fs, pca.mode, bootstrap_resamples, n_max=n_max, master_seed=master_seed
+        quads,
+        mle.state,
+        bootstrap_resamples,
+        n_max=n_max,
+        master_seed=fs.master_seed if master_seed is None else master_seed,
     )
-    report, _ = build_tomography_report(quads, n_max=n_max, purity_err=err)
+    report = build_tomography_report(quads, mle, purity_err=err)
     return report, pca, quads
 
 
@@ -148,19 +155,25 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 n_max=cfg.n_max,
                 bootstrap_resamples=cfg.bootstrap_resamples,
             )
-            if base_mode is None:
+            if k == 0:
                 base_mode = _clip_base_mode(pca.mode, t_release)
-            shifted_mode = time_shift(base_mode, t_release - cfg.release_times_ns[0])
-            # late releases in short windows: the shifted mode may poke past
-            # the recorded frame, so restrict it to the measured span
-            shifted_mode = clip_and_renormalize(
-                shifted_mode,
-                (cfg.window_start_ns, cfg.window_start_ns + n_samples - 1),
-            )
-            shifted_quads = extract_quadratures(frames, shifted_mode)
-            shifted = float(
-                mle_photon_distribution(shifted_quads, cfg.n_max).state.c[1]
-            )
+            shifted, shifted_error = None, None
+            if base_mode is None:
+                # shifting condition k's own mode by t_k - t_0 would move it
+                # off the pulse and report a near-zero purity
+                shifted_error = "condition 0 failed: no base mode to shift"
+            else:
+                shifted_mode = time_shift(base_mode, t_release - cfg.release_times_ns[0])
+                # late releases in short windows: the shifted mode may poke
+                # past the recorded frame, so restrict it to the measured span
+                shifted_mode = clip_and_renormalize(
+                    shifted_mode,
+                    (cfg.window_start_ns, cfg.window_start_ns + n_samples - 1),
+                )
+                shifted_quads = extract_quadratures(frames, shifted_mode)
+                shifted = float(
+                    mle_photon_distribution(shifted_quads, cfg.n_max).state.c[1]
+                )
             return ConditionRecord(
                 storage_time_ns=storage,
                 t_release_ns=t_release,
@@ -170,6 +183,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 quadratures=quads,
                 tomography=tomo,
                 shifted_purity=shifted,
+                shifted_error=shifted_error,
             )
         except (PhotonMemError, ValueError, ArithmeticError) as exc:
             return ConditionRecord(
@@ -262,7 +276,10 @@ def report_as_dict(report: SweepReport) -> dict:
                     "purity": c.tomography.purity,
                     "purity_err": c.tomography.purity_err,
                     "wigner_origin": c.tomography.wigner_origin,
+                    "mle_converged": c.tomography.mle.converged,
+                    "mle_kkt_residual": c.tomography.mle.kkt_residual,
                     "shifted_purity": c.shifted_purity,
+                    "shifted_error": c.shifted_error,
                     "pca_eigenvalue": c.pca.eigenvalue,
                     "release_metrics": c.release.metrics,
                 }

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+
+from photonmem import seeds
 
 from photonmem.errors import (
     FitFailureError,
@@ -7,6 +10,10 @@ from photonmem.errors import (
     UnstableEstimateError,
 )
 from photonmem.estimation import (
+    _LBFGSB_OPTIONS,
+    MLE_KKT_TOL,
+    _kkt_residual,
+    _objective,
     autocovariance,
     bootstrap_purity,
     fit_exponential_decay,
@@ -16,9 +23,10 @@ from photonmem.estimation import (
     pca_from_frames,
     pca_leading_mode,
 )
-from photonmem.fock import FockDiagonalState, quadrature_pdf
+from photonmem.fock import FockDiagonalState, hermite_functions, quadrature_pdf
 from photonmem.modes import normalized_mode, overlap_sq
-from photonmem.synth import FrameSet, draw_fock_quadrature, synth_condition
+from photonmem.pipeline import estimate_frames
+from photonmem.synth import FrameSet, draw_fock_quadrature, extract_quadratures, synth_condition
 
 from conftest import gaussian_mode
 
@@ -138,6 +146,47 @@ class TestMle:
         with pytest.raises(FitFailureError):
             mle_photon_distribution(np.full(2000, 1.3), 5)
 
+    def test_kkt_conditions_hold_on_stock_like_data(self):
+        # optimality checked directly, not against another optimizer: the
+        # log-likelihood gradient is zero on the support and <= 0 off it
+        truth = FockDiagonalState(np.array([0.418, 0.582]))
+        samples = sample_mixture(truth, 15_000, 52)
+        result = mle_photon_distribution(samples, 5)
+        c = result.state.c
+        pdf = hermite_functions(5, samples) ** 2
+        grad = np.sum(pdf / (c @ pdf), axis=1) / samples.size - 1.0
+        assert np.all(np.abs(grad[c > 0]) <= 1e-6)
+        assert np.all(grad[c == 0] <= 1e-6)
+        assert np.any(c == 0)  # the optimum sits on the simplex boundary
+        assert result.converged
+        assert result.kkt_residual <= MLE_KKT_TOL
+        assert result.loglik == pytest.approx(float(np.sum(np.log(c @ pdf))), rel=1e-12)
+
+    def test_kkt_residual_flags_a_non_optimal_point(self):
+        samples = sample_mixture(FockDiagonalState.two_level(0.582), 5_000, 53)
+        pdf = hermite_functions(5, samples) ** 2
+        w = np.full(samples.size, 1.0 / samples.size)
+        assert _kkt_residual(np.full(6, 1.0 / 6.0), pdf, w) > 1e-2
+
+    def test_abnormal_line_search_end_is_judged_by_kkt(self):
+        # regression: on this bootstrap weight vector L-BFGS-B stops with
+        # "ABNORMAL" at a point that is optimal to rounding
+        truth = FockDiagonalState(np.array([0.418, 0.582]))
+        samples = sample_mixture(truth, 5_000, 904)
+        pdf = hermite_functions(5, samples) ** 2
+        point = mle_photon_distribution(samples, 5).state
+        idx = seeds.stream(4, seeds.DOMAIN_BOOTSTRAP, 25).integers(0, samples.size, size=samples.size)
+        w = np.bincount(idx, minlength=samples.size) / samples.size
+        res = minimize(
+            _objective, point.c, args=(pdf, w), jac=True, method="L-BFGS-B",
+            bounds=[(0.0, None)] * 6, options=_LBFGSB_OPTIONS,
+        )
+        assert not res.success
+        assert _kkt_residual(res.x, pdf, w) <= MLE_KKT_TOL
+        # five of these 40 refits end that way; judged by scipy's flag they
+        # would exceed the 10% failure allowance
+        assert bootstrap_purity(samples, point, 40, n_max=5, master_seed=4) > 0.0
+
     def test_n_max_validated(self):
         samples = sample_mixture(FockDiagonalState.vacuum(), 2_000, 39)
         with pytest.raises(ValueError):
@@ -147,20 +196,27 @@ class TestMle:
 class TestBootstrap:
     def test_resample_count_consistency(self, mode64):
         fs = synth_condition(FockDiagonalState.two_level(0.582), mode64, 6_000, 40, n_samples=64)
-        std_small = bootstrap_purity(fs, mode64, 20)
-        std_large = bootstrap_purity(fs, mode64, 100)
+        quads = extract_quadratures(fs, mode64)
+        point = mle_photon_distribution(quads, 5).state
+        std_small = bootstrap_purity(quads, point, 20, n_max=5, master_seed=40)
+        std_large = bootstrap_purity(quads, point, 100, n_max=5, master_seed=40)
         assert std_small == pytest.approx(std_large, rel=0.5)
 
     def test_identical_frames_unstable(self, mode64):
         one = synth_condition(FockDiagonalState.vacuum(), mode64, 1, 41, n_samples=64)
         fs = FrameSet(np.repeat(one.frames, 2_000, axis=0), one.t0, one.dt, None, 41)
+        quads = extract_quadratures(fs, mode64)
         with pytest.raises(UnstableEstimateError):
-            bootstrap_purity(fs, mode64, 20)
+            bootstrap_purity(quads, FockDiagonalState.vacuum(), 20, master_seed=41)
+        # the estimation path stops at the point fit and never returns a number
+        with pytest.raises(FitFailureError):
+            estimate_frames(fs, n_max=5, bootstrap_resamples=20)
 
     def test_minimum_resamples(self, mode64):
         fs = synth_condition(FockDiagonalState.vacuum(), mode64, 1_500, 42, n_samples=64)
+        quads = extract_quadratures(fs, mode64)
         with pytest.raises(ValueError):
-            bootstrap_purity(fs, mode64, 10)
+            bootstrap_purity(quads, FockDiagonalState.vacuum(), 10, master_seed=42)
 
 
 class TestDecayFit:

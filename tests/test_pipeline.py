@@ -1,17 +1,21 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from photonmem import pipeline
 from photonmem.cli import cli_entry
 from photonmem.config import ExperimentConfig, load_config, save_config
+from photonmem.errors import PhotonMemError
+from photonmem.estimation import MLE_KKT_TOL
 from photonmem.pipeline import (
     emit_figure_data,
     estimate_frames,
     report_as_dict,
     run_sweep,
 )
-from photonmem.synth import load_frames
+from photonmem.synth import ImperfectionConfig, load_frames
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,15 @@ class TestConfig:
         back = load_config(path)
         assert back == smoke_config
 
+    def test_phase_only_detuning_round_trip(self, tmp_path, smoke_config):
+        cfg = replace(smoke_config, imperfections=ImperfectionConfig(detuning=(0.0, 0.7)))
+        path = tmp_path / "phase.cfg"
+        save_config(cfg, path)
+        back = load_config(path)
+        assert back.imperfections.detuning == (0.0, 0.7)
+        assert back == cfg
+        assert back.digest() == cfg.digest()
+
     def test_partial_file_uses_defaults(self, tmp_path):
         path = tmp_path / "partial.cfg"
         path.write_text("[sweep]\nframes_per_condition = 250\n")
@@ -56,8 +69,6 @@ class TestConfig:
             ExperimentConfig(purities=(0.5,))
 
     def test_digest_ignores_worker_count(self, smoke_config):
-        from dataclasses import replace
-
         assert smoke_config.digest() == replace(smoke_config, n_workers=4).digest()
         assert smoke_config.digest() != replace(smoke_config, master_seed=1).digest()
 
@@ -106,6 +117,37 @@ class TestRunSweep:
         assert report.failed
         assert report.conditions[0].error is not None
         assert report.decay_raw is None
+
+    def test_failed_base_condition_skips_shifted_branch(self, monkeypatch, smoke_config):
+        # fault injection: only condition 0's cavity simulation fails.  Without
+        # a base mode the shifted reanalysis must not run on condition k's
+        # own mode (that shifts it off the pulse and reads a near-zero purity)
+        real = pipeline.simulate_release
+        t0 = smoke_config.release_times_ns[0]
+
+        def fail_first(params, schedule):
+            if schedule.t_release_ns == t0:
+                raise PhotonMemError("injected failure")
+            return real(params, schedule)
+
+        monkeypatch.setattr(pipeline, "simulate_release", fail_first)
+        report = run_sweep(smoke_config)
+        first, second = report.conditions
+        assert "injected failure" in first.error
+        assert second.error is None
+        assert second.tomography.purity == pytest.approx(0.546, abs=0.04)
+        assert second.shifted_purity is None
+        assert "condition 0" in second.shifted_error
+        assert report.decay_shifted is None
+        entry = report_as_dict(report)["conditions"][1]
+        assert entry["shifted_purity"] is None
+        assert entry["shifted_error"] == second.shifted_error
+
+    def test_mle_health_in_report(self, smoke_report):
+        for entry in report_as_dict(smoke_report)["conditions"]:
+            assert entry["mle_converged"] is True
+            assert 0.0 <= entry["mle_kkt_residual"] <= MLE_KKT_TOL
+            assert entry["shifted_error"] is None
 
     def test_lifetime_purity_model(self):
         cfg = ExperimentConfig(
@@ -226,6 +268,8 @@ class TestCli:
         assert payload["purity_err"] == report.purity_err
         assert payload["pca_eigenvalue"] == pca.eigenvalue
         assert payload["photon_number_distribution"] == [float(v) for v in report.state.c]
+        assert payload["mle_converged"] is True
+        assert payload["mle_kkt_residual"] == report.mle.kkt_residual
 
     def test_sweep_fixed_seed_reproducible(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -241,6 +285,23 @@ class TestCli:
             ]) == 0
         capsys.readouterr()
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    def test_sweep_tree_equals_emit_figure_data(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "[sweep]\nstorage_times_ns = 0\npurities = 0.582\nframes_per_condition = 1500\n"
+            "[schedule]\nwindow_end_ns = 400.0\n"
+            "[estimation]\nbootstrap_resamples = 20\n"
+        )
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        assert cli_entry(["sweep", "--config", str(cfg_path), "--seed", "7", "--out", str(cli_dir)]) == 0
+        capsys.readouterr()
+        emit_figure_data(run_sweep(replace(load_config(cfg_path), master_seed=7)), lib_dir)
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        assert tree(cli_dir) == tree(lib_dir)
 
 
 class TestEstimateFramesWindowing:
