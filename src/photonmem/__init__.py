@@ -90,7 +90,6 @@ from .synth import (
     quantize_adc,
     save_frames,
     synth_condition,
-    synth_frame,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,19 +3,21 @@
 Each frame is a length-N record of instantaneous quadratures on a 1 ns grid.
 In the sqrt(dt) sample convention the vacuum contributes i.i.d. Gaussian noise
 of variance 1/2 per bin; the excited mode's quadrature is drawn from the
-photon-number mixture and swapped in along the mode direction::
+photon-number mixture and swapped in along the mode direction, and optional
+electronic noise ``e ~ N(0, sigma_e^2)^N`` adds to every sample::
 
-    frame = w - (psi . w) psi + x_psi psi,   w ~ N(0, 1/2)^N
+    frame = w - (psi . w) psi + x_psi psi + e,   w ~ N(0, 1/2)^N
 
-so a weighted integral with psi recovers exactly ``x_psi`` and any orthogonal
-mode stays vacuum-distributed.  Frames are stored as float32 -- the same
-precision as the binary file format -- which keeps file-mediated pipelines
-bit-identical to in-process ones.
+so a weighted integral with psi recovers ``x_psi + psi . e`` and any
+orthogonal mode stays Gaussian of variance ``1/2 + sigma_e^2``.  Frames are
+stored as float32 -- the same precision as the binary file format -- which
+keeps file-mediated pipelines bit-identical to in-process ones.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +38,9 @@ DEFAULT_FULL_SCALE = float(10 * VACUUM_SIGMA)
 _MAGIC = b"HMFR"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQddBBdQ")
+#: frames per random stream in :func:`synth_condition`; part of the seeded
+#: output format, not a tuning knob
+FRAME_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -146,43 +151,6 @@ def _mode_indices(psi: ModeFunction, t0: float, n_samples: int, dt: float) -> sl
     return slice(i0, i1)
 
 
-def synth_frame(
-    state: FockDiagonalState,
-    psi: ModeFunction,
-    rng: np.random.Generator,
-    *,
-    t0: float = 0.0,
-    n_samples: int = 1000,
-    dt: float = 1.0,
-    imperfections: ImperfectionConfig | None = None,
-) -> np.ndarray:
-    """Draw one homodyne frame with ``state`` excited in mode ``psi``.
-
-    Draw order per frame is fixed (N vacuum normals, one photon-number
-    uniform, one quadrature draw) so a given RNG stream always yields the
-    same frame.
-    """
-    imp = imperfections or ImperfectionConfig()
-    if imp.extra_loss < 1.0:
-        state = apply_loss(state, imp.extra_loss)
-    if imp.detuning is not None:
-        psi = detuned_effective_mode(psi, *imp.detuning)
-    cols = _mode_indices(psi, t0, n_samples, dt)
-
-    w = rng.normal(0.0, VACUUM_SIGMA, n_samples)
-    n = int(np.searchsorted(np.cumsum(state.c), rng.random(), side="right"))
-    n = min(n, state.n_max)
-    x_psi = float(draw_fock_quadrature(n, rng))
-    if imp.displacement is not None:
-        x_psi += np.sqrt(2.0) * np.real(imp.displacement)
-
-    frame = w
-    frame[cols] += (x_psi - float(np.dot(psi.samples, w[cols]))) * psi.samples
-    if imp.electronic_noise_std > 0.0:
-        frame += rng.normal(0.0, imp.electronic_noise_std, n_samples)
-    return frame
-
-
 def quantize_adc(values: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
     """Mid-rise uniform quantization over [-full_scale, +full_scale].
 
@@ -212,40 +180,69 @@ def synth_condition(
 ) -> FrameSet:
     """Generate ``n_frames`` independent frames for one experimental condition.
 
-    Frame ``i`` is drawn from its own counter-based stream derived from
-    ``(master_seed, i)``, so the result is bit-identical no matter how the
-    work is chunked across workers.
+    Frames are drawn in blocks of ``FRAME_BLOCK``; block ``b`` (frames
+    ``b * FRAME_BLOCK`` onwards) uses the single stream
+    ``(master_seed, DOMAIN_FRAME, b)`` with a fixed draw order:
+
+    1. a ``(FRAME_BLOCK, N)`` normal array of variance ``1/2 + sigma_e^2``;
+    2. ``FRAME_BLOCK`` photon-number uniforms;
+    3. ``FRAME_BLOCK`` quadrature uniforms, each mapped through the inverse
+       CDF of its photon number (``n = 0`` included);
+    4. ``FRAME_BLOCK`` electronic-noise normals along psi, only if
+       ``sigma_e > 0``.
+
+    The electronic noise is folded into the Gaussian draw: along psi the
+    frame carries ``x_psi + sigma_e * zeta``, orthogonal to it the isotropic
+    noise, which is the distribution of the frame in the module docstring.
+    A partial last block draws the whole block and keeps its first rows, so
+    frame ``i`` depends only on ``(master_seed, i)``; the result is
+    bit-identical for any ``n_workers``, which fills blocks in a thread
+    pool.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     imp = imperfections or ImperfectionConfig()
     eff_state = apply_loss(state, imp.extra_loss) if imp.extra_loss < 1.0 else state
     eff_psi = detuned_effective_mode(psi, *imp.detuning) if imp.detuning else psi
-    _mode_indices(eff_psi, t0, n_samples, dt)  # validate once up front
-    inner = ImperfectionConfig(
-        displacement=imp.displacement, electronic_noise_std=imp.electronic_noise_std
-    )
+    cols = _mode_indices(eff_psi, t0, n_samples, dt)
+    mode = eff_psi.samples
+    n_cdf = np.cumsum(eff_state.c)
+    shift = np.sqrt(2.0) * np.real(imp.displacement) if imp.displacement is not None else 0.0
+    noise = imp.electronic_noise_std
+    sigma = np.sqrt(0.5 + noise**2)
 
     out = np.empty((n_frames, n_samples), dtype=np.float32)
 
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = seeds.stream(master_seed, seeds.DOMAIN_FRAME, i)
-            frame = synth_frame(
-                eff_state, eff_psi, rng,
-                t0=t0, n_samples=n_samples, dt=dt, imperfections=inner,
-            )
-            if adc is not None:
-                frame = quantize_adc(frame, adc.bits, adc.full_scale)
-            out[i] = frame
+    def fill(b: int) -> None:
+        lo = b * FRAME_BLOCK
+        m = min(FRAME_BLOCK, n_frames - lo)
+        rng = seeds.stream(master_seed, seeds.DOMAIN_FRAME, b)
+        g = rng.standard_normal((FRAME_BLOCK, n_samples))[:m]
+        g *= sigma
+        n = np.searchsorted(n_cdf, rng.random(FRAME_BLOCK)[:m], side="right")
+        n = np.minimum(n, eff_state.n_max)
+        u = rng.random(FRAME_BLOCK)[:m]
+        x = np.empty(m)
+        for k in np.unique(n):
+            sel = n == k
+            x[sel] = np.interp(u[sel], *_fock_inverse_cdf(int(k)))
+        x += shift
+        if noise > 0.0:
+            x += noise * rng.standard_normal(FRAME_BLOCK)[:m]
+        # rank-1 swap along psi; einsum keeps this off the threaded BLAS
+        x -= np.einsum("ij,j->i", g[:, cols], mode)
+        g[:, cols] += np.multiply.outer(x, mode)
+        if adc is not None:
+            g = quantize_adc(g, adc.bits, adc.full_scale)
+        out[lo : lo + m] = g
 
-    if n_workers <= 1:
-        fill(0, n_frames)
+    n_blocks = -(-n_frames // FRAME_BLOCK)
+    if n_workers <= 1 or n_blocks == 1:
+        for b in range(n_blocks):
+            fill(b)
     else:
-        chunk = -(-n_frames // n_workers)
-        bounds = [(k, min(k + chunk, n_frames)) for k in range(0, n_frames, chunk)]
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+            list(pool.map(fill, range(n_blocks)))
 
     return FrameSet(out, t0=t0, dt=dt, adc=adc, master_seed=master_seed)
 
@@ -312,10 +309,15 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(fs.frames, dtype="<f4").tobytes())
+        fs.frames.astype("<f4", copy=False).tofile(fh)
 
 
 def load_frames(path: str | Path) -> FrameSet:
+    """Read a file written by :func:`save_frames`.
+
+    The size the header implies must equal the file size, so a truncated
+    file, trailing bytes or a corrupt header raise before any data is read.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -325,9 +327,13 @@ def load_frames(path: str | Path) -> FrameSet:
             raise ValueError(f"{path}: not a frame file (bad magic {magic!r})")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        expected = _HEADER.size + 4 * m * n
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise ValueError(f"{path}: truncated data section ({size} of {expected} bytes)")
+        if size > expected:
+            raise ValueError(f"{path}: {size - expected} trailing bytes after the data section")
         data = np.frombuffer(fh.read(4 * m * n), dtype="<f4")
-    if data.size != m * n:
-        raise ValueError(f"{path}: truncated data section")
     adc = AdcSpec(bits, full_scale) if adc_flag else None
     return FrameSet(data.reshape(m, n), t0=t0, dt=dt, adc=adc, master_seed=seed)
 

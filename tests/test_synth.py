@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from photonmem.estimation import mle_photon_distribution
 from photonmem.fock import FockDiagonalState
 from photonmem.modes import normalized_mode
 from photonmem.synth import (
+    FRAME_BLOCK,
     AdcSpec,
     ImperfectionConfig,
     bin_frames,
@@ -18,10 +20,8 @@ from photonmem.synth import (
     quantize_adc,
     save_frames,
     synth_condition,
-    synth_frame,
     write_frames_csv,
 )
-import photonmem.seeds as seeds
 
 from conftest import gaussian_mode
 
@@ -38,6 +38,17 @@ def mode():
     return gaussian_mode(center=60.0, sigma=12.0, t0=0.0, n=128)
 
 
+@pytest.fixture(scope="module")
+def ortho(mode):
+    """A mode orthogonal to ``mode`` on the same grid."""
+    # antisymmetric partner about the pulse center is nearly orthogonal
+    partner = normalized_mode(mode.samples * np.sign(mode.times - 60.0 + 0.25), 0.0, 1.0)
+    assert abs(np.dot(partner.samples, mode.samples)) < 0.05
+    return normalized_mode(
+        partner.samples - np.dot(partner.samples, mode.samples) * mode.samples, 0.0, 1.0
+    )
+
+
 class TestSynthFrame:
     def test_vacuum_per_bin_variance(self, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 10_000, 11, n_samples=128)
@@ -51,35 +62,15 @@ class TestSynthFrame:
         quads = extract_quadratures(fs, mode)
         assert kstest(quads, p1_cdf).pvalue > 0.01
 
-    def test_orthogonal_mode_stays_vacuum(self, mode):
+    def test_orthogonal_mode_stays_vacuum(self, mode, ortho):
         fs = synth_condition(FockDiagonalState.fock(1), mode, 20_000, 13, n_samples=128)
-        other = gaussian_mode(center=60.0, sigma=12.0, t0=0.0, n=128)
-        # antisymmetric partner about the pulse center is orthogonal
-        partner = normalized_mode(
-            other.samples * np.sign(other.times - 60.0 + 0.25), 0.0, 1.0
-        )
-        assert abs(np.dot(partner.samples, mode.samples)) < 0.05
-        ortho = normalized_mode(
-            partner.samples - np.dot(partner.samples, mode.samples) * mode.samples, 0.0, 1.0
-        )
         quads = extract_quadratures(fs, ortho)
         cdf = lambda x: 0.5 * (1.0 + np.vectorize(math.erf)(x))
         assert kstest(quads, cdf).pvalue > 0.01
 
     def test_mode_must_fit_frame(self, mode):
-        rng = seeds.stream(0, seeds.DOMAIN_FRAME, 0)
         with pytest.raises(ValueError, match="exceeds the frame window"):
-            synth_frame(FockDiagonalState.vacuum(), mode, rng, n_samples=64)
-
-    def test_draw_counts_fixed_per_frame(self, mode):
-        # same stream, same draws: the frame is a pure function of the stream
-        a = synth_frame(
-            FockDiagonalState.two_level(0.5), mode, seeds.stream(1, seeds.DOMAIN_FRAME, 5), n_samples=128
-        )
-        b = synth_frame(
-            FockDiagonalState.two_level(0.5), mode, seeds.stream(1, seeds.DOMAIN_FRAME, 5), n_samples=128
-        )
-        np.testing.assert_array_equal(a, b)
+            synth_condition(FockDiagonalState.vacuum(), mode, 1, 0, n_samples=64)
 
 
 class TestExtract:
@@ -175,6 +166,21 @@ class TestImperfections:
         assert penalty < 0.99  # 3 MHz over a wide pulse is no longer harmless
         assert c1 == pytest.approx(penalty, abs=0.025)
 
+    @pytest.mark.parametrize("which", ["mode", "ortho"])
+    def test_electronic_noise_along_and_across_mode(self, mode, ortho, which):
+        # the noise is folded into the block draw: the mode itself must carry
+        # sigma_e^2 of it, not only the samples orthogonal to it
+        m_frames, expected = 20_000, 0.5 + 0.3**2
+        noisy = ImperfectionConfig(electronic_noise_std=0.3)
+        fs = synth_condition(
+            FockDiagonalState.vacuum(), mode, m_frames, 31, n_samples=128, imperfections=noisy
+        )
+        quads = extract_quadratures(fs, {"mode": mode, "ortho": ortho}[which])
+        # standard error of a Gaussian sample variance: var sqrt(2 / (M - 1))
+        assert float(np.var(quads)) == pytest.approx(
+            expected, abs=3.0 * expected * math.sqrt(2.0 / (m_frames - 1))
+        )
+
     def test_electronic_noise_adds_variance(self, mode):
         noisy = ImperfectionConfig(electronic_noise_std=0.3)
         fs = synth_condition(
@@ -197,10 +203,20 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.frames, b.frames)
 
     def test_workers_do_not_change_bytes(self, mode):
+        # 2049 frames are three blocks, the last one partial
+        assert 2 * FRAME_BLOCK < 2049 < 3 * FRAME_BLOCK
         kw = dict(n_samples=128, adc=AdcSpec())
-        a = synth_condition(FockDiagonalState.two_level(0.5), mode, 501, 22, n_workers=1, **kw)
-        b = synth_condition(FockDiagonalState.two_level(0.5), mode, 501, 22, n_workers=4, **kw)
-        np.testing.assert_array_equal(a.frames, b.frames)
+        a = synth_condition(FockDiagonalState.two_level(0.5), mode, 2049, 22, n_workers=1, **kw)
+        b = synth_condition(FockDiagonalState.two_level(0.5), mode, 2049, 22, n_workers=3, **kw)
+        assert a.frames.tobytes() == b.frames.tobytes()
+
+    def test_frame_depends_only_on_seed_and_index(self, mode):
+        # a partial last block draws the whole block: a shorter run is a prefix
+        state = FockDiagonalState.two_level(0.5)
+        imp = ImperfectionConfig(displacement=0.2, electronic_noise_std=0.1)
+        short = synth_condition(state, mode, 1500, 35, n_samples=128, imperfections=imp)
+        long = synth_condition(state, mode, 2049, 35, n_samples=128, imperfections=imp)
+        np.testing.assert_array_equal(short.frames, long.frames[:1500])
 
     def test_zero_frames_rejected(self, mode):
         with pytest.raises(ValueError):
@@ -239,6 +255,38 @@ class TestFrameIo:
         path.write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(ValueError, match="magic"):
             load_frames(path)
+
+    @pytest.fixture
+    def saved(self, tmp_path, mode):
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 36, n_samples=128)
+        path = tmp_path / "frames.bin"
+        save_frames(fs, path)
+        return path
+
+    def test_save_writes_header_and_raw_float32(self, saved):
+        raw = saved.read_bytes()
+        fs = load_frames(saved)
+        # fixed 58-byte header, then the row-major little-endian data
+        assert len(raw) == 58 + 4 * 20 * 128
+        assert raw[58:] == fs.frames.astype("<f4").tobytes()
+
+    def test_truncated_file_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated data section"):
+            load_frames(saved)
+
+    def test_trailing_bytes_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_frames(saved)
+
+    def test_huge_header_rejected_before_reading(self, saved):
+        # m = n = 2^31 claims 2^64 data bytes; the size check must catch it
+        raw = bytearray(saved.read_bytes())
+        struct.pack_into("<QQ", raw, 8, 2**31, 2**31)
+        saved.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated data section"):
+            load_frames(saved)
 
     def test_csv_export(self, tmp_path, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 3, 26, n_samples=128)
