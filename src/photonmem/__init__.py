@@ -17,7 +17,6 @@ from .cavity import (
     ShutterSchedule,
     calibrate_shutter_detuning,
     derive_rates,
-    envelope_family,
     simulate_release,
     storage_lifetime,
 )
@@ -84,7 +83,6 @@ from .synth import (
     AdcSpec,
     FrameSet,
     ImperfectionConfig,
-    extract_quadrature,
     extract_quadratures,
     load_frames,
     quantize_adc,

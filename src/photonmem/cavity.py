@@ -292,11 +292,6 @@ def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> Lifetim
     )
 
 
-def envelope_family(params: CavityParams, schedules: list[ShutterSchedule]) -> list[ReleaseResult]:
-    """Release simulations for a family of schedules under shared parameters."""
-    return [simulate_release(params, s) for s in schedules]
-
-
 def calibrate_shutter_detuning(
     params: CavityParams,
     target_preleak: float = 0.03,

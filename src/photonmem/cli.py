@@ -20,12 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
-from .cavity import (
-    ShutterSchedule,
-    simulate_release,
-    write_release_csv,
-    write_release_metrics_json,
-)
+from .cavity import simulate_release, write_release_csv, write_release_metrics_json
 from .config import ExperimentConfig, load_config
 from .errors import PhotonMemError
 from .fock import FockDiagonalState, wigner_section, write_photon_number_csv, write_wigner_section_csv
@@ -60,8 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=None, help="number of frames")
     p.add_argument("--purity", type=float, default=0.582, help="single-photon weight of the state")
     p.add_argument("--release", type=float, default=150.0, help="shutter opening time (ns)")
-    p.add_argument("--adc-bits", type=int, default=8, help="ADC resolution (0 disables quantization)")
-    p.add_argument("--full-scale", type=float, default=AdcSpec().full_scale, help="ADC full scale")
+    p.add_argument(
+        "--adc-bits", type=int, default=None, help="ADC resolution (0 disables quantization; default: [adc])"
+    )
+    p.add_argument("--full-scale", type=float, default=None, help="ADC full scale (default: [adc])")
 
     p = sub.add_parser("estimate", parents=[common], help="estimate a state from a frame file")
     p.add_argument("frames_file", type=Path, help="binary frame file written by 'synth'")
@@ -87,19 +84,8 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
-def _schedule(cfg: ExperimentConfig, t_release: float) -> ShutterSchedule:
-    return ShutterSchedule(
-        t_release_ns=t_release,
-        delta_closed_rad_s=cfg.delta_closed_rad_s,
-        t_start_ns=cfg.window_start_ns,
-        t_end_ns=cfg.window_end_ns,
-        dt_int_ns=cfg.dt_int_ns,
-    )
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
-    result = simulate_release(cfg.cavity, _schedule(cfg, args.release))
+def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
+    result = simulate_release(cfg.cavity, cfg.schedule(args.release))
     args.out.mkdir(parents=True, exist_ok=True)
     write_release_csv(result, args.out / "envelope.csv")
     write_release_metrics_json(result, args.out / "release_metrics.json")
@@ -107,18 +93,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
-    release = simulate_release(cfg.cavity, _schedule(cfg, args.release))
+def _cmd_synth(args, cfg: ExperimentConfig) -> int:
+    release = simulate_release(cfg.cavity, cfg.schedule(args.release))
     n_frames = args.frames or cfg.frames_per_condition
-    adc = AdcSpec(args.adc_bits, args.full_scale) if args.adc_bits else None
+    bits = (cfg.adc.bits if cfg.adc else 0) if args.adc_bits is None else args.adc_bits
+    full_scale = (cfg.adc or AdcSpec()).full_scale if args.full_scale is None else args.full_scale
+    adc = AdcSpec(bits, full_scale) if bits else None
     fs = synth_condition(
         FockDiagonalState.two_level(args.purity),
         release.envelope,
         n_frames,
         cfg.master_seed,
         t0=cfg.window_start_ns,
-        n_samples=int(round(cfg.window_end_ns - cfg.window_start_ns)),
+        n_samples=cfg.n_samples,
         imperfections=cfg.imperfections,
         adc=adc,
         n_workers=cfg.n_workers,
@@ -130,8 +117,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
     fs = load_frames(args.frames_file)
     report, pca, quads = estimate_frames(
         fs, n_max=cfg.n_max, bootstrap_resamples=cfg.bootstrap_resamples
@@ -156,8 +142,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     report = run_sweep(cfg)
     emit_figure_data(report, args.out)
     for c in report.conditions:
@@ -170,7 +155,7 @@ def _cmd_sweep(args) -> int:
     return 1 if report.failed else 0
 
 
-def _cmd_gate(args) -> int:
+def _cmd_gate(args, cfg: ExperimentConfig) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     results = run_gate(indices=args.criteria, out_json=args.out / "gate_results.json")
     return 0 if results and all(r.passed for r in results) else 1
@@ -193,7 +178,12 @@ def cli_entry(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load_cfg(args)
+    except (OSError, ValueError) as exc:  # a config error is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _COMMANDS[args.command](args, cfg)
     except (PhotonMemError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,18 +4,18 @@ Every field has a default reproducing the stock demonstration: storage times
 0/100/200/300 ns on top of a 150 ns intrinsic delay, 4.3e4 frames per
 condition, single-photon weights 58.2/54.6/53.1/49.7 %, 8-bit ADC.  The full
 effective configuration (defaults included) is dumped into every report for
-provenance.
+provenance.  The INI schema is the single table ``_FIELDS``: it drives both
+the dump and the loader, which rejects any section or key not in it.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cavity import DEFAULT_SHUTTER_DETUNING_RAD_S, CavityParams
+from .cavity import DEFAULT_SHUTTER_DETUNING_RAD_S, CavityParams, ShutterSchedule
 from .fock import DEFAULT_N_MAX
 from .synth import AdcSpec, ImperfectionConfig
 
@@ -70,56 +70,23 @@ class ExperimentConfig:
     def release_times_ns(self) -> tuple[float, ...]:
         return tuple(t + self.intrinsic_delay_ns for t in self.storage_times_ns)
 
+    @property
+    def n_samples(self) -> int:
+        """Samples per frame: the recording window on the 1 ns frame grid."""
+        return int(round(self.window_end_ns - self.window_start_ns))
+
+    def schedule(self, t_release_ns: float) -> ShutterSchedule:
+        """Shutter schedule of a release at ``t_release_ns`` in this window."""
+        return ShutterSchedule(
+            t_release_ns, self.delta_closed_rad_s, self.window_start_ns, self.window_end_ns, self.dt_int_ns
+        )
+
     def to_text(self) -> str:
         """Canonical key=value dump (also the provenance/hashing format)."""
-        cp = configparser.ConfigParser()
-        cp["cavity"] = {
-            "mc_round_trip_m": repr(float(self.cavity.mc_round_trip_m)),
-            "mc_loss": repr(float(self.cavity.mc_loss)),
-            "sc_round_trip_m": repr(float(self.cavity.sc_round_trip_m)),
-            "sc_loss": repr(float(self.cavity.sc_loss)),
-            "t_mc_sc": repr(float(self.cavity.t_mc_sc)),
-            "t_sc_out": repr(float(self.cavity.t_sc_out)),
-        }
-        cp["schedule"] = {
-            "delta_closed_rad_s": repr(float(self.delta_closed_rad_s)),
-            "window_start_ns": repr(float(self.window_start_ns)),
-            "window_end_ns": repr(float(self.window_end_ns)),
-            "dt_int_ns": repr(float(self.dt_int_ns)),
-        }
-        cp["sweep"] = {
-            "storage_times_ns": ", ".join(repr(float(t)) for t in self.storage_times_ns),
-            "intrinsic_delay_ns": repr(float(self.intrinsic_delay_ns)),
-            "frames_per_condition": str(self.frames_per_condition),
-            "purity_model": self.purity_model,
-            "purities": ", ".join(repr(float(p)) for p in self.purities),
-            "release_purity_p0": repr(float(self.release_purity_p0)),
-        }
-        imp = self.imperfections
-        cp["imperfections"] = {
-            "displacement_re": repr(float(imp.displacement.real) if imp.displacement else 0.0),
-            "displacement_im": repr(float(imp.displacement.imag) if imp.displacement else 0.0),
-            "detuning_rad_s": repr(imp.detuning[0] if imp.detuning else 0.0),
-            "detuning_phase_rad": repr(imp.detuning[1] if imp.detuning else 0.0),
-            "extra_loss": repr(float(imp.extra_loss)),
-            "electronic_noise_std": repr(float(imp.electronic_noise_std)),
-        }
-        cp["adc"] = {
-            "enabled": str(self.adc is not None).lower(),
-            "bits": str(self.adc.bits if self.adc else 8),
-            "full_scale": repr(float(self.adc.full_scale if self.adc else AdcSpec().full_scale)),
-        }
-        cp["estimation"] = {
-            "n_max": str(self.n_max),
-            "bootstrap_resamples": str(self.bootstrap_resamples),
-        }
-        cp["run"] = {
-            "master_seed": str(self.master_seed),
-            "n_workers": str(self.n_workers),
-        }
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
+        rows: dict[str, list[str]] = {}
+        for section, key, cast, read in _FIELDS:
+            rows.setdefault(section, []).append(f"{key} = {_FORMAT.get(cast, str)(read(self))}\n")
+        return "".join(f"[{section}]\n{''.join(lines)}\n" for section, lines in rows.items())
 
     def provenance_text(self) -> str:
         """Like :meth:`to_text` but without the worker count: parallelism is
@@ -134,70 +101,108 @@ class ExperimentConfig:
         return hashlib.sha256(self.provenance_text().encode()).hexdigest()
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default):
-    if cp.has_option(section, key):
-        raw = cp.get(section, key)
-        return cast(raw)
-    return default
-
-
-def _float_tuple(raw: str) -> tuple[float, ...]:
+def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a config file; missing keys fall back to the stock defaults."""
-    cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
-    base = ExperimentConfig()
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
-    cavity = CavityParams(
-        mc_round_trip_m=_get(cp, "cavity", "mc_round_trip_m", float, base.cavity.mc_round_trip_m),
-        mc_loss=_get(cp, "cavity", "mc_loss", float, base.cavity.mc_loss),
-        sc_round_trip_m=_get(cp, "cavity", "sc_round_trip_m", float, base.cavity.sc_round_trip_m),
-        sc_loss=_get(cp, "cavity", "sc_loss", float, base.cavity.sc_loss),
-        t_mc_sc=_get(cp, "cavity", "t_mc_sc", float, base.cavity.t_mc_sc),
-        t_sc_out=_get(cp, "cavity", "t_sc_out", float, base.cavity.t_sc_out),
-    )
-    disp_re = _get(cp, "imperfections", "displacement_re", float, 0.0)
-    disp_im = _get(cp, "imperfections", "displacement_im", float, 0.0)
-    det = _get(cp, "imperfections", "detuning_rad_s", float, 0.0)
-    det_phase = _get(cp, "imperfections", "detuning_phase_rad", float, 0.0)
-    imperfections = ImperfectionConfig(
-        displacement=complex(disp_re, disp_im) if (disp_re or disp_im) else None,
-        detuning=(det, det_phase) if (det or det_phase) else None,
-        extra_loss=_get(cp, "imperfections", "extra_loss", float, 1.0),
-        electronic_noise_std=_get(cp, "imperfections", "electronic_noise_std", float, 0.0),
-    )
-    adc_enabled = _get(cp, "adc", "enabled", lambda s: s.strip().lower() in ("1", "true", "yes"), True)
-    adc = (
-        AdcSpec(
-            bits=_get(cp, "adc", "bits", int, 8),
-            full_scale=_get(cp, "adc", "full_scale", float, AdcSpec().full_scale),
-        )
-        if adc_enabled
-        else None
-    )
-    return ExperimentConfig(
-        cavity=cavity,
-        storage_times_ns=_get(cp, "sweep", "storage_times_ns", _float_tuple, base.storage_times_ns),
-        intrinsic_delay_ns=_get(cp, "sweep", "intrinsic_delay_ns", float, base.intrinsic_delay_ns),
-        frames_per_condition=_get(cp, "sweep", "frames_per_condition", int, base.frames_per_condition),
-        purity_model=_get(cp, "sweep", "purity_model", str.strip, base.purity_model),
-        purities=_get(cp, "sweep", "purities", _float_tuple, base.purities),
-        release_purity_p0=_get(cp, "sweep", "release_purity_p0", float, base.release_purity_p0),
-        delta_closed_rad_s=_get(cp, "schedule", "delta_closed_rad_s", float, base.delta_closed_rad_s),
-        window_start_ns=_get(cp, "schedule", "window_start_ns", float, base.window_start_ns),
-        window_end_ns=_get(cp, "schedule", "window_end_ns", float, base.window_end_ns),
-        dt_int_ns=_get(cp, "schedule", "dt_int_ns", float, base.dt_int_ns),
-        imperfections=imperfections,
-        adc=adc,
-        n_max=_get(cp, "estimation", "n_max", int, base.n_max),
-        bootstrap_resamples=_get(cp, "estimation", "bootstrap_resamples", int, base.bootstrap_resamples),
-        master_seed=_get(cp, "run", "master_seed", int, base.master_seed),
-        n_workers=_get(cp, "run", "n_workers", int, base.n_workers),
-    )
+
+#: The INI schema, one row per key: (section, key, cast, read).  ``cast``
+#: parses the INI text and fixes the key's format in the dump; ``read`` takes
+#: the value from a config, and from the stock config for a key a file omits.
+#: The cavity, imperfections and adc sections each build one field of
+#: ExperimentConfig (see ``_OBJECTS``); the keys of the other sections are
+#: ExperimentConfig fields.
+_FIELDS = (
+    ("cavity", "mc_round_trip_m", float, lambda c: c.cavity.mc_round_trip_m),
+    ("cavity", "mc_loss", float, lambda c: c.cavity.mc_loss),
+    ("cavity", "sc_round_trip_m", float, lambda c: c.cavity.sc_round_trip_m),
+    ("cavity", "sc_loss", float, lambda c: c.cavity.sc_loss),
+    ("cavity", "t_mc_sc", float, lambda c: c.cavity.t_mc_sc),
+    ("cavity", "t_sc_out", float, lambda c: c.cavity.t_sc_out),
+    ("schedule", "delta_closed_rad_s", float, lambda c: c.delta_closed_rad_s),
+    ("schedule", "window_start_ns", float, lambda c: c.window_start_ns),
+    ("schedule", "window_end_ns", float, lambda c: c.window_end_ns),
+    ("schedule", "dt_int_ns", float, lambda c: c.dt_int_ns),
+    ("sweep", "storage_times_ns", _floats, lambda c: c.storage_times_ns),
+    ("sweep", "intrinsic_delay_ns", float, lambda c: c.intrinsic_delay_ns),
+    ("sweep", "frames_per_condition", int, lambda c: c.frames_per_condition),
+    ("sweep", "purity_model", str, lambda c: c.purity_model),
+    ("sweep", "purities", _floats, lambda c: c.purities),
+    ("sweep", "release_purity_p0", float, lambda c: c.release_purity_p0),
+    ("imperfections", "displacement_re", float, lambda c: (c.imperfections.displacement or 0j).real),
+    ("imperfections", "displacement_im", float, lambda c: (c.imperfections.displacement or 0j).imag),
+    ("imperfections", "detuning_rad_s", float, lambda c: (c.imperfections.detuning or (0.0, 0.0))[0]),
+    ("imperfections", "detuning_phase_rad", float, lambda c: (c.imperfections.detuning or (0.0, 0.0))[1]),
+    ("imperfections", "extra_loss", float, lambda c: c.imperfections.extra_loss),
+    ("imperfections", "electronic_noise_std", float, lambda c: c.imperfections.electronic_noise_std),
+    ("adc", "enabled", _bool, lambda c: c.adc is not None),
+    ("adc", "bits", int, lambda c: (c.adc or AdcSpec()).bits),
+    ("adc", "full_scale", float, lambda c: (c.adc or AdcSpec()).full_scale),
+    ("estimation", "n_max", int, lambda c: c.n_max),
+    ("estimation", "bootstrap_resamples", int, lambda c: c.bootstrap_resamples),
+    ("run", "master_seed", int, lambda c: c.master_seed),
+    ("run", "n_workers", int, lambda c: c.n_workers),
+)
+
+#: canonical INI text of a value, by the cast that reads it back
+_FORMAT = {
+    float: lambda v: repr(float(v)),
+    _floats: lambda v: ", ".join(repr(float(t)) for t in v),
+    _bool: lambda v: str(v).lower(),
+}
+
+#: builders of the object-valued fields, called with their section's values
+#: in table order (ImperfectionConfig maps a zero displacement or detuning
+#: to None)
+_OBJECTS = {
+    "cavity": CavityParams,
+    "imperfections": lambda re, im, rad_s, phase, *rest: ImperfectionConfig(
+        complex(re, im), (rad_s, phase), *rest
+    ),
+    "adc": lambda enabled, *spec: AdcSpec(*spec) if enabled else None,
+}
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Read a config file; missing keys fall back to the stock defaults.
+
+    An unknown section or key, or a value its cast rejects, raises
+    ``ValueError`` naming ``[section] key``.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    given = {(s, k): cp.get(s, k) for s in cp.sections() for k in cp.options(s)}
+    stock = ExperimentConfig()
+    values: dict[str, dict] = {}
+    for section, key, cast, read in _FIELDS:
+        raw = given.pop((section, key), None)
+        try:
+            value = read(stock) if raw is None else cast(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from None
+        values.setdefault(section, {})[key] = value
+    unknown = [f"[{s}]" for s in cp.sections() if s not in values]
+    unknown += [f"[{s}] {k}" for s, k in given if s in values]
+    unknown += [f"[{cp.default_section}] {k}" for k in cp.defaults()]
+    if unknown:
+        raise ValueError(f"{path}: unknown section or key: {', '.join(unknown)}")
+    kwargs = {}
+    for section, vals in values.items():
+        if section in _OBJECTS:
+            kwargs[section] = _OBJECTS[section](*vals.values())
+        else:
+            kwargs.update(vals)
+    return ExperimentConfig(**kwargs)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:

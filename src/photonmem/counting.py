@@ -10,9 +10,7 @@ for one configuration.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -216,10 +214,3 @@ def simulate_heralded_clicks(
     times_b = t_click[detected & ~to_a]
     return times_a, times_b, float(n_trials * trial_period_ns)
 
-
-def write_g2_csv(estimate: G2Estimate, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_ns", "g2", "err"])
-        for t, g, e in zip(estimate.tau_ns, estimate.g2, estimate.err):
-            writer.writerow([f"{t:.12g}", f"{g:.12g}", f"{e:.12g}"])

@@ -237,16 +237,6 @@ def orthonormalize(modes: list[ModeFunction]) -> list[ModeFunction]:
     return [ModeFunction(vec, first.t0, first.dt) for vec in basis]
 
 
-def gram_matrix(modes: list[ModeFunction]) -> np.ndarray:
-    """Matrix of pairwise inner products."""
-    n = len(modes)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = inner_product(modes[i], modes[j])
-    return g
-
-
 def write_mode_csv(m: ModeFunction, path: str | Path) -> None:
     """Write a mode as ``t_ns, psi`` rows with a header line."""
     with open(path, "w", newline="") as fh:

@@ -21,7 +21,6 @@ from . import seeds
 from ._version import __version__
 from .cavity import (
     ReleaseResult,
-    ShutterSchedule,
     simulate_release,
     storage_lifetime,
     write_release_csv,
@@ -107,10 +106,10 @@ def estimate_frames(
     return report, pca, quads
 
 
-def _target_purities(cfg: ExperimentConfig, schedule0: ShutterSchedule) -> tuple[list[float], dict]:
+def _target_purities(cfg: ExperimentConfig) -> tuple[list[float], dict]:
     if cfg.purity_model == "explicit":
         return list(cfg.purities), {}
-    lifetime = storage_lifetime(cfg.cavity, schedule0)
+    lifetime = storage_lifetime(cfg.cavity, cfg.schedule(cfg.release_times_ns[0]))
     p = [
         min(1.0, cfg.release_purity_p0 * float(np.exp(-t / lifetime.tau_ns)))
         for t in cfg.release_times_ns
@@ -120,18 +119,8 @@ def _target_purities(cfg: ExperimentConfig, schedule0: ShutterSchedule) -> tuple
 
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the full per-condition pipeline and both decay fits."""
-    n_samples = int(round(cfg.window_end_ns - cfg.window_start_ns))
-    schedules = [
-        ShutterSchedule(
-            t_release_ns=t,
-            delta_closed_rad_s=cfg.delta_closed_rad_s,
-            t_start_ns=cfg.window_start_ns,
-            t_end_ns=cfg.window_end_ns,
-            dt_int_ns=cfg.dt_int_ns,
-        )
-        for t in cfg.release_times_ns
-    ]
-    purities, extra_prov = _target_purities(cfg, schedules[0])
+    schedules = [cfg.schedule(t) for t in cfg.release_times_ns]
+    purities, extra_prov = _target_purities(cfg)
 
     def process(k: int, base_mode: ModeFunction | None) -> ConditionRecord:
         storage = cfg.storage_times_ns[k]
@@ -146,7 +135,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 cfg.frames_per_condition,
                 cond_seed,
                 t0=cfg.window_start_ns,
-                n_samples=n_samples,
+                n_samples=cfg.n_samples,
                 imperfections=cfg.imperfections,
                 adc=cfg.adc,
             )
@@ -168,7 +157,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 # past the recorded frame, so restrict it to the measured span
                 shifted_mode = clip_and_renormalize(
                     shifted_mode,
-                    (cfg.window_start_ns, cfg.window_start_ns + n_samples - 1),
+                    (cfg.window_start_ns, cfg.window_start_ns + cfg.n_samples - 1),
                 )
                 shifted_quads = extract_quadratures(frames, shifted_mode)
                 shifted = float(

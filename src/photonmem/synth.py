@@ -16,7 +16,6 @@ keeps file-mediated pipelines bit-identical to in-process ones.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +79,12 @@ class ImperfectionConfig:
             raise ValueError(f"extra_loss must lie in [0, 1], got {self.extra_loss}")
         if self.electronic_noise_std < 0.0:
             raise ValueError("electronic_noise_std must be non-negative")
+        # a zero displacement or detuning is no imperfection: one spelling
+        # keeps configs that synthesise alike equal, with equal INI dumps
+        if self.displacement == 0:
+            object.__setattr__(self, "displacement", None)
+        if self.detuning == (0.0, 0.0):
+            object.__setattr__(self, "detuning", None)
 
 
 @dataclass(frozen=True)
@@ -277,15 +282,6 @@ def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None =
     )
 
 
-def extract_quadrature(frame: np.ndarray, psi0: ModeFunction, *, t0: float = 0.0, dt: float = 1.0) -> float:
-    """Weighted integral ``sum_i psi0_i frame_i`` of one frame."""
-    frame = np.asarray(frame)
-    if frame.ndim != 1:
-        raise ValueError("frame must be 1-D; use extract_quadratures for a FrameSet")
-    cols = _mode_indices(psi0, t0, frame.shape[0], dt)
-    return float(np.dot(frame[cols].astype(float), psi0.samples))
-
-
 def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
     """Mode quadrature of every frame in the set (float64)."""
     cols = _mode_indices(psi0, fs.t0, fs.n_samples, fs.dt)
@@ -337,13 +333,3 @@ def load_frames(path: str | Path) -> FrameSet:
     adc = AdcSpec(bits, full_scale) if adc_flag else None
     return FrameSet(data.reshape(m, n), t0=t0, dt=dt, adc=adc, master_seed=seed)
 
-
-def write_frames_csv(fs: FrameSet, path: str | Path) -> None:
-    """Long-form CSV export (``frame, t_ns, x``); intended for small sets."""
-    times = fs.times
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "t_ns", "x"])
-        for i in range(fs.n_frames):
-            for t, v in zip(times, fs.frames[i]):
-                writer.writerow([i, f"{t:.12g}", f"{v:.9g}"])

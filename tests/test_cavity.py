@@ -10,7 +10,6 @@ from photonmem.cavity import (
     ShutterSchedule,
     calibrate_shutter_detuning,
     derive_rates,
-    envelope_family,
     simulate_release,
     storage_lifetime,
     write_release_csv,
@@ -135,13 +134,12 @@ class TestStorageLifetime:
 
 class TestEnvelopeFamily:
     def test_identical_schedules_identical_envelopes(self, params):
-        scheds = [ShutterSchedule(t_release_ns=250.0)] * 2
-        a, b = envelope_family(params, scheds)
+        a, b = (simulate_release(params, ShutterSchedule(t_release_ns=250.0)) for _ in range(2))
         np.testing.assert_array_equal(a.envelope.samples, b.envelope.samples)
 
     def test_peak_times_shift_with_release(self, params):
-        scheds = [ShutterSchedule(t_release_ns=t) for t in (150.0, 250.0, 350.0, 450.0)]
-        peaks = [r.metrics["peak_time_ns"] for r in envelope_family(params, scheds)]
+        releases = [simulate_release(params, ShutterSchedule(t_release_ns=t)) for t in (150.0, 250.0, 350.0, 450.0)]
+        peaks = [r.metrics["peak_time_ns"] for r in releases]
         np.testing.assert_allclose(np.diff(peaks), 100.0, atol=2.0)
 
     def test_shape_invariant_under_storage_time(self, params, base_release):

@@ -7,7 +7,6 @@ from photonmem.counting import (
     g2_from_counts,
     jitter_decohered,
     simulate_heralded_clicks,
-    write_g2_csv,
 )
 from photonmem.errors import InsufficientDataError
 from photonmem.modes import normalized_mode, overlap_sq, time_shift
@@ -146,17 +145,6 @@ class TestG2FromCounts:
     def test_insufficient_events_rejected(self):
         with pytest.raises(InsufficientDataError):
             g2_from_counts(np.arange(10.0), np.arange(200.0), np.array([-1.0, 1.0]), 1e6)
-
-    def test_csv_output(self, tmp_path, pulse):
-        times_a, times_b, total = simulate_heralded_clicks(
-            p=0.6, eta=0.5, psi=pulse, n_trials=5_000, trial_period_ns=1000.0, master_seed=64
-        )
-        est = g2_from_counts(times_a, times_b, np.array([-250.0, 250.0, 750.0]), total)
-        path = tmp_path / "g2.csv"
-        write_g2_csv(est, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "tau_ns,g2,err"
-        assert len(lines) == 3
 
 
 class TestHeraldedClickSimulation:

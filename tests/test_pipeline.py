@@ -1,10 +1,15 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonmem import pipeline
+from photonmem.cavity import CavityParams
 from photonmem.cli import cli_entry
 from photonmem.config import ExperimentConfig, load_config, save_config
 from photonmem.errors import PhotonMemError
@@ -15,7 +20,94 @@ from photonmem.pipeline import (
     report_as_dict,
     run_sweep,
 )
-from photonmem.synth import ImperfectionConfig, load_frames
+from photonmem.synth import AdcSpec, ImperfectionConfig, load_frames
+
+#: the stock config's canonical dump: every digest and report.json's
+#: config_text are built from these bytes
+STOCK_TEXT = """\
+[cavity]
+mc_round_trip_m = 1.4
+mc_loss = 0.0025
+sc_round_trip_m = 0.7
+sc_loss = 0.03
+t_mc_sc = 0.03
+t_sc_out = 0.17
+
+[schedule]
+delta_closed_rad_s = 1638800000.0
+window_start_ns = 0.0
+window_end_ns = 1000.0
+dt_int_ns = 0.1
+
+[sweep]
+storage_times_ns = 0.0, 100.0, 200.0, 300.0
+intrinsic_delay_ns = 150.0
+frames_per_condition = 43000
+purity_model = explicit
+purities = 0.582, 0.546, 0.531, 0.497
+release_purity_p0 = 0.626
+
+[imperfections]
+displacement_re = 0.0
+displacement_im = 0.0
+detuning_rad_s = 0.0
+detuning_phase_rad = 0.0
+extra_loss = 1.0
+electronic_noise_std = 0.0
+
+[adc]
+enabled = true
+bits = 8
+full_scale = 7.0710678118654755
+
+[estimation]
+n_max = 5
+bootstrap_resamples = 40
+
+[run]
+master_seed = 20140523
+n_workers = 1
+
+"""
+
+_finite = st.floats(-1e12, 1e12, allow_nan=False)
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def valid_configs(draw):
+    times = sorted(draw(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4, unique=True)))
+    model = draw(st.sampled_from(["explicit", "lifetime"]))
+    n_purities = len(times) if model == "explicit" else draw(st.integers(0, 4))
+    imperfections = ImperfectionConfig(
+        displacement=draw(st.none() | st.just(0j) | st.complex_numbers(max_magnitude=10.0)),
+        detuning=draw(st.none() | st.just((0.0, 0.0)) | st.tuples(_finite, _finite)),
+        extra_loss=draw(_unit),
+        electronic_noise_std=draw(st.floats(0.0, 10.0)),
+    )
+    adc = draw(st.none() | st.builds(AdcSpec, st.integers(2, 16), st.floats(1e-3, 1e3)))
+    loss = st.floats(0.0, 0.999)
+    length = st.floats(0.01, 100.0)
+    cavity = CavityParams(*draw(st.tuples(length, loss, length, loss, loss, loss)))
+    return ExperimentConfig(
+        cavity=cavity,
+        storage_times_ns=tuple(times),
+        intrinsic_delay_ns=draw(_finite),
+        frames_per_condition=draw(st.integers(100, 10**6)),
+        purity_model=model,
+        purities=tuple(draw(st.lists(_unit, min_size=n_purities, max_size=n_purities))),
+        release_purity_p0=draw(st.floats(1e-6, 1.0)),
+        delta_closed_rad_s=draw(_finite),
+        window_start_ns=draw(_finite),
+        window_end_ns=draw(_finite),
+        dt_int_ns=draw(_finite),
+        imperfections=imperfections,
+        adc=adc,
+        n_max=draw(st.integers(1, 30)),
+        bootstrap_resamples=draw(st.integers(1, 1000)),
+        master_seed=draw(st.integers(0, 2**63 - 1)),
+        n_workers=draw(st.integers(1, 16)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +149,51 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.frames_per_condition == 250
         assert cfg.storage_times_ns == ExperimentConfig().storage_times_ns
+
+    @given(valid_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+        save_config(cfg, path)
+        back = load_config(path)
+        assert back == cfg
+        assert back.digest() == cfg.digest()
+
+    def test_zero_imperfections_round_trip(self, tmp_path):
+        # a zero displacement or detuning is stock: same digest, same config
+        cfg = ExperimentConfig(imperfections=ImperfectionConfig(displacement=0j, detuning=(0.0, 0.0)))
+        path = tmp_path / "zero.cfg"
+        save_config(cfg, path)
+        assert load_config(path) == cfg == ExperimentConfig()
+        assert cfg.digest() == ExperimentConfig().digest()
+
+    def test_stock_dump_is_pinned(self):
+        assert ExperimentConfig().to_text() == STOCK_TEXT
+
+    def test_readme_example_loads_as_stock(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        assert load_config(path) == ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[sweep]\nframes_per_condtion = 500\n", r"\[sweep\] frames_per_condtion"),
+            ("[sweeps]\nframes_per_condition = 500\n", r"\[sweeps\]"),
+            ("[DEFAULT]\nn_max = 3\n", r"\[DEFAULT\] n_max"),
+            ("[sweep]\nframes_per_condition = many\n", r"\[sweep\] frames_per_condition"),
+            ("[adc]\nenabled = maybe\n", r"\[adc\] enabled"),
+            ("frames_per_condition = 500\n", r"no section headers"),
+        ],
+        ids=["typo-key", "unknown-section", "default-section", "bad-int", "bad-bool", "no-header"],
+    )
+    def test_bad_file_rejected(self, tmp_path, text, where):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_config(path)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -235,6 +372,43 @@ class TestCli:
         assert (tmp_path / "envelope.csv").exists()
         metrics = json.loads((tmp_path / "release_metrics.json").read_text())
         assert 25.0 <= metrics["fwhm_ns"] <= 75.0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--config", "{typo}"], "frames_per_condtion"),
+            (["simulate", "--config", "{missing}"], "missing.cfg"),
+            (["sweep", "--frames", "50"], "frames_per_condition must be >= 100"),
+        ],
+        ids=["unknown-key", "missing-file", "too-few-frames"],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
+        typo = tmp_path / "typo.cfg"
+        typo.write_text("[sweep]\nframes_per_condtion = 500\n")
+        paths = {"typo": typo, "missing": tmp_path / "missing.cfg"}
+        argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
+        assert cli_entry(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "adc_section, expected", [("bits = 12", AdcSpec(12)), ("enabled = false", None)], ids=["12-bit", "off"]
+    )
+    def test_synth_follows_config_adc(self, tmp_path, capsys, adc_section, expected):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"[schedule]\nwindow_end_ns = 400.0\n[adc]\n{adc_section}\n")
+        assert cli_entry(["synth", "--config", str(cfg_path), "--frames", "200", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert load_frames(tmp_path / "frames.bin").adc == expected
+
+    def test_synth_adc_flags_override_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("[schedule]\nwindow_end_ns = 400.0\n[adc]\nbits = 12\n")
+        argv = ["synth", "--config", str(cfg_path), "--frames", "200", "--out", str(tmp_path)]
+        assert cli_entry(argv + ["--adc-bits", "0"]) == 0
+        assert load_frames(tmp_path / "frames.bin").adc is None
+        assert cli_entry(argv + ["--full-scale", "3.0"]) == 0
+        assert load_frames(tmp_path / "frames.bin").adc == AdcSpec(12, 3.0)
         capsys.readouterr()
 
     def test_missing_frames_file_fails(self, tmp_path, capsys):

@@ -11,19 +11,18 @@ from photonmem.modes import normalized_mode
 from photonmem.synth import (
     FRAME_BLOCK,
     AdcSpec,
+    FrameSet,
     ImperfectionConfig,
     bin_frames,
     draw_fock_quadrature,
-    extract_quadrature,
     extract_quadratures,
     load_frames,
     quantize_adc,
     save_frames,
     synth_condition,
-    write_frames_csv,
 )
 
-from conftest import gaussian_mode
+from conftest import boxcar, gaussian_mode
 
 
 def p1_cdf(x):
@@ -74,16 +73,20 @@ class TestSynthFrame:
 
 
 class TestExtract:
-    def test_projection_recovers_coefficient(self, mode):
-        frame = 3.7 * np.zeros(128)
-        frame = np.zeros(128)
-        frame[: mode.n_samples] = 3.7 * mode.samples
-        assert extract_quadrature(frame, mode) == pytest.approx(3.7, abs=1e-12)
+    def test_projection_recovers_coefficient(self):
+        # frames are stored as float32: a boxcar of height 1/4 and the
+        # coefficient 3.75 are exact there, so the projection is exact
+        box = boxcar(40.0, 16.0)
+        frame = np.zeros((1, 128))
+        frame[0, 40:56] = 3.75 * box.samples
+        fs = FrameSet(frame, t0=0.0, dt=1.0, adc=None, master_seed=0)
+        assert extract_quadratures(fs, box)[0] == pytest.approx(3.75, abs=1e-12)
 
     def test_orthogonal_frame_projects_to_zero(self, mode):
-        frame = np.zeros(128)
-        frame[0] = 5.0  # mode has negligible weight at the first sample
-        assert abs(extract_quadrature(frame, mode)) < 1e-5
+        frame = np.zeros((1, 128))
+        frame[0, 0] = 5.0  # mode has negligible weight at the first sample
+        fs = FrameSet(frame, t0=0.0, dt=1.0, adc=None, master_seed=0)
+        assert abs(extract_quadratures(fs, mode)[0]) < 1e-5
 
     def test_vacuum_ensemble_variance(self, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 10_000, 14, n_samples=128)
@@ -287,14 +290,6 @@ class TestFrameIo:
         saved.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="truncated data section"):
             load_frames(saved)
-
-    def test_csv_export(self, tmp_path, mode):
-        fs = synth_condition(FockDiagonalState.vacuum(), mode, 3, 26, n_samples=128)
-        path = tmp_path / "frames.csv"
-        write_frames_csv(fs, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "frame,t_ns,x"
-        assert len(lines) == 1 + 3 * 128
 
 
 class TestBinFrames:
