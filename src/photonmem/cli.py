@@ -19,6 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from ._blas import single_blas_thread
 from ._version import __version__
 from .cavity import simulate_release, write_release_csv, write_release_metrics_json
 from .config import ExperimentConfig, load_config
@@ -170,6 +171,7 @@ _COMMANDS = {
 }
 
 
+@single_blas_thread()
 def cli_entry(argv: list[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = _build_parser()

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cavity import DEFAULT_SHUTTER_DETUNING_RAD_S, CavityParams, ShutterSchedule
+from .estimation import MAX_N_MAX, MIN_BOOTSTRAP_RESAMPLES
 from .fock import DEFAULT_N_MAX
 from .synth import AdcSpec, ImperfectionConfig
 
@@ -65,6 +66,12 @@ class ExperimentConfig:
             raise ValueError("release_purity_p0 must lie in (0, 1]")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if not 1 <= self.n_max <= MAX_N_MAX:
+            raise ValueError(f"n_max must lie in [1, {MAX_N_MAX}]")
+        if self.bootstrap_resamples < MIN_BOOTSTRAP_RESAMPLES:
+            raise ValueError(f"bootstrap_resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}")
+        for t in self.release_times_ns:  # ShutterSchedule checks window and grid
+            self.schedule(t)
 
     @property
     def release_times_ns(self) -> tuple[float, ...]:

@@ -23,6 +23,10 @@ from .modes import ModeFunction
 from .synth import FrameSet, bin_frames
 
 MIN_MLE_SAMPLES = 1000
+#: the MLE's Fock cutoff range is [1, MAX_N_MAX]
+MAX_N_MAX = 10
+#: fewest resamples :func:`bootstrap_purity` accepts
+MIN_BOOTSTRAP_RESAMPLES = 20
 #: lifetimes longer than this multiple of the data span are capped and flagged
 DECAY_TAU_CAP_FACTOR = 100.0
 
@@ -244,8 +248,8 @@ def _checked_samples(samples: np.ndarray, n_max: int) -> np.ndarray:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < MIN_MLE_SAMPLES:
         raise InsufficientDataError(f"need >= {MIN_MLE_SAMPLES} samples, got {x.size}")
-    if not 1 <= n_max <= 10:
-        raise ValueError(f"n_max must lie in [1, 10], got {n_max}")
+    if not 1 <= n_max <= MAX_N_MAX:
+        raise ValueError(f"n_max must lie in [1, {MAX_N_MAX}], got {n_max}")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
     if float(np.var(x)) < 1e-12:
@@ -268,7 +272,7 @@ def mle_photon_distribution(samples: np.ndarray, n_max: int = DEFAULT_N_MAX) -> 
     samples:
         Quadrature values; at least 1000 are required.
     n_max:
-        Fock cutoff in [1, 10].
+        Fock cutoff in [1, MAX_N_MAX].
     """
     x = _checked_samples(samples, n_max)
     # P_n(x_j), fixed throughout the optimization
@@ -305,8 +309,8 @@ def bootstrap_purity(
     failed refits, or degenerate quadratures, raise
     :class:`UnstableEstimateError`.
     """
-    if n_resamples < 20:
-        raise ValueError(f"need >= 20 resamples, got {n_resamples}")
+    if n_resamples < MIN_BOOTSTRAP_RESAMPLES:
+        raise ValueError(f"need >= {MIN_BOOTSTRAP_RESAMPLES} resamples, got {n_resamples}")
     try:
         x = _checked_samples(quads, n_max)
     except FitFailureError as exc:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeds
+from ._blas import single_blas_thread
 from ._version import __version__
 from .cavity import (
     ReleaseResult,
@@ -79,6 +80,7 @@ class SweepReport:
         return any(c.error is not None for c in self.conditions)
 
 
+@single_blas_thread()
 def estimate_frames(
     fs: FrameSet,
     *,
@@ -117,6 +119,7 @@ def _target_purities(cfg: ExperimentConfig) -> tuple[list[float], dict]:
     return p, {"simulated_lifetime_ns": lifetime.tau_ns}
 
 
+@single_blas_thread()
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the full per-condition pipeline and both decay fits."""
     schedules = [cfg.schedule(t) for t in cfg.release_times_ns]

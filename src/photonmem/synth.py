@@ -259,7 +259,9 @@ def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None =
     vacuum bins stay at variance 1/2 and mode quadratures are preserved up to
     the (small) energy the mode carries beyond the coarse resolution.  The
     window is half-open ``[lo, hi)`` on the frame grid; ADC metadata is
-    dropped since binned samples no longer sit on quantizer levels.
+    dropped since binned samples no longer sit on quantizer levels.  Bin
+    ``j`` is the float32 sum of its ``b`` samples taken in order, divided by
+    ``float32(sqrt(b))``.
     """
     per_bin = bin_ns / fs.dt
     if abs(per_bin - round(per_bin)) > GRID_TOL or per_bin < 1:
@@ -276,7 +278,12 @@ def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None =
     if n_bins < 2:
         raise ValueError("window too short for the requested binning")
     seg = fs.frames[:, i0 : i0 + n_bins * b]
-    binned = seg.reshape(fs.n_frames, n_bins, b).sum(axis=2) / np.float32(np.sqrt(b))
+    # b strided column passes: a reduction over a short last axis
+    # (reshape + sum(axis=2)) is several times slower
+    binned = seg[:, 0::b].astype(np.float32)
+    for k in range(1, b):
+        binned += seg[:, k::b]
+    binned /= np.float32(np.sqrt(b))
     return FrameSet(
         binned, t0=fs.t0 + i0 * fs.dt, dt=b * fs.dt, adc=None, master_seed=fs.master_seed
     )

@@ -13,7 +13,7 @@ from photonmem.cavity import CavityParams
 from photonmem.cli import cli_entry
 from photonmem.config import ExperimentConfig, load_config, save_config
 from photonmem.errors import PhotonMemError
-from photonmem.estimation import MLE_KKT_TOL
+from photonmem.estimation import MAX_N_MAX, MIN_BOOTSTRAP_RESAMPLES, MLE_KKT_TOL
 from photonmem.pipeline import (
     emit_figure_data,
     estimate_frames,
@@ -70,13 +70,23 @@ n_workers = 1
 
 """
 
+#: one release at 150 ns in a 400 ns window, for quick CLI runs
+_SHORT_WINDOW = "[sweep]\nstorage_times_ns = 0\npurities = 0.582\n[schedule]\nwindow_end_ns = 400.0\n"
+
 _finite = st.floats(-1e12, 1e12, allow_nan=False)
 _unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 @st.composite
 def valid_configs(draw):
-    times = sorted(draw(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4, unique=True)))
+    # every release must sit on the dt_int grid strictly inside a window of
+    # whole nanoseconds, and dt_int must divide 1 ns
+    dt = 1.0 / draw(st.integers(1, 20))
+    start = float(draw(st.integers(-10**4, 10**4)))
+    steps = sorted(draw(st.lists(st.integers(1, 10**5), min_size=1, max_size=4, unique=True)))
+    delay_steps = draw(st.integers(-10**5, steps[0]))
+    times = [start + (s - delay_steps) * dt for s in steps]
+    end = start + np.ceil(steps[-1] * dt) + draw(st.integers(1, 1000))
     model = draw(st.sampled_from(["explicit", "lifetime"]))
     n_purities = len(times) if model == "explicit" else draw(st.integers(0, 4))
     imperfections = ImperfectionConfig(
@@ -92,19 +102,19 @@ def valid_configs(draw):
     return ExperimentConfig(
         cavity=cavity,
         storage_times_ns=tuple(times),
-        intrinsic_delay_ns=draw(_finite),
+        intrinsic_delay_ns=delay_steps * dt,
         frames_per_condition=draw(st.integers(100, 10**6)),
         purity_model=model,
         purities=tuple(draw(st.lists(_unit, min_size=n_purities, max_size=n_purities))),
         release_purity_p0=draw(st.floats(1e-6, 1.0)),
         delta_closed_rad_s=draw(_finite),
-        window_start_ns=draw(_finite),
-        window_end_ns=draw(_finite),
-        dt_int_ns=draw(_finite),
+        window_start_ns=start,
+        window_end_ns=float(end),
+        dt_int_ns=dt,
         imperfections=imperfections,
         adc=adc,
-        n_max=draw(st.integers(1, 30)),
-        bootstrap_resamples=draw(st.integers(1, 1000)),
+        n_max=draw(st.integers(1, MAX_N_MAX)),
+        bootstrap_resamples=draw(st.integers(MIN_BOOTSTRAP_RESAMPLES, 1000)),
         master_seed=draw(st.integers(0, 2**63 - 1)),
         n_workers=draw(st.integers(1, 16)),
     )
@@ -204,6 +214,25 @@ class TestConfig:
             ExperimentConfig(frames_per_condition=10)
         with pytest.raises(ValueError):
             ExperimentConfig(purities=(0.5,))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"bootstrap_resamples": 19}, "bootstrap_resamples must be >= 20"),
+            ({"n_max": 0}, r"n_max must lie in \[1, 10\]"),
+            ({"n_max": 30}, r"n_max must lie in \[1, 10\]"),
+            ({"window_end_ns": 400.0}, "t_release < t_end"),
+            ({"window_start_ns": 200.0}, "t_start < t_release"),
+            ({"dt_int_ns": 0.3}, "divide the 1 ns output grid"),
+            ({"intrinsic_delay_ns": 150.05}, "multiple of dt_int"),
+        ],
+        ids=["few-resamples", "n_max-0", "n_max-30", "release-after-end", "release-before-start", "dt-grid", "off-grid"],
+    )
+    def test_rejects_configs_that_fail_later(self, fields, message):
+        # each of these used to construct and then fail every condition
+        # (resamples, n_max) or the whole sweep (the shutter schedule)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
 
     def test_digest_ignores_worker_count(self, smoke_config):
         assert smoke_config.digest() == replace(smoke_config, n_workers=4).digest()
@@ -380,13 +409,21 @@ class TestCli:
             (["simulate", "--config", "{typo}"], "frames_per_condtion"),
             (["simulate", "--config", "{missing}"], "missing.cfg"),
             (["sweep", "--frames", "50"], "frames_per_condition must be >= 100"),
+            (["sweep", "--config", "{few}"], "bootstrap_resamples must be >= 20"),
+            (["sweep", "--config", "{short}"], "t_release < t_end"),
         ],
-        ids=["unknown-key", "missing-file", "too-few-frames"],
+        ids=["unknown-key", "missing-file", "too-few-frames", "too-few-resamples", "release-after-window"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
-        typo = tmp_path / "typo.cfg"
-        typo.write_text("[sweep]\nframes_per_condtion = 500\n")
-        paths = {"typo": typo, "missing": tmp_path / "missing.cfg"}
+        texts = {
+            "typo": "[sweep]\nframes_per_condtion = 500\n",
+            "few": "[sweep]\nframes_per_condition = 200\n[estimation]\nbootstrap_resamples = 5\n",
+            "short": "[sweep]\nframes_per_condition = 200\n[schedule]\nwindow_end_ns = 100.0\n",
+        }
+        paths = {"missing": tmp_path / "missing.cfg"}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(text)
         argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
         assert cli_entry(argv) == 2
         assert message in capsys.readouterr().err
@@ -396,14 +433,14 @@ class TestCli:
     )
     def test_synth_follows_config_adc(self, tmp_path, capsys, adc_section, expected):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(f"[schedule]\nwindow_end_ns = 400.0\n[adc]\n{adc_section}\n")
+        cfg_path.write_text(f"{_SHORT_WINDOW}[adc]\n{adc_section}\n")
         assert cli_entry(["synth", "--config", str(cfg_path), "--frames", "200", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert load_frames(tmp_path / "frames.bin").adc == expected
 
     def test_synth_adc_flags_override_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("[schedule]\nwindow_end_ns = 400.0\n[adc]\nbits = 12\n")
+        cfg_path.write_text(f"{_SHORT_WINDOW}[adc]\nbits = 12\n")
         argv = ["synth", "--config", str(cfg_path), "--frames", "200", "--out", str(tmp_path)]
         assert cli_entry(argv + ["--adc-bits", "0"]) == 0
         assert load_frames(tmp_path / "frames.bin").adc is None

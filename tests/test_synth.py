@@ -313,6 +313,31 @@ class TestBinFrames:
         coarse = extract_quadratures(binned, coarse_mode)
         np.testing.assert_allclose(fine, coarse, atol=1e-5)
 
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("window", [None, (13.0, 101.0)], ids=["full", "window"])
+    def test_strided_sum_contract(self, b, window):
+        # bin k is the in-order float32 sum of samples k*b .. k*b + b - 1,
+        # divided by float32(sqrt(b))
+        rng = np.random.default_rng(b)
+        fs = FrameSet(rng.normal(0.0, 3.0, (50, 128)), t0=2.0, dt=1.0, adc=None, master_seed=0)
+        i0, i1 = (0, 128) if window is None else (11, 99)
+        n_bins = (i1 - i0) // b
+        ref = np.zeros((50, n_bins), dtype=np.float32)
+        ref64 = np.zeros((50, n_bins))
+        for j in range(n_bins):
+            for k in range(b):
+                ref[:, j] += fs.frames[:, i0 + j * b + k]
+                ref64[:, j] += fs.frames[:, i0 + j * b + k]
+        ref /= np.float32(np.sqrt(b))
+        binned = bin_frames(fs, float(b), window)
+        assert binned.frames.dtype == np.float32
+        assert binned.t0 == fs.t0 + i0 and binned.dt == b
+        np.testing.assert_array_equal(binned.frames, ref)
+        # b additions, float32(sqrt(b)) and the division each round by at
+        # most one float32 ulp of a value bounded by b * max|x|
+        bound = (b + 2) * np.finfo(np.float32).eps * b * float(np.abs(fs.frames).max())
+        np.testing.assert_allclose(binned.frames, ref64 / np.sqrt(b), rtol=0, atol=bound)
+
     def test_bad_bin_rejected(self, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 2, 29, n_samples=128)
         with pytest.raises(ValueError):
