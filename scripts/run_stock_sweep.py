@@ -7,7 +7,7 @@ four storage times (0/100/200/300 ns on top of the 150 ns intrinsic delay),
 fits (raw modes vs clip/shift/renormalize reanalysis).  Takes a few minutes.
 
 Usage:
-    python scripts/run_stock_sweep.py [--out OUT_DIR] [--seed N] [--frames M]
+    python scripts/run_stock_sweep.py [--out OUT_DIR] [--seed N] [--frames M] [--workers W]
 """
 
 import argparse
@@ -25,7 +25,12 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("out/stock_sweep"))
     ap.add_argument("--seed", type=int, default=20140523)
     ap.add_argument("--frames", type=int, default=None)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument(
+        "--workers",
+        type=int,
+        default=ExperimentConfig.n_workers,
+        help="threads per frame-matrix pass (default: the config's, 0 = one per usable core)",
+    )
     args = ap.parse_args()
 
     cfg = ExperimentConfig(master_seed=args.seed, n_workers=args.workers)

@@ -53,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--release", type=float, default=150.0, help="shutter opening time (ns)")
 
     p = sub.add_parser("synth", parents=[common], help="generate synthetic homodyne frames")
-    p.add_argument("--frames", type=int, default=None, help="number of frames")
+    # dest n_frames: a frame file has no MLE sample floor, so this count
+    # does not go through the config's frames_per_condition
+    p.add_argument("--frames", dest="n_frames", type=int, default=None, help="number of frames")
     p.add_argument("--purity", type=float, default=0.582, help="single-photon weight of the state")
     p.add_argument("--release", type=float, default=150.0, help="shutter opening time (ns)")
     p.add_argument(
@@ -66,7 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="run the full storage-time sweep")
     p.add_argument("--frames", type=int, default=None, help="override frames per condition")
-    p.add_argument("--workers", type=int, default=None, help="parallel workers over conditions")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="threads per frame-matrix pass (0: one per usable core); output bytes do not depend on it",
+    )
 
     p = sub.add_parser("gate", parents=[common], help="run the acceptance criteria")
     p.add_argument("--criteria", type=int, nargs="*", default=None, help="subset of criterion numbers")
@@ -96,7 +103,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_synth(args, cfg: ExperimentConfig) -> int:
     release = simulate_release(cfg.cavity, cfg.schedule(args.release))
-    n_frames = args.frames or cfg.frames_per_condition
+    n_frames = args.n_frames or cfg.frames_per_condition
     bits = (cfg.adc.bits if cfg.adc else 0) if args.adc_bits is None else args.adc_bits
     full_scale = (cfg.adc or AdcSpec()).full_scale if args.full_scale is None else args.full_scale
     adc = AdcSpec(bits, full_scale) if bits else None
@@ -121,7 +128,7 @@ def _cmd_synth(args, cfg: ExperimentConfig) -> int:
 def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
     fs = load_frames(args.frames_file)
     report, pca, quads = estimate_frames(
-        fs, n_max=cfg.n_max, bootstrap_resamples=cfg.bootstrap_resamples
+        fs, n_max=cfg.n_max, bootstrap_resamples=cfg.bootstrap_resamples, n_workers=cfg.n_workers
     )
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cavity import DEFAULT_SHUTTER_DETUNING_RAD_S, CavityParams, ShutterSchedule
-from .estimation import MAX_N_MAX, MIN_BOOTSTRAP_RESAMPLES
+from .estimation import MAX_N_MAX, MIN_BOOTSTRAP_RESAMPLES, MIN_MLE_SAMPLES
 from .fock import DEFAULT_N_MAX
 from .synth import AdcSpec, ImperfectionConfig
 
@@ -48,7 +48,8 @@ class ExperimentConfig:
     n_max: int = DEFAULT_N_MAX
     bootstrap_resamples: int = 40
     master_seed: int = 20140523
-    n_workers: int = 1
+    #: threads per pass over a frame matrix; 0 means one per usable core
+    n_workers: int = 0
 
     def __post_init__(self):
         if len(self.storage_times_ns) == 0:
@@ -56,22 +57,32 @@ class ExperimentConfig:
         diffs = [b - a for a, b in zip(self.storage_times_ns, self.storage_times_ns[1:])]
         if any(d <= 0 for d in diffs):
             raise ValueError("storage_times_ns must be strictly increasing")
-        if self.frames_per_condition < 100:
-            raise ValueError("frames_per_condition must be >= 100")
         if self.purity_model not in ("explicit", "lifetime"):
             raise ValueError(f"unknown purity_model {self.purity_model!r}")
         if self.purity_model == "explicit" and len(self.purities) != len(self.storage_times_ns):
             raise ValueError("need one purity per storage time")
         if not 0.0 < self.release_purity_p0 <= 1.0:
             raise ValueError("release_purity_p0 must lie in (0, 1]")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        if self.n_workers < 0:
+            raise ValueError("n_workers must be >= 0 (0: one per usable core)")
         if not 1 <= self.n_max <= MAX_N_MAX:
             raise ValueError(f"n_max must lie in [1, {MAX_N_MAX}]")
         if self.bootstrap_resamples < MIN_BOOTSTRAP_RESAMPLES:
             raise ValueError(f"bootstrap_resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}")
-        for t in self.release_times_ns:  # ShutterSchedule checks window and grid
-            self.schedule(t)
+        for storage, t in zip(self.storage_times_ns, self.release_times_ns):
+            try:  # ShutterSchedule checks window and grid
+                self.schedule(t)
+            except ValueError as exc:
+                raise ValueError(
+                    f"release at {t!r} ns ([sweep] storage_times_ns {storage!r} + "
+                    f"intrinsic_delay_ns {self.intrinsic_delay_ns!r}) does not fit "
+                    f"[schedule] window_start_ns {self.window_start_ns!r}, window_end_ns "
+                    f"{self.window_end_ns!r}, dt_int_ns {self.dt_int_ns!r}: {exc}"
+                ) from None
+        if self.frames_per_condition < MIN_MLE_SAMPLES:
+            raise ValueError(
+                f"frames_per_condition must be >= {MIN_MLE_SAMPLES}, the MLE's sample floor"
+            )
 
     @property
     def release_times_ns(self) -> tuple[float, ...]:

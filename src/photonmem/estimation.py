@@ -114,7 +114,7 @@ def autocovariance(fs: FrameSet) -> np.ndarray:
     if fs.n_frames < 2:
         raise InsufficientDataError("need at least 2 frames for an auto-covariance")
     x = fs.frames.astype(np.float64)
-    x = x - x.mean(axis=0)
+    x -= x.mean(axis=0)
     v = (x.T @ x) / fs.n_frames
     return (v + v.T) / 2.0
 
@@ -148,16 +148,18 @@ def pca_from_frames(
     *,
     window: tuple[float, float] | None = None,
     bin_ns: float | None = None,
+    n_workers: int = 1,
 ) -> PcaResult:
     """Auto-covariance + leading mode, optionally on a windowed/binned grid.
 
     With restriction, the eigenproblem runs in the coarse space but the
     returned mode is upsampled back to the frame grid (piecewise constant,
     exactly norm preserving) so downstream extraction needs no changes.
+    ``n_workers`` threads the binning (see :func:`synth.for_blocks`).
     """
     if window is None and bin_ns in (None, 1):
         return pca_leading_mode(autocovariance(fs), t0=fs.t0, dt=fs.dt)
-    fsb = bin_frames(fs, (bin_ns or 1) * fs.dt, window)
+    fsb = bin_frames(fs, (bin_ns or 1) * fs.dt, window, n_workers=n_workers)
     coarse = pca_leading_mode(autocovariance(fsb), t0=fsb.t0, dt=fsb.dt)
     b = int(round(fsb.dt / fs.dt))
     fine = np.repeat(coarse.mode.samples, b) / np.sqrt(b)
@@ -177,16 +179,17 @@ PCA_WINDOW_BEFORE_PEAK_NS = 74.0
 PCA_WINDOW_AFTER_PEAK_NS = 276.0
 
 
-def matched_window_pca(fs: FrameSet) -> PcaResult:
+def matched_window_pca(fs: FrameSet, *, n_workers: int = 1) -> PcaResult:
     """Two-pass PCA: coarse pass locates the pulse, fine pass runs on a
-    matched window (4 ns bins) around it.  Deterministic given the frames."""
+    matched window (4 ns bins) around it.  Deterministic given the frames,
+    whatever ``n_workers``."""
     if fs.n_samples < 4 * PCA_COARSE_BIN:
         return pca_from_frames(fs)
-    coarse = pca_from_frames(fs, bin_ns=PCA_COARSE_BIN)
+    coarse = pca_from_frames(fs, bin_ns=PCA_COARSE_BIN, n_workers=n_workers)
     peak_t = float(coarse.mode.times[int(np.argmax(np.abs(coarse.mode.samples)))])
     lo = max(fs.t0, peak_t - PCA_WINDOW_BEFORE_PEAK_NS)
     hi = min(fs.t0 + fs.n_samples * fs.dt, peak_t + PCA_WINDOW_AFTER_PEAK_NS)
-    return pca_from_frames(fs, window=(lo, hi), bin_ns=PCA_BIN)
+    return pca_from_frames(fs, window=(lo, hi), bin_ns=PCA_BIN, n_workers=n_workers)
 
 
 #: a fit whose KKT residual (see :func:`_kkt_residual`) is at most this

@@ -2,8 +2,10 @@
 estimation, sweep-level decay fits, and figure-data emission.
 
 Every output byte is a pure function of (config, master seed): conditions use
-independent derived seeds, may run on any number of workers, and all files
-are written atomically (temp + rename) from deterministically formatted text.
+independent derived seeds and run one after another, every pass over a frame
+matrix fills fixed row blocks on ``n_workers`` threads (0: one per usable
+core; see :func:`synth.for_blocks`), and all files are written atomically
+(temp + rename) from deterministically formatted text.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,15 +88,17 @@ def estimate_frames(
     n_max: int,
     bootstrap_resamples: int,
     master_seed: int | None = None,
+    n_workers: int = 1,
 ) -> tuple[TomographyReport, PcaResult, np.ndarray]:
     """PCA mode + quadrature extraction + MLE + bootstrap for one frame set.
 
     This is the single estimation path used both in-process by
     :func:`run_sweep` and by the file-mediated CLI, so staged runs reproduce
-    in-process results exactly.
+    in-process results exactly.  ``n_workers`` threads the frame-matrix
+    passes and changes no result.
     """
-    pca = matched_window_pca(fs)
-    quads = extract_quadratures(fs, pca.mode)
+    pca = matched_window_pca(fs, n_workers=n_workers)
+    quads = extract_quadratures(fs, pca.mode, n_workers=n_workers)
     mle = mle_photon_distribution(quads, n_max)
     err = bootstrap_purity(
         quads,
@@ -141,11 +144,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 n_samples=cfg.n_samples,
                 imperfections=cfg.imperfections,
                 adc=cfg.adc,
+                n_workers=cfg.n_workers,
             )
             tomo, pca, quads = estimate_frames(
                 fs=frames,
                 n_max=cfg.n_max,
                 bootstrap_resamples=cfg.bootstrap_resamples,
+                n_workers=cfg.n_workers,
             )
             if k == 0:
                 base_mode = _clip_base_mode(pca.mode, t_release)
@@ -162,7 +167,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                     shifted_mode,
                     (cfg.window_start_ns, cfg.window_start_ns + cfg.n_samples - 1),
                 )
-                shifted_quads = extract_quadratures(frames, shifted_mode)
+                shifted_quads = extract_quadratures(frames, shifted_mode, n_workers=cfg.n_workers)
                 shifted = float(
                     mle_photon_distribution(shifted_quads, cfg.n_max).state.c[1]
                 )
@@ -185,18 +190,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 error=f"{type(exc).__name__}: {exc}",
             )
 
+    # conditions run one at a time, so one frame matrix is alive at once;
     # condition 0 runs first: its estimated mode seeds the shifted reanalysis
     records = [process(0, None)]
     base_mode = None
     if records[0].pca is not None:
         base_mode = _clip_base_mode(records[0].pca.mode, cfg.release_times_ns[0])
-
-    rest = range(1, len(schedules))
-    if cfg.n_workers > 1 and len(schedules) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            records += list(pool.map(lambda k: process(k, base_mode), rest))
-    else:
-        records += [process(k, base_mode) for k in rest]
+    records += [process(k, base_mode) for k in range(1, len(schedules))]
 
     decay_raw = _fit_or_none(
         [(c.t_release_ns, c.tomography.purity) for c in records if c.tomography]

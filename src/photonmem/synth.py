@@ -37,9 +37,33 @@ DEFAULT_FULL_SCALE = float(10 * VACUUM_SIGMA)
 _MAGIC = b"HMFR"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQddBBdQ")
-#: frames per random stream in :func:`synth_condition`; part of the seeded
-#: output format, not a tuning knob
+#: frames per random stream in :func:`synth_condition`, and the row block of
+#: every pass over a frame matrix; part of the seeded output format, not a
+#: tuning knob
 FRAME_BLOCK = 1024
+
+
+def for_blocks(n_rows: int, fn, n_workers: int = 1) -> None:
+    """Call ``fn(lo)`` for every ``FRAME_BLOCK`` row start ``lo`` in
+    ``[0, n_rows)``, on up to ``n_workers`` threads (0: one per usable core,
+    the CPU affinity where the platform has it).
+
+    The partition is fixed, so a pass whose blocks write disjoint rows gives
+    the same bytes for any worker count.
+    """
+    if n_workers == 0:
+        try:
+            n_workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            n_workers = os.cpu_count() or 1
+    starts = range(0, n_rows, FRAME_BLOCK)
+    workers = min(n_workers, len(starts))
+    if workers <= 1:
+        for lo in starts:
+            fn(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fn, starts))
 
 
 @dataclass(frozen=True)
@@ -103,8 +127,10 @@ class FrameSet:
         object.__setattr__(self, "frames", arr)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("frames must be a non-empty M x N matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("frames must be finite")
+        # block by block: a whole-matrix isfinite is an M x N bool temporary
+        for lo in range(0, arr.shape[0], FRAME_BLOCK):
+            if not np.isfinite(arr[lo : lo + FRAME_BLOCK]).all():
+                raise ValueError("frames must be finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 
@@ -156,18 +182,24 @@ def _mode_indices(psi: ModeFunction, t0: float, n_samples: int, dt: float) -> sl
     return slice(i0, i1)
 
 
-def quantize_adc(values: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
+def quantize_adc(
+    values: np.ndarray, bits: int, full_scale: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Mid-rise uniform quantization over [-full_scale, +full_scale].
 
     Output levels are ``(k + 1/2) step`` for integer k; inputs beyond the
-    range saturate at the outermost levels.
+    range saturate at the outermost levels.  With ``out`` (a float64 array,
+    ``values`` itself allowed) every step runs in place there.
     """
     spec = AdcSpec(bits, full_scale)  # reuse validation
     step = 2.0 * spec.full_scale / (1 << spec.bits)
-    k = np.floor(np.asarray(values, dtype=float) / step)
     top = (1 << (spec.bits - 1)) - 1
-    k = np.clip(k, -top - 1, top)
-    return (k + 0.5) * step
+    k = np.divide(np.asarray(values, dtype=float), step, out=out)
+    np.floor(k, out=k)
+    np.clip(k, -top - 1, top, out=k)
+    k += 0.5
+    k *= step
+    return k
 
 
 def synth_condition(
@@ -201,8 +233,7 @@ def synth_condition(
     noise, which is the distribution of the frame in the module docstring.
     A partial last block draws the whole block and keeps its first rows, so
     frame ``i`` depends only on ``(master_seed, i)``; the result is
-    bit-identical for any ``n_workers``, which fills blocks in a thread
-    pool.
+    bit-identical for any ``n_workers`` (see :func:`for_blocks`).
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -218,10 +249,9 @@ def synth_condition(
 
     out = np.empty((n_frames, n_samples), dtype=np.float32)
 
-    def fill(b: int) -> None:
-        lo = b * FRAME_BLOCK
+    def fill(lo: int) -> None:
         m = min(FRAME_BLOCK, n_frames - lo)
-        rng = seeds.stream(master_seed, seeds.DOMAIN_FRAME, b)
+        rng = seeds.stream(master_seed, seeds.DOMAIN_FRAME, lo // FRAME_BLOCK)
         g = rng.standard_normal((FRAME_BLOCK, n_samples))[:m]
         g *= sigma
         n = np.searchsorted(n_cdf, rng.random(FRAME_BLOCK)[:m], side="right")
@@ -238,21 +268,16 @@ def synth_condition(
         x -= np.einsum("ij,j->i", g[:, cols], mode)
         g[:, cols] += np.multiply.outer(x, mode)
         if adc is not None:
-            g = quantize_adc(g, adc.bits, adc.full_scale)
+            quantize_adc(g, adc.bits, adc.full_scale, out=g)
         out[lo : lo + m] = g
 
-    n_blocks = -(-n_frames // FRAME_BLOCK)
-    if n_workers <= 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            fill(b)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
-
+    for_blocks(n_frames, fill, n_workers)
     return FrameSet(out, t0=t0, dt=dt, adc=adc, master_seed=master_seed)
 
 
-def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None = None) -> FrameSet:
+def bin_frames(
+    fs: FrameSet, bin_ns: float, window: tuple[float, float] | None = None, *, n_workers: int = 1
+) -> FrameSet:
     """Coarse-grain frames in time: boxcar sums normalized by sqrt(bin size).
 
     The normalization makes binning an isometry onto the coarse subspace, so
@@ -261,7 +286,8 @@ def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None =
     window is half-open ``[lo, hi)`` on the frame grid; ADC metadata is
     dropped since binned samples no longer sit on quantizer levels.  Bin
     ``j`` is the float32 sum of its ``b`` samples taken in order, divided by
-    ``float32(sqrt(b))``.
+    ``float32(sqrt(b))``; row blocks run on ``n_workers`` threads (see
+    :func:`for_blocks`).
     """
     per_bin = bin_ns / fs.dt
     if abs(per_bin - round(per_bin)) > GRID_TOL or per_bin < 1:
@@ -278,21 +304,39 @@ def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None =
     if n_bins < 2:
         raise ValueError("window too short for the requested binning")
     seg = fs.frames[:, i0 : i0 + n_bins * b]
-    # b strided column passes: a reduction over a short last axis
-    # (reshape + sum(axis=2)) is several times slower
-    binned = seg[:, 0::b].astype(np.float32)
-    for k in range(1, b):
-        binned += seg[:, k::b]
-    binned /= np.float32(np.sqrt(b))
+    binned = np.empty((fs.n_frames, n_bins), dtype=np.float32)
+    scale = np.float32(np.sqrt(b))
+
+    def fill(lo: int) -> None:
+        # b strided column passes: a reduction over a short last axis
+        # (reshape + sum(axis=2)) is several times slower
+        rows, acc = seg[lo : lo + FRAME_BLOCK], binned[lo : lo + FRAME_BLOCK]
+        acc[...] = rows[:, 0::b]
+        for k in range(1, b):
+            acc += rows[:, k::b]
+        acc /= scale
+
+    for_blocks(fs.n_frames, fill, n_workers)
     return FrameSet(
         binned, t0=fs.t0 + i0 * fs.dt, dt=b * fs.dt, adc=None, master_seed=fs.master_seed
     )
 
 
-def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
-    """Mode quadrature of every frame in the set (float64)."""
+def extract_quadratures(fs: FrameSet, psi0: ModeFunction, *, n_workers: int = 1) -> np.ndarray:
+    """Mode quadrature of every frame in the set (float64).
+
+    One float64 gemv per row block on ``n_workers`` threads (see
+    :func:`for_blocks`), so no M x N float64 copy of the frames is made.
+    """
     cols = _mode_indices(psi0, fs.t0, fs.n_samples, fs.dt)
-    return fs.frames[:, cols].astype(np.float64) @ psi0.samples
+    quads = np.empty(fs.n_frames)
+
+    def fill(lo: int) -> None:
+        block = fs.frames[lo : lo + FRAME_BLOCK, cols].astype(np.float64)
+        np.matmul(block, psi0.samples, out=quads[lo : lo + FRAME_BLOCK])
+
+    for_blocks(fs.n_frames, fill, n_workers)
+    return quads
 
 
 def save_frames(fs: FrameSet, path: str | Path) -> None:

@@ -12,8 +12,8 @@ from photonmem import pipeline
 from photonmem.cavity import CavityParams
 from photonmem.cli import cli_entry
 from photonmem.config import ExperimentConfig, load_config, save_config
-from photonmem.errors import PhotonMemError
-from photonmem.estimation import MAX_N_MAX, MIN_BOOTSTRAP_RESAMPLES, MLE_KKT_TOL
+from photonmem.errors import InsufficientDataError, PhotonMemError
+from photonmem.estimation import MAX_N_MAX, MIN_BOOTSTRAP_RESAMPLES, MIN_MLE_SAMPLES, MLE_KKT_TOL
 from photonmem.pipeline import (
     emit_figure_data,
     estimate_frames,
@@ -66,7 +66,7 @@ bootstrap_resamples = 40
 
 [run]
 master_seed = 20140523
-n_workers = 1
+n_workers = 0
 
 """
 
@@ -103,7 +103,7 @@ def valid_configs(draw):
         cavity=cavity,
         storage_times_ns=tuple(times),
         intrinsic_delay_ns=delay_steps * dt,
-        frames_per_condition=draw(st.integers(100, 10**6)),
+        frames_per_condition=draw(st.integers(MIN_MLE_SAMPLES, 10**6)),
         purity_model=model,
         purities=tuple(draw(st.lists(_unit, min_size=n_purities, max_size=n_purities))),
         release_purity_p0=draw(st.floats(1e-6, 1.0)),
@@ -116,7 +116,7 @@ def valid_configs(draw):
         n_max=draw(st.integers(1, MAX_N_MAX)),
         bootstrap_resamples=draw(st.integers(MIN_BOOTSTRAP_RESAMPLES, 1000)),
         master_seed=draw(st.integers(0, 2**63 - 1)),
-        n_workers=draw(st.integers(1, 16)),
+        n_workers=draw(st.integers(0, 16)),
     )
 
 
@@ -155,9 +155,9 @@ class TestConfig:
 
     def test_partial_file_uses_defaults(self, tmp_path):
         path = tmp_path / "partial.cfg"
-        path.write_text("[sweep]\nframes_per_condition = 250\n")
+        path.write_text("[sweep]\nframes_per_condition = 2500\n")
         cfg = load_config(path)
-        assert cfg.frames_per_condition == 250
+        assert cfg.frames_per_condition == 2500
         assert cfg.storage_times_ns == ExperimentConfig().storage_times_ns
 
     @given(valid_configs())
@@ -215,6 +215,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(purities=(0.5,))
 
+    def test_worker_count(self):
+        assert ExperimentConfig().n_workers == 0  # one thread per usable core
+        assert ExperimentConfig(n_workers=0).n_workers == 0
+        with pytest.raises(ValueError, match="n_workers must be >= 0"):
+            ExperimentConfig(n_workers=-1)
+
+    def test_frame_floor_is_the_mle_floor(self):
+        # fewer frames used to pass here and then fail every condition's MLE
+        ExperimentConfig(frames_per_condition=MIN_MLE_SAMPLES)
+        with pytest.raises(ValueError, match=f"frames_per_condition must be >= {MIN_MLE_SAMPLES}"):
+            ExperimentConfig(frames_per_condition=MIN_MLE_SAMPLES - 1)
+
+    def test_release_outside_window_names_keys(self):
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(window_end_ns=400.0)
+        message = str(info.value)
+        for part in (
+            "release at 450.0 ns",
+            "[sweep] storage_times_ns 300.0",
+            "intrinsic_delay_ns 150.0",
+            "[schedule] window_start_ns 0.0, window_end_ns 400.0",
+        ):
+            assert part in message
+
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -269,12 +293,17 @@ class TestRunSweep:
         assert prov["master_seed"] == smoke_config.master_seed
         assert "config_text" in prov
 
-    def test_failed_condition_recorded_not_raised(self):
-        # a condition whose MLE cannot run (too few frames) is recorded
+    def test_failed_condition_recorded_not_raised(self, monkeypatch):
+        # fault injection: a condition whose MLE cannot run is recorded (the
+        # config's frame floor keeps a real sweep above the MLE's)
+        def fail(quads, n_max):
+            raise InsufficientDataError("injected failure")
+
+        monkeypatch.setattr(pipeline, "mle_photon_distribution", fail)
         cfg = ExperimentConfig(
             storage_times_ns=(0.0,),
             purities=(0.582,),
-            frames_per_condition=400,  # below the MLE sample floor
+            frames_per_condition=MIN_MLE_SAMPLES,
             bootstrap_resamples=20,
             window_end_ns=500.0,
             master_seed=78,
@@ -411,8 +440,18 @@ class TestCli:
             (["sweep", "--frames", "50"], "frames_per_condition must be >= 100"),
             (["sweep", "--config", "{few}"], "bootstrap_resamples must be >= 20"),
             (["sweep", "--config", "{short}"], "t_release < t_end"),
+            (["sweep", "--frames", "200"], f"frames_per_condition must be >= {MIN_MLE_SAMPLES}"),
+            (["sweep", "--config", "{short}"], "([sweep] storage_times_ns 0.0 + intrinsic_delay_ns 150.0)"),
         ],
-        ids=["unknown-key", "missing-file", "too-few-frames", "too-few-resamples", "release-after-window"],
+        ids=[
+            "unknown-key",
+            "missing-file",
+            "too-few-frames",
+            "too-few-resamples",
+            "release-after-window",
+            "below-mle-floor",
+            "release-names-keys",
+        ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
         texts = {

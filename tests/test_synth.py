@@ -16,6 +16,7 @@ from photonmem.synth import (
     bin_frames,
     draw_fock_quadrature,
     extract_quadratures,
+    for_blocks,
     load_frames,
     quantize_adc,
     save_frames,
@@ -93,6 +94,14 @@ class TestExtract:
         var = float(np.var(extract_quadratures(fs, mode)))
         assert var == pytest.approx(0.5, abs=0.03)
 
+    def test_matches_per_row_dot_products(self, mode):
+        fs = synth_condition(
+            FockDiagonalState.two_level(0.5), mode, 2049, 37, n_samples=160, adc=AdcSpec()
+        )
+        cols = slice(0, 128)  # the mode starts at t0 = 0 on the frame grid
+        ref = np.array([np.dot(row[cols].astype(np.float64), mode.samples) for row in fs.frames])
+        np.testing.assert_allclose(extract_quadratures(fs, mode, n_workers=2), ref, rtol=0, atol=1e-12)
+
     def test_grid_mismatch_rejected(self, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 2, 15, n_samples=128)
         shifted = normalized_mode(mode.samples, 0.5, 1.0)
@@ -140,6 +149,18 @@ class TestQuantizeAdc:
     def test_bits_validated(self):
         with pytest.raises(ValueError):
             quantize_adc(np.zeros(4), 1, 1.0)
+
+    @pytest.mark.parametrize("bits, full_scale", [(3, 1.0), (8, 7.0710678118654755), (16, 0.5)])
+    def test_in_place_matches_out_of_place(self, bits, full_scale):
+        rng = np.random.default_rng(bits)
+        values = rng.normal(0.0, full_scale, (64, 33))
+        values[0, :4] = [10 * full_scale, -10 * full_scale, full_scale, -full_scale]  # saturated
+        expected = quantize_adc(values, bits, full_scale)
+        buf = values.copy()
+        got = quantize_adc(buf, bits, full_scale, out=buf)
+        assert got is buf
+        assert got.tobytes() == expected.tobytes()
+        assert np.all(np.abs(expected) < full_scale)
 
 
 class TestImperfections:
@@ -225,6 +246,32 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             synth_condition(FockDiagonalState.vacuum(), mode, 0, 23, n_samples=128)
 
+    def test_frame_passes_do_not_depend_on_workers(self, mode):
+        fs = synth_condition(FockDiagonalState.two_level(0.5), mode, 2049, 36, n_samples=128)
+        for window in (None, (13.0, 101.0)):
+            a = bin_frames(fs, 4.0, window, n_workers=1)
+            b = bin_frames(fs, 4.0, window, n_workers=3)
+            assert a.frames.tobytes() == b.frames.tobytes()
+        a = extract_quadratures(fs, mode, n_workers=1)
+        b = extract_quadratures(fs, mode, n_workers=3)
+        assert a.tobytes() == b.tobytes()
+
+
+class TestForBlocks:
+    @pytest.mark.parametrize("n_workers", [0, 1, 2, 5])
+    def test_every_block_start_once(self, n_workers):
+        seen = []
+        for_blocks(2 * FRAME_BLOCK + 1, seen.append, n_workers)
+        assert sorted(seen) == [0, FRAME_BLOCK, 2 * FRAME_BLOCK]
+
+    def test_errors_propagate(self):
+        def fail(lo):
+            if lo == FRAME_BLOCK:
+                raise ValueError("block failed")
+
+        with pytest.raises(ValueError, match="block failed"):
+            for_blocks(3 * FRAME_BLOCK, fail, 2)
+
 
 class TestAutocovarianceContract:
     def test_vacuum_autocovariance_is_isotropic(self, mode):
@@ -237,6 +284,16 @@ class TestAutocovarianceContract:
         off = v - np.diag(np.diag(v))
         assert np.max(np.abs(np.diag(v) - 0.5)) < 5.0 / math.sqrt(m_frames)
         assert np.max(np.abs(off)) < 5.0 / math.sqrt(m_frames)
+
+
+class TestFrameSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_in_partial_last_block_rejected(self, bad):
+        frames = np.zeros((2049, 16), dtype=np.float32)
+        assert 2 * FRAME_BLOCK < frames.shape[0] < 3 * FRAME_BLOCK
+        frames[-1, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FrameSet(frames, t0=0.0, dt=1.0, adc=None, master_seed=0)
 
 
 class TestFrameIo:
