@@ -41,6 +41,7 @@ from .errors import (
     UnstableEstimateError,
 )
 from .estimation import (
+    BootstrapResult,
     DecayFit,
     HistogramOverlay,
     MleResult,

@@ -1,11 +1,11 @@
 """Run photonmem's numerics on one OpenBLAS thread.
 
-The stack's BLAS calls are small (a 10 000 x 125 ``x.T @ x``, gemv on one
-mode, L-BFGS-B on a 6-vector), so a second thread barely speeds them up,
-while a woken OpenBLAS pool spins its workers through the einsum-only code
-that follows: on a 2-core host ``estimate_frames`` used about twice its wall
-time in CPU.  numpy and scipy each map their own OpenBLAS, so every library
-found in the process is pinned.
+The stack's BLAS calls are small (``x.T @ x`` on 1024-row blocks, gemv on
+one mode, the MLE's 6 x 6 Newton systems), so a second thread barely speeds
+them up, while a woken OpenBLAS pool spins its workers through the
+einsum-only code that follows: on a 2-core host ``estimate_frames`` used
+about twice its wall time in CPU.  numpy and scipy each map their own
+OpenBLAS, so every library found in the process is pinned.
 """
 
 from __future__ import annotations

@@ -36,6 +36,16 @@ from .pipeline import (
 from .synth import AdcSpec, load_frames, save_frames, synth_condition
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photonmem",
@@ -55,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common], help="generate synthetic homodyne frames")
     # dest n_frames: a frame file has no MLE sample floor, so this count
     # does not go through the config's frames_per_condition
-    p.add_argument("--frames", dest="n_frames", type=int, default=None, help="number of frames")
+    p.add_argument("--frames", dest="n_frames", type=_positive_int, default=None, help="number of frames")
     p.add_argument("--purity", type=float, default=0.582, help="single-photon weight of the state")
     p.add_argument("--release", type=float, default=150.0, help="shutter opening time (ns)")
     p.add_argument(
@@ -103,7 +113,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_synth(args, cfg: ExperimentConfig) -> int:
     release = simulate_release(cfg.cavity, cfg.schedule(args.release))
-    n_frames = args.n_frames or cfg.frames_per_condition
+    n_frames = cfg.frames_per_condition if args.n_frames is None else args.n_frames
     bits = (cfg.adc.bits if cfg.adc else 0) if args.adc_bits is None else args.adc_bits
     full_scale = (cfg.adc or AdcSpec()).full_scale if args.full_scale is None else args.full_scale
     adc = AdcSpec(bits, full_scale) if bits else None
@@ -140,6 +150,8 @@ def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
         "pca_eigenvalue": pca.eigenvalue,
         "mle_converged": report.mle.converged,
         "mle_kkt_residual": report.mle.kkt_residual,
+        "mle_n_evals": report.mle.n_evals,
+        "bootstrap_failures": report.bootstrap_failures,
         "n_frames": fs.n_frames,
     }
     atomic_write_text(args.out / "tomography.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

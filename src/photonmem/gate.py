@@ -304,7 +304,7 @@ def criterion_loss_and_correlations() -> tuple[bool, str]:
         40,
         n_max=5,
         master_seed=fs.master_seed,
-    )
+    ).std
     boot_ok = 0.0025 <= boot_std <= 0.01
 
     ok = (

@@ -100,14 +100,14 @@ def estimate_frames(
     pca = matched_window_pca(fs, n_workers=n_workers)
     quads = extract_quadratures(fs, pca.mode, n_workers=n_workers)
     mle = mle_photon_distribution(quads, n_max)
-    err = bootstrap_purity(
+    boot = bootstrap_purity(
         quads,
         mle.state,
         bootstrap_resamples,
         n_max=n_max,
         master_seed=fs.master_seed if master_seed is None else master_seed,
     )
-    report = build_tomography_report(quads, mle, purity_err=err)
+    report = build_tomography_report(quads, mle, bootstrap=boot)
     return report, pca, quads
 
 
@@ -270,6 +270,8 @@ def report_as_dict(report: SweepReport) -> dict:
                     "wigner_origin": c.tomography.wigner_origin,
                     "mle_converged": c.tomography.mle.converged,
                     "mle_kkt_residual": c.tomography.mle.kkt_residual,
+                    "mle_n_evals": c.tomography.mle.n_evals,
+                    "bootstrap_failures": c.tomography.bootstrap_failures,
                     "shifted_purity": c.shifted_purity,
                     "shifted_error": c.shifted_error,
                     "pca_eigenvalue": c.pca.eigenvalue,

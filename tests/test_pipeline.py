@@ -342,6 +342,8 @@ class TestRunSweep:
         for entry in report_as_dict(smoke_report)["conditions"]:
             assert entry["mle_converged"] is True
             assert 0.0 <= entry["mle_kkt_residual"] <= MLE_KKT_TOL
+            assert 1 <= entry["mle_n_evals"] <= 30
+            assert entry["bootstrap_failures"] == 0
             assert entry["shifted_error"] is None
 
     def test_lifetime_purity_model(self):
@@ -442,6 +444,8 @@ class TestCli:
             (["sweep", "--config", "{short}"], "t_release < t_end"),
             (["sweep", "--frames", "200"], f"frames_per_condition must be >= {MIN_MLE_SAMPLES}"),
             (["sweep", "--config", "{short}"], "([sweep] storage_times_ns 0.0 + intrinsic_delay_ns 150.0)"),
+            (["synth", "--frames", "0"], "argument --frames: must be positive, got 0"),
+            (["synth", "--frames", "-5"], "argument --frames: must be positive, got -5"),
         ],
         ids=[
             "unknown-key",
@@ -451,6 +455,8 @@ class TestCli:
             "release-after-window",
             "below-mle-floor",
             "release-names-keys",
+            "synth-zero-frames",
+            "synth-negative-frames",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
@@ -466,6 +472,7 @@ class TestCli:
         argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
         assert cli_entry(argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "adc_section, expected", [("bits = 12", AdcSpec(12)), ("enabled = false", None)], ids=["12-bit", "off"]
@@ -520,6 +527,16 @@ class TestCli:
         assert payload["photon_number_distribution"] == [float(v) for v in report.state.c]
         assert payload["mle_converged"] is True
         assert payload["mle_kkt_residual"] == report.mle.kkt_residual
+        assert payload["mle_n_evals"] == report.mle.n_evals
+        assert payload["bootstrap_failures"] == report.bootstrap_failures == 0
+
+        # a rerun writes the same bytes
+        again = tmp_path / "again"
+        assert cli_entry([
+            "estimate", str(synth_dir / "frames.bin"), "--config", str(cfg_path), "--out", str(again),
+        ]) == 0
+        capsys.readouterr()
+        assert (again / "tomography.json").read_bytes() == (est_dir / "tomography.json").read_bytes()
 
     def test_sweep_fixed_seed_reproducible(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -535,6 +552,9 @@ class TestCli:
             ]) == 0
         capsys.readouterr()
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+        # the estimator-health fields are among those bytes
+        entry = json.loads((out_a / "report.json").read_text())["conditions"][0]
+        assert entry["mle_n_evals"] >= 1 and entry["bootstrap_failures"] == 0
 
     def test_sweep_tree_equals_emit_figure_data(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
