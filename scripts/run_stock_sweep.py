@@ -4,13 +4,17 @@
 Reproduces the headline numbers of the demonstration this package models:
 four storage times (0/100/200/300 ns on top of the 150 ns intrinsic delay),
 4.3e4 homodyne frames per condition, 8-bit ADC, and both memory-lifetime
-fits (raw modes vs clip/shift/renormalize reanalysis).  Takes a few minutes.
+fits (raw modes vs clip/shift/renormalize reanalysis).  Prints the sweep's
+wall and CPU time, the process's max RSS and the resolved worker count, so the
+stock-scale numbers quoted in README.md come from this script.
 
 Usage:
     python scripts/run_stock_sweep.py [--out OUT_DIR] [--seed N] [--frames M] [--workers W]
 """
 
 import argparse
+import os
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -37,9 +41,15 @@ def main() -> int:
     if args.frames:
         cfg = replace(cfg, frames_per_condition=args.frames)
 
-    start = time.time()
+    workers = cfg.n_workers
+    if workers == 0:  # one per usable core, as the frame-matrix passes resolve it
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    start, cpu = time.perf_counter(), time.process_time()
     report = run_sweep(cfg)
-    print(f"sweep finished in {time.time() - start:.0f} s")
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu
+    # ru_maxrss is in KiB on Linux
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"sweep: {wall:.1f} s wall, {cpu:.1f} s CPU, {rss_mb:.0f} MB max RSS, {workers} worker(s)")
     for c in report.conditions:
         if c.error:
             print(f"  storage {c.storage_time_ns:5.0f} ns: FAILED ({c.error})")

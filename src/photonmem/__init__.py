@@ -86,7 +86,6 @@ from .synth import (
     ImperfectionConfig,
     extract_quadratures,
     load_frames,
-    quantize_adc,
     save_frames,
     synth_condition,
 )

@@ -152,6 +152,7 @@ def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
         "mle_kkt_residual": report.mle.kkt_residual,
         "mle_n_evals": report.mle.n_evals,
         "bootstrap_failures": report.bootstrap_failures,
+        "adc_saturated_fraction": report.adc_saturated_fraction,
         "n_frames": fs.n_frames,
     }
     atomic_write_text(args.out / "tomography.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

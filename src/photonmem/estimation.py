@@ -90,6 +90,8 @@ class TomographyReport:
     histogram: HistogramOverlay
     #: bootstrap refits that missed MLE_KKT_TOL and were left out of purity_err
     bootstrap_failures: int
+    #: share of ADC samples at the two outermost codes (None without an ADC)
+    adc_saturated_fraction: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.purity <= 1.0:
@@ -124,15 +126,16 @@ def autocovariance(fs: FrameSet, *, n_workers: int = 1) -> np.ndarray:
     in block order, of the centred float64 Gram matrices of the fixed
     ``FRAME_BLOCK`` row blocks, which ``n_workers`` threads fill (see
     :func:`synth.for_blocks`); the bytes do not depend on the thread count.
+    ADC codes enter at their exact levels, in code units scaled by step².
     """
-    m, n = fs.frames.shape
+    m, n = fs.data.shape
     if m < 2:
         raise InsufficientDataError("need at least 2 frames for an auto-covariance")
-    mean = fs.frames.mean(axis=0, dtype=np.float64)
+    mean = fs.data.mean(axis=0, dtype=np.float64)
     partial = np.empty((-(-m // FRAME_BLOCK), n, n))
 
     def gram(lo: int) -> None:
-        x = fs.frames[lo : lo + FRAME_BLOCK] - mean
+        x = fs.data[lo : lo + FRAME_BLOCK] - mean
         np.matmul(x.T, x, out=partial[lo // FRAME_BLOCK])
 
     for_blocks(m, gram, n_workers)
@@ -140,6 +143,7 @@ def autocovariance(fs: FrameSet, *, n_workers: int = 1) -> np.ndarray:
     for block in partial[1:]:
         v += block
     v /= m
+    v *= fs.adc.step**2 if fs.adc else 1.0
     return (v + v.T) / 2.0
 
 

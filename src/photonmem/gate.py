@@ -213,8 +213,8 @@ def _cross_validated_eigenvalue(p: float, seed: int) -> tuple[float, float]:
     )
     half = m // 2
     halves = [
-        FrameSet(fs.frames[:half], fs.t0, fs.dt, fs.adc, fs.master_seed),
-        FrameSet(fs.frames[half:], fs.t0, fs.dt, fs.adc, fs.master_seed),
+        FrameSet(fs.data[:half], fs.t0, fs.dt, fs.adc, fs.master_seed),
+        FrameSet(fs.data[half:], fs.t0, fs.dt, fs.adc, fs.master_seed),
     ]
     modes = [pca_from_frames(h).mode for h in halves]
 

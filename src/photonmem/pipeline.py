@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +108,7 @@ def estimate_frames(
         master_seed=fs.master_seed if master_seed is None else master_seed,
     )
     report = build_tomography_report(quads, mle, bootstrap=boot)
+    report = replace(report, adc_saturated_fraction=fs.adc_saturated_fraction)
     return report, pca, quads
 
 
@@ -272,6 +273,7 @@ def report_as_dict(report: SweepReport) -> dict:
                     "mle_kkt_residual": c.tomography.mle.kkt_residual,
                     "mle_n_evals": c.tomography.mle.n_evals,
                     "bootstrap_failures": c.tomography.bootstrap_failures,
+                    "adc_saturated_fraction": c.tomography.adc_saturated_fraction,
                     "shifted_purity": c.shifted_purity,
                     "shifted_error": c.shifted_error,
                     "pca_eigenvalue": c.pca.eigenvalue,

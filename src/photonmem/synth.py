@@ -10,8 +10,8 @@ electronic noise ``e ~ N(0, sigma_e^2)^N`` adds to every sample::
 
 so a weighted integral with psi recovers ``x_psi + psi . e`` and any
 orthogonal mode stays Gaussian of variance ``1/2 + sigma_e^2``.  Frames are
-stored as float32 -- the same precision as the binary file format -- which
-keeps file-mediated pipelines bit-identical to in-process ones.
+stored as the binary file format holds them -- ADC codes, or float32 without
+an ADC -- which keeps file-mediated pipelines bit-identical to in-process ones.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ VACUUM_SIGMA = float(np.sqrt(0.5))
 DEFAULT_FULL_SCALE = float(10 * VACUUM_SIGMA)
 
 _MAGIC = b"HMFR"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sIQQddBBdQ")
 #: frames per random stream in :func:`synth_condition`, and the row block of
 #: every pass over a frame matrix; part of the seeded output format, not a
@@ -68,7 +68,7 @@ def for_blocks(n_rows: int, fn, n_workers: int = 1) -> None:
 
 @dataclass(frozen=True)
 class AdcSpec:
-    """Uniform mid-rise quantizer with 2^bits levels over +-full_scale."""
+    """Mid-rise quantizer, 2^bits levels over +-full_scale: code k is level (k + 1/2) step."""
 
     bits: int = 8
     full_scale: float = DEFAULT_FULL_SCALE
@@ -76,8 +76,35 @@ class AdcSpec:
     def __post_init__(self):
         if not 2 <= self.bits <= 16:
             raise ValueError(f"bits must lie in [2, 16], got {self.bits}")
-        if not self.full_scale > 0:
-            raise ValueError("full_scale must be positive")
+        if not 0 < self.full_scale < float("inf"):
+            raise ValueError("full_scale must be positive and finite")
+
+    @property
+    def step(self) -> float:
+        return self.full_scale / (1 << (self.bits - 1))
+
+    @property
+    def code_range(self) -> tuple[int, int]:
+        return -(1 << (self.bits - 1)), (1 << (self.bits - 1)) - 1
+
+    @property
+    def code_dtype(self) -> np.dtype:  # int8 up to 8 bits, int16 above
+        return np.dtype("<i1" if self.bits <= 8 else "<i2")
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """float32 level of code k at index ``k mod 2^bits``."""
+        k = np.fft.ifftshift(np.arange(self.code_range[0], self.code_range[1] + 1))
+        return ((k + 0.5) * self.step).astype(np.float32)
+
+    def encode(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Saturating codes floor(x / step) as float64 (in place in ``out``)."""
+        k = np.floor(np.divide(np.asarray(values, dtype=float), self.step, out=out), out=out)
+        return np.clip(k, *self.code_range, out=k)
+
+    def decode(self, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """float32 levels of integer codes, through :attr:`levels`."""
+        return np.take(self.levels, codes, mode="wrap", out=out)
 
 
 @dataclass(frozen=True)
@@ -113,34 +140,66 @@ class ImperfectionConfig:
 
 @dataclass(frozen=True)
 class FrameSet:
-    """M x N batch of quadrature frames plus grid/ADC/seed metadata."""
+    """M x N frames (ADC codes iff ``adc`` is set, else float32) plus grid/ADC/seed metadata."""
 
-    frames: np.ndarray
+    data: np.ndarray
     t0: float
     dt: float
     adc: AdcSpec | None
     master_seed: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.frames, dtype=np.float32)
-        arr.flags.writeable = False
-        object.__setattr__(self, "frames", arr)
+        adc, arr = self.adc, np.asarray(self.data)
+        is_codes = adc is not None and arr.dtype.kind in "iu"
+        arr = arr if is_codes else np.ascontiguousarray(arr, dtype=np.float32)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("frames must be a non-empty M x N matrix")
-        # block by block: a whole-matrix isfinite is an M x N bool temporary
+        codes = np.empty(arr.shape, adc.code_dtype) if adc and not is_codes else arr
+        # block by block: whole-matrix checks make M x N temporaries
         for lo in range(0, arr.shape[0], FRAME_BLOCK):
-            if not np.isfinite(arr[lo : lo + FRAME_BLOCK]).all():
+            block = arr[lo : lo + FRAME_BLOCK]
+            if is_codes:
+                if block.min() < adc.code_range[0] or block.max() > adc.code_range[1]:
+                    raise ValueError(f"frame codes outside the {adc.bits}-bit ADC's range")
+            elif not np.isfinite(block).all():
                 raise ValueError("frames must be finite")
+            elif adc is not None:
+                codes[lo : lo + FRAME_BLOCK] = adc.encode(block)
+                if not np.array_equal(adc.decode(codes[lo : lo + FRAME_BLOCK]), block):
+                    raise ValueError("frames are off the ADC's levels")
+        data = np.ascontiguousarray(codes, dtype=adc.code_dtype if adc else None)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 
+    @cached_property
+    def frames(self) -> np.ndarray:
+        """float32 quadratures: ``data``, or its ADC levels (decoded once)."""
+        if self.adc is None:
+            return self.data
+        out = np.empty(self.data.shape, np.float32)
+        for lo in range(0, self.n_frames, FRAME_BLOCK):
+            self.adc.decode(self.data[lo : lo + FRAME_BLOCK], out=out[lo : lo + FRAME_BLOCK])
+        out.flags.writeable = False
+        return out
+
     @property
     def n_frames(self) -> int:
-        return self.frames.shape[0]
+        return self.data.shape[0]
 
     @property
     def n_samples(self) -> int:
-        return self.frames.shape[1]
+        return self.data.shape[1]
+
+    @property
+    def adc_saturated_fraction(self) -> float | None:
+        """Share of samples at the ADC's two outermost codes (None without an ADC)."""
+        if self.adc is None:
+            return None
+        lo, hi = self.adc.code_range
+        blocks = (self.data[i : i + FRAME_BLOCK] for i in range(0, self.n_frames, FRAME_BLOCK))
+        return sum(np.count_nonzero(b == lo) + np.count_nonzero(b == hi) for b in blocks) / self.data.size
 
     @property
     def times(self) -> np.ndarray:
@@ -180,26 +239,6 @@ def _mode_indices(psi: ModeFunction, t0: float, n_samples: int, dt: float) -> sl
             f"mode support [{psi.t0}, {psi.t_end}] ns exceeds the frame window"
         )
     return slice(i0, i1)
-
-
-def quantize_adc(
-    values: np.ndarray, bits: int, full_scale: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Mid-rise uniform quantization over [-full_scale, +full_scale].
-
-    Output levels are ``(k + 1/2) step`` for integer k; inputs beyond the
-    range saturate at the outermost levels.  With ``out`` (a float64 array,
-    ``values`` itself allowed) every step runs in place there.
-    """
-    spec = AdcSpec(bits, full_scale)  # reuse validation
-    step = 2.0 * spec.full_scale / (1 << spec.bits)
-    top = (1 << (spec.bits - 1)) - 1
-    k = np.divide(np.asarray(values, dtype=float), step, out=out)
-    np.floor(k, out=k)
-    np.clip(k, -top - 1, top, out=k)
-    k += 0.5
-    k *= step
-    return k
 
 
 def synth_condition(
@@ -247,7 +286,7 @@ def synth_condition(
     noise = imp.electronic_noise_std
     sigma = np.sqrt(0.5 + noise**2)
 
-    out = np.empty((n_frames, n_samples), dtype=np.float32)
+    out = np.empty((n_frames, n_samples), dtype=adc.code_dtype if adc else np.float32)
 
     def fill(lo: int) -> None:
         m = min(FRAME_BLOCK, n_frames - lo)
@@ -268,7 +307,7 @@ def synth_condition(
         x -= np.einsum("ij,j->i", g[:, cols], mode)
         g[:, cols] += np.multiply.outer(x, mode)
         if adc is not None:
-            quantize_adc(g, adc.bits, adc.full_scale, out=g)
+            adc.encode(g, out=g)
         out[lo : lo + m] = g
 
     for_blocks(n_frames, fill, n_workers)
@@ -286,8 +325,9 @@ def bin_frames(
     window is half-open ``[lo, hi)`` on the frame grid; ADC metadata is
     dropped since binned samples no longer sit on quantizer levels.  Bin
     ``j`` is the float32 sum of its ``b`` samples taken in order, divided by
-    ``float32(sqrt(b))``; row blocks run on ``n_workers`` threads (see
-    :func:`for_blocks`).
+    ``float32(sqrt(b))``, or from ADC codes ``float32((S + b/2) step /
+    sqrt(b))`` with ``S`` their exact integer sum; row blocks run on
+    ``n_workers`` threads (see :func:`for_blocks`).
     """
     per_bin = bin_ns / fs.dt
     if abs(per_bin - round(per_bin)) > GRID_TOL or per_bin < 1:
@@ -303,18 +343,22 @@ def bin_frames(
     n_bins = (i1 - i0) // b
     if n_bins < 2:
         raise ValueError("window too short for the requested binning")
-    seg = fs.frames[:, i0 : i0 + n_bins * b]
+    seg = fs.data[:, i0 : i0 + n_bins * b]
     binned = np.empty((fs.n_frames, n_bins), dtype=np.float32)
-    scale = np.float32(np.sqrt(b))
+    # codes sum exactly in the narrowest integer type that holds b of them
+    acc_type = np.min_scalar_type(-(b << (fs.adc.bits - 1))) if fs.adc else np.float32
 
     def fill(lo: int) -> None:
         # b strided column passes: a reduction over a short last axis
         # (reshape + sum(axis=2)) is several times slower
-        rows, acc = seg[lo : lo + FRAME_BLOCK], binned[lo : lo + FRAME_BLOCK]
-        acc[...] = rows[:, 0::b]
+        rows, out = seg[lo : lo + FRAME_BLOCK], binned[lo : lo + FRAME_BLOCK]
+        acc = rows[:, 0::b].astype(acc_type)
         for k in range(1, b):
             acc += rows[:, k::b]
-        acc /= scale
+        if fs.adc:
+            np.multiply(np.add(acc, b / 2, dtype=np.float64), fs.adc.step / np.sqrt(b), out=out)
+        else:
+            np.divide(acc, np.float32(np.sqrt(b)), out=out)
 
     for_blocks(fs.n_frames, fill, n_workers)
     return FrameSet(
@@ -326,21 +370,25 @@ def extract_quadratures(fs: FrameSet, psi0: ModeFunction, *, n_workers: int = 1)
     """Mode quadrature of every frame in the set (float64).
 
     One float64 gemv per row block on ``n_workers`` threads (see
-    :func:`for_blocks`), so no M x N float64 copy of the frames is made.
+    :func:`for_blocks`), so no M x N float64 copy of the frames is made; ADC
+    codes count at their exact levels.
     """
     cols = _mode_indices(psi0, fs.t0, fs.n_samples, fs.dt)
     quads = np.empty(fs.n_frames)
 
     def fill(lo: int) -> None:
-        block = fs.frames[lo : lo + FRAME_BLOCK, cols].astype(np.float64)
+        block = fs.data[lo : lo + FRAME_BLOCK, cols].astype(np.float64)
         np.matmul(block, psi0.samples, out=quads[lo : lo + FRAME_BLOCK])
 
     for_blocks(fs.n_frames, fill, n_workers)
+    if fs.adc is not None:  # code k stands for the level (k + 1/2) step
+        return (quads + 0.5 * psi0.samples.sum()) * fs.adc.step
     return quads
 
 
 def save_frames(fs: FrameSet, path: str | Path) -> None:
-    """Write the binary frame format: fixed header + row-major float32 data."""
+    """Write the frame format (version 2): fixed header + row-major data, as
+    little-endian ADC codes iff the ADC flag is set and float32 otherwise."""
     adc = fs.adc
     header = _HEADER.pack(
         _MAGIC,
@@ -356,31 +404,36 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fs.frames.astype("<f4", copy=False).tofile(fh)
+        fs.data.astype(adc.code_dtype if adc else "<f4", copy=False).tofile(fh)
 
 
 def load_frames(path: str | Path) -> FrameSet:
-    """Read a file written by :func:`save_frames`.
+    """Read a file written by :func:`save_frames`, or a float32 version-1 file.
 
     The size the header implies must equal the file size, so a truncated
-    file, trailing bytes or a corrupt header raise before any data is read.
+    file, trailing bytes or a corrupt header raise (naming the file) first.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, m, n, t0, dt, adc_flag, bits, full_scale, seed = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a frame file (bad magic {magic!r})")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        expected = _HEADER.size + 4 * m * n
-        size = os.fstat(fh.fileno()).st_size
-        if size < expected:
-            raise ValueError(f"{path}: truncated data section ({size} of {expected} bytes)")
-        if size > expected:
-            raise ValueError(f"{path}: {size - expected} trailing bytes after the data section")
-        data = np.frombuffer(fh.read(4 * m * n), dtype="<f4")
-    adc = AdcSpec(bits, full_scale) if adc_flag else None
-    return FrameSet(data.reshape(m, n), t0=t0, dt=dt, adc=adc, master_seed=seed)
-
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read(_HEADER.size)
+            if len(raw) != _HEADER.size:
+                raise ValueError("truncated header")
+            magic, version, m, n, t0, dt, adc_flag, bits, full_scale, seed = _HEADER.unpack(raw)
+            if magic != _MAGIC:
+                raise ValueError(f"not a frame file (bad magic {magic!r})")
+            if version not in (1, _VERSION):
+                raise ValueError(f"unsupported version {version}")
+            if adc_flag not in (0, 1):
+                raise ValueError(f"ADC flag {adc_flag} is neither 0 nor 1")
+            adc = AdcSpec(bits, full_scale) if adc_flag else None
+            dtype = np.dtype(adc.code_dtype if adc and version == _VERSION else "<f4")
+            expected = _HEADER.size + dtype.itemsize * m * n
+            size = os.fstat(fh.fileno()).st_size
+            if size < expected:
+                raise ValueError(f"truncated data section ({size} of {expected} bytes)")
+            if size > expected:
+                raise ValueError(f"{size - expected} trailing bytes after the data section")
+            data = np.frombuffer(fh.read(expected - _HEADER.size), dtype=dtype)
+        return FrameSet(data.reshape(m, n), t0=t0, dt=dt, adc=adc, master_seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -24,7 +24,7 @@ from photonmem.estimation import (
 from photonmem.fock import FockDiagonalState, hermite_functions, quadrature_pdf
 from photonmem.modes import normalized_mode, overlap_sq
 from photonmem.pipeline import estimate_frames
-from photonmem.synth import FrameSet, draw_fock_quadrature, extract_quadratures, synth_condition
+from photonmem.synth import AdcSpec, FrameSet, draw_fock_quadrature, extract_quadratures, synth_condition
 
 from conftest import gaussian_mode
 
@@ -66,16 +66,20 @@ class TestAutocovariance:
         # each entry of either lies within gamma_M sum_k |x_ki x_kj| / M of
         # the exact value (Higham, Accuracy and Stability of Numerical
         # Algorithms, 2002, eq. 3.5), so they differ by at most twice that
-        fs = synth_condition(FockDiagonalState.two_level(0.5), mode64, 5_000, 37, n_samples=64)
-        m = fs.n_frames
-        x = fs.frames.astype(np.float64)
-        x -= x.mean(axis=0)
-        ref = (x.T @ x) / m
-        ref = (ref + ref.T) / 2.0
-        u = np.finfo(np.float64).eps / 2.0
-        gamma = m * u / (1.0 - m * u)
-        bound = 2.0 * gamma * (np.abs(x).T @ np.abs(x)) / m
-        assert np.all(np.abs(autocovariance(fs, n_workers=2) - ref) <= bound)
+        # ADC codes k count at their exact levels (k + 1/2) step
+        for adc in (None, AdcSpec()):
+            fs = synth_condition(
+                FockDiagonalState.two_level(0.5), mode64, 5_000, 37, n_samples=64, adc=adc
+            )
+            m = fs.n_frames
+            x = fs.frames.astype(np.float64) if adc is None else (fs.data + 0.5) * adc.step
+            x -= x.mean(axis=0)
+            ref = (x.T @ x) / m
+            ref = (ref + ref.T) / 2.0
+            u = np.finfo(np.float64).eps / 2.0
+            gamma = m * u / (1.0 - m * u)
+            bound = 2.0 * gamma * (np.abs(x).T @ np.abs(x)) / m
+            assert np.all(np.abs(autocovariance(fs, n_workers=2) - ref) <= bound)
 
     def test_single_frame_rejected(self, mode64):
         fs = synth_condition(FockDiagonalState.vacuum(), mode64, 1, 32, n_samples=64)

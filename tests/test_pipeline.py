@@ -20,7 +20,8 @@ from photonmem.pipeline import (
     report_as_dict,
     run_sweep,
 )
-from photonmem.synth import AdcSpec, ImperfectionConfig, load_frames
+from photonmem.fock import FockDiagonalState
+from photonmem.synth import AdcSpec, ImperfectionConfig, load_frames, synth_condition
 
 #: the stock config's canonical dump: every digest and report.json's
 #: config_text are built from these bytes
@@ -345,6 +346,39 @@ class TestRunSweep:
             assert 1 <= entry["mle_n_evals"] <= 30
             assert entry["bootstrap_failures"] == 0
             assert entry["shifted_error"] is None
+            # the stock ADC range keeps every sample off its outermost codes
+            assert entry["adc_saturated_fraction"] == 0.0
+
+    def test_adc_saturation_counted(self, base_release):
+        # a full scale of 1.5 vacuum standard deviations clips often
+        state = FockDiagonalState.two_level(0.582)
+        kw = dict(t0=0.0, n_samples=1000)
+        adc = AdcSpec(8, 1.5 * np.sqrt(0.5))
+        fs = synth_condition(state, base_release.envelope, MIN_MLE_SAMPLES, 5, adc=adc, **kw)
+        report, _, _ = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
+        rails = ((-128 + 0.5) * adc.step, (127 + 0.5) * adc.step)
+        expected = float(np.isin(fs.frames, np.float32(rails)).mean())
+        assert report.adc_saturated_fraction == expected
+        assert 0.02 < expected < 0.5
+        raw = synth_condition(state, base_release.envelope, MIN_MLE_SAMPLES, 5, **kw)
+        report, _, _ = estimate_frames(raw, n_max=5, bootstrap_resamples=20)
+        assert report.adc_saturated_fraction is None
+
+    def test_pipeline_never_decodes_codes(self, monkeypatch, base_release):
+        # the passes read the codes: no float32 frame matrix is built
+        fs = synth_condition(
+            FockDiagonalState.two_level(0.582), base_release.envelope, 3000, 6,
+            t0=0.0, n_samples=1000, adc=AdcSpec(),
+        )
+
+        def fail(self, codes, out=None):
+            raise AssertionError("ADC codes decoded")
+
+        monkeypatch.setattr(AdcSpec, "decode", fail)
+        report, _, _ = estimate_frames(fs, n_max=5, bootstrap_resamples=20, n_workers=2)
+        assert report.purity_err > 0
+        sweep = run_sweep(ExperimentConfig(frames_per_condition=3000, master_seed=7, bootstrap_resamples=20))
+        assert not sweep.failed, [c.error for c in sweep.conditions]
 
     def test_lifetime_purity_model(self):
         cfg = ExperimentConfig(
@@ -529,6 +563,7 @@ class TestCli:
         assert payload["mle_kkt_residual"] == report.mle.kkt_residual
         assert payload["mle_n_evals"] == report.mle.n_evals
         assert payload["bootstrap_failures"] == report.bootstrap_failures == 0
+        assert payload["adc_saturated_fraction"] == report.adc_saturated_fraction == 0.0
 
         # a rerun writes the same bytes
         again = tmp_path / "again"

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from photonmem.estimation import mle_photon_distribution
@@ -18,7 +20,6 @@ from photonmem.synth import (
     extract_quadratures,
     for_blocks,
     load_frames,
-    quantize_adc,
     save_frames,
     synth_condition,
 )
@@ -99,8 +100,15 @@ class TestExtract:
             FockDiagonalState.two_level(0.5), mode, 2049, 37, n_samples=160, adc=AdcSpec()
         )
         cols = slice(0, 128)  # the mode starts at t0 = 0 on the frame grid
-        ref = np.array([np.dot(row[cols].astype(np.float64), mode.samples) for row in fs.frames])
-        np.testing.assert_allclose(extract_quadratures(fs, mode, n_workers=2), ref, rtol=0, atol=1e-12)
+        # codes count at their exact levels (k + 1/2) step
+        exact = (fs.data.astype(np.float64) + 0.5) * fs.adc.step
+        ref = np.array([np.dot(row[cols], mode.samples) for row in exact])
+        quads = extract_quadratures(fs, mode, n_workers=2)
+        np.testing.assert_allclose(quads, ref, rtol=0, atol=1e-12)
+        # the float32 levels of .frames are within their rounding of those
+        bound = np.abs(mode.samples).sum() * np.abs(fs.frames - exact).max()
+        decoded = np.array([np.dot(row[cols].astype(np.float64), mode.samples) for row in fs.frames])
+        assert np.abs(quads - decoded).max() <= bound
 
     def test_grid_mismatch_rejected(self, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 2, 15, n_samples=128)
@@ -118,22 +126,31 @@ class TestFockSampler:
         assert float(np.var(x)) == pytest.approx(var, rel=0.02)
 
 
+def _quantize(spec, values):
+    """ADC levels of ``values``: the encoder, then the level table."""
+    return spec.decode(spec.encode(values).astype(spec.code_dtype))
+
+
 class TestQuantizeAdc:
     def test_values_on_levels_unchanged(self):
         spec = AdcSpec(bits=3, full_scale=1.0)
         step = 2.0 / 8
         levels = (np.arange(-4, 4) + 0.5) * step
-        np.testing.assert_allclose(quantize_adc(levels, 3, 1.0), levels, atol=1e-15)
+        np.testing.assert_array_equal(spec.encode(levels), np.arange(-4, 4))
+        np.testing.assert_allclose(_quantize(spec, levels), levels, atol=1e-15)
+        np.testing.assert_array_equal(np.sort(spec.levels), levels)
 
     def test_saturation(self):
+        spec = AdcSpec(bits=3, full_scale=1.0)
         step = 2.0 / 8
         top = 3.5 * step  # mid-rise rails are symmetric: +-(2^bits/2 - 1/2) steps
-        assert quantize_adc(np.array([10.0]), 3, 1.0)[0] == pytest.approx(top)
-        assert quantize_adc(np.array([-10.0]), 3, 1.0)[0] == pytest.approx(-top)
+        assert spec.encode(np.array([10.0, -10.0])).tolist() == [3, -4]
+        assert _quantize(spec, np.array([10.0]))[0] == pytest.approx(top)
+        assert _quantize(spec, np.array([-10.0]))[0] == pytest.approx(-top)
 
     def test_monotone(self):
         x = np.linspace(-2, 2, 1001)
-        q = quantize_adc(x, 8, 1.5)
+        q = _quantize(AdcSpec(8, 1.5), x)
         assert np.all(np.diff(q) >= 0)
 
     def test_quantization_barely_moves_mle(self, mode):
@@ -148,19 +165,27 @@ class TestQuantizeAdc:
 
     def test_bits_validated(self):
         with pytest.raises(ValueError):
-            quantize_adc(np.zeros(4), 1, 1.0)
+            AdcSpec(1, 1.0)
+
+    @pytest.mark.parametrize("full_scale", [0.0, -1.0, math.inf, math.nan])
+    def test_full_scale_validated(self, full_scale):
+        # an infinite full scale would store every sample as code 0 or -1
+        # at an infinite level
+        with pytest.raises(ValueError, match="positive and finite"):
+            AdcSpec(8, full_scale)
 
     @pytest.mark.parametrize("bits, full_scale", [(3, 1.0), (8, 7.0710678118654755), (16, 0.5)])
     def test_in_place_matches_out_of_place(self, bits, full_scale):
+        spec = AdcSpec(bits, full_scale)
         rng = np.random.default_rng(bits)
         values = rng.normal(0.0, full_scale, (64, 33))
         values[0, :4] = [10 * full_scale, -10 * full_scale, full_scale, -full_scale]  # saturated
-        expected = quantize_adc(values, bits, full_scale)
+        expected = spec.encode(values)
         buf = values.copy()
-        got = quantize_adc(buf, bits, full_scale, out=buf)
+        got = spec.encode(buf, out=buf)
         assert got is buf
         assert got.tobytes() == expected.tobytes()
-        assert np.all(np.abs(expected) < full_scale)
+        assert np.all(np.abs(spec.decode(expected.astype(spec.code_dtype))) < full_scale)
 
 
 class TestImperfections:
@@ -296,6 +321,26 @@ class TestFrameSet:
             FrameSet(frames, t0=0.0, dt=1.0, adc=None, master_seed=0)
 
 
+    def test_float_input_with_adc_is_encoded(self, mode):
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 50, 41, n_samples=128, adc=AdcSpec())
+        assert fs.data.dtype == np.int8
+        again = FrameSet(fs.frames, fs.t0, fs.dt, fs.adc, fs.master_seed)
+        assert again.data.tobytes() == fs.data.tobytes()
+        assert fs.frames is fs.frames  # decoded once
+        off = fs.frames.copy()
+        off[-1, -1] = np.nextafter(off[-1, -1], np.float32(np.inf))
+        with pytest.raises(ValueError, match="off the ADC's levels"):
+            FrameSet(off, fs.t0, fs.dt, fs.adc, fs.master_seed)
+
+    def test_codes_outside_the_adc_range_rejected(self):
+        codes = np.zeros((3, 4), np.int64)
+        codes[1, 2] = 128
+        with pytest.raises(ValueError, match="outside the 8-bit ADC's range"):
+            FrameSet(codes, 0.0, 1.0, AdcSpec(), 0)
+        codes[1, 2] = 127
+        assert FrameSet(codes, 0.0, 1.0, AdcSpec(), 0).data.dtype == np.int8
+
+
 class TestFrameIo:
     def test_binary_round_trip(self, tmp_path, mode):
         fs = synth_condition(
@@ -323,12 +368,103 @@ class TestFrameIo:
         save_frames(fs, path)
         return path
 
-    def test_save_writes_header_and_raw_float32(self, saved):
+    def test_save_writes_header_and_raw_float32(self, saved, tmp_path, mode):
+        # version 2: fixed 58-byte header, then the row-major little-endian
+        # data, float32 without an ADC ...
         raw = saved.read_bytes()
         fs = load_frames(saved)
-        # fixed 58-byte header, then the row-major little-endian data
+        assert struct.unpack_from("<4sI", raw) == (b"HMFR", 2)
         assert len(raw) == 58 + 4 * 20 * 128
         assert raw[58:] == fs.frames.astype("<f4").tobytes()
+        # ... and one int8 code per sample with the 8-bit ADC
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 36, n_samples=128, adc=AdcSpec())
+        path = tmp_path / "codes.bin"
+        save_frames(fs, path)
+        raw = path.read_bytes()
+        assert len(raw) == 58 + 20 * 128
+        assert raw[58:] == fs.data.astype("<i1").tobytes()
+        assert raw[40] == 1 and raw[41] == 8  # ADC flag and bits
+
+    @given(
+        bits=st.none() | st.integers(2, 16),
+        m=st.sampled_from([1, 7, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 3]),
+        n=st.integers(1, 5),
+        full_scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_property(self, tmp_path_factory, bits, m, n, full_scale, seed):
+        rng = np.random.default_rng(seed % 2**32)
+        if bits is None:
+            adc, data = None, rng.normal(0.0, full_scale, (m, n)).astype(np.float32)
+        else:
+            adc = AdcSpec(bits, full_scale)
+            data = rng.integers(*adc.code_range, endpoint=True, size=(m, n))
+        fs = FrameSet(data, t0=-3.5, dt=0.25, adc=adc, master_seed=seed)
+        path = tmp_path_factory.getbasetemp() / "round_trip.bin"
+        save_frames(fs, path)
+        back = load_frames(path)
+        assert path.stat().st_size == 58 + (4 if adc is None else adc.code_dtype.itemsize) * m * n
+        assert back.data.dtype == fs.data.dtype
+        assert back.data.tobytes() == fs.data.tobytes()
+        assert back.frames.tobytes() == fs.frames.tobytes()
+        assert (back.t0, back.dt, back.adc, back.master_seed) == (-3.5, 0.25, adc, seed)
+
+    @staticmethod
+    def _write(path, fs, *, version=2, adc_flag=None, bits=None, data=None):
+        """A hand-written frame file: header fields in the documented order."""
+        adc = fs.adc
+        header = struct.pack(
+            "<4sIQQddBBdQ", b"HMFR", version, fs.n_frames, fs.n_samples, fs.t0, fs.dt,
+            (1 if adc else 0) if adc_flag is None else adc_flag,
+            (adc.bits if adc else 0) if bits is None else bits,
+            adc.full_scale if adc else 0.0, fs.master_seed,
+        )
+        path.write_bytes(header + (fs.frames.astype("<f4") if data is None else data).tobytes())
+
+    @pytest.mark.parametrize("adc", [AdcSpec(), None], ids=["adc", "no-adc"])
+    def test_version_1_file_loads_to_identical_frames(self, tmp_path, mode, adc):
+        # version 1 held float32 levels whatever the ADC flag
+        fs = synth_condition(
+            FockDiagonalState.two_level(0.5), mode, FRAME_BLOCK + 5, 38, n_samples=128, adc=adc
+        )
+        path = tmp_path / "v1.bin"
+        self._write(path, fs, version=1)
+        back = load_frames(path)
+        assert back.frames.tobytes() == fs.frames.tobytes()
+        assert back.data.dtype == fs.data.dtype
+        assert back.data.tobytes() == fs.data.tobytes()
+        assert back.adc == adc
+
+    def test_version_1_file_off_the_adc_levels_rejected(self, tmp_path, mode):
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 39, n_samples=128, adc=AdcSpec())
+        levels = fs.frames.copy()
+        levels[3, 4] += 1e-3
+        path = tmp_path / "v1.bin"
+        self._write(path, fs, version=1, data=levels)
+        with pytest.raises(ValueError, match=r"v1\.bin: frames are off the ADC's levels"):
+            load_frames(path)
+
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_adc_flag_other_than_0_or_1_rejected(self, tmp_path, mode, flag):
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 40, n_samples=128, adc=AdcSpec())
+        path = tmp_path / "flag.bin"
+        self._write(path, fs, adc_flag=flag, data=fs.data.astype("<i1"))
+        with pytest.raises(ValueError, match=rf"flag\.bin: ADC flag {flag} is neither 0 nor 1"):
+            load_frames(path)
+
+    @pytest.mark.parametrize(
+        "bits, dtype, code", [(3, "<i1", 4), (3, "<i1", -5), (12, "<i2", 2048), (12, "<i2", -2049)]
+    )
+    def test_codes_outside_the_adc_range_rejected(self, tmp_path, bits, dtype, code):
+        # fewer bits than the storage type holds: a corrupt code can exceed them
+        fs = FrameSet(np.zeros((FRAME_BLOCK + 1, 8), dtype), 0.0, 1.0, AdcSpec(bits, 1.0), 0)
+        data = fs.data.copy()
+        data[-1, 3] = code  # in the partial last block
+        path = tmp_path / "range.bin"
+        self._write(path, fs, data=data)
+        with pytest.raises(ValueError, match=rf"range\.bin: frame codes outside the {bits}-bit ADC's range"):
+            load_frames(path)
 
     def test_truncated_file_rejected(self, saved):
         saved.write_bytes(saved.read_bytes()[:-1])
@@ -394,6 +530,33 @@ class TestBinFrames:
         # most one float32 ulp of a value bounded by b * max|x|
         bound = (b + 2) * np.finfo(np.float32).eps * b * float(np.abs(fs.frames).max())
         np.testing.assert_allclose(binned.frames, ref64 / np.sqrt(b), rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    @pytest.mark.parametrize("window", [None, (13.0, 101.0)], ids=["full", "window"])
+    def test_codes_bin_exactly(self, mode, bits, b, window):
+        # 2049 frames: two full row blocks and a partial third
+        fs = synth_condition(
+            FockDiagonalState.two_level(0.5), mode, 2049, 42, n_samples=128,
+            adc=AdcSpec(bits, 2.5),  # clips: the outermost codes are in use
+        )
+        binned = bin_frames(fs, float(b), window, n_workers=1)
+        assert binned.data.tobytes() == bin_frames(fs, float(b), window, n_workers=3).data.tobytes()
+        i0 = 0 if window is None else 13
+        n_bins = binned.n_samples
+        exact = (fs.data.astype(np.float64) + 0.5) * fs.adc.step
+        ref64 = np.zeros((2049, n_bins))
+        for j in range(n_bins):
+            for k in range(b):
+                ref64[:, j] += exact[:, i0 + j * b + k]
+        ref64 /= np.sqrt(b)
+        # one float32 rounding of the result, plus the float64 roundings of
+        # the reference's b additions
+        bound = (
+            np.finfo(np.float32).eps / 2 * np.abs(ref64)
+            + (b + 2) * np.finfo(np.float64).eps * b * np.abs(exact).max()
+        )
+        assert np.all(np.abs(binned.frames - ref64) <= bound)
 
     def test_bad_bin_rejected(self, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 2, 29, n_samples=128)
