@@ -20,10 +20,7 @@ last bit.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import simpson
@@ -290,49 +287,3 @@ def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> Lifetim
         exceeds_window=tau_ns > LIFETIME_WINDOW_FACTOR * window,
         decay_rate_per_ns=-slope,
     )
-
-
-def calibrate_shutter_detuning(
-    params: CavityParams,
-    target_preleak: float = 0.03,
-    t_release_ns: float = 450.0,
-    t_end_ns: float = 1000.0,
-    dt_int_ns: float = 0.1,
-) -> float:
-    """Closed-shutter detuning (rad/s) that leaks ``target_preleak`` of the
-    photon before a release at ``t_release_ns``.  Bisection on a log grid."""
-    if not 0.0 < target_preleak < 1.0:
-        raise ValueError("target_preleak must lie in (0, 1)")
-
-    def preleak(delta: float) -> float:
-        sched = ShutterSchedule(
-            t_release_ns, delta, t_start_ns=0.0, t_end_ns=t_end_ns, dt_int_ns=dt_int_ns
-        )
-        return simulate_release(params, sched).metrics["preleak_fraction"]
-
-    lo, hi = 1e7, 1e13
-    if preleak(lo) < target_preleak or preleak(hi) > target_preleak:
-        raise FitFailureError("target pre-leak is outside the detuning search range")
-    for _ in range(60):
-        mid = np.sqrt(lo * hi)
-        if preleak(mid) > target_preleak:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(lo * hi))
-
-
-def write_release_csv(result: ReleaseResult, path: str | Path) -> None:
-    """Write the envelope and stored population as ``t_ns, psi, mc_pop`` rows."""
-    mode = result.envelope
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ns", "psi", "mc_pop"])
-        for t, v, pop in zip(mode.times, mode.samples, result.mc_population):
-            writer.writerow([f"{t:.12g}", f"{v:.12g}", f"{pop:.12g}"])
-
-
-def write_release_metrics_json(result: ReleaseResult, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -14,24 +14,26 @@ Exit codes: 0 on success, 1 on stage failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from ._blas import single_blas_thread
 from ._version import __version__
-from .cavity import simulate_release, write_release_csv, write_release_metrics_json
+from .cavity import simulate_release
 from .config import ExperimentConfig, load_config
 from .errors import PhotonMemError
-from .fock import FockDiagonalState, wigner_section, write_photon_number_csv, write_wigner_section_csv
-from .gate import run_gate
-from .estimation import write_histogram_csv
+from .fock import FockDiagonalState
+from .gate import CRITERIA, run_gate
 from .pipeline import (
-    atomic_write_text,
     emit_figure_data,
     estimate_frames,
+    json_text,
+    release_files,
     run_sweep,
+    tomography_fields,
+    tomography_files,
+    write_files,
 )
 from .synth import AdcSpec, load_frames, save_frames, synth_condition
 
@@ -86,12 +88,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("gate", parents=[common], help="run the acceptance criteria")
-    p.add_argument("--criteria", type=int, nargs="*", default=None, help="subset of criterion numbers")
+    p.add_argument(
+        "--criteria",
+        type=int,
+        nargs="*",
+        default=None,
+        choices=[index for index, _, _ in CRITERIA],
+        help="subset of criterion numbers",
+    )
 
     return parser
 
 
-def _load_cfg(args) -> ExperimentConfig:
+def _prepare(args) -> ExperimentConfig:
+    """The config with the flags applied; also builds the command's inputs
+    from its flags onto ``args``, so that a bad flag fails before any stage
+    runs."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
@@ -99,33 +111,36 @@ def _load_cfg(args) -> ExperimentConfig:
         cfg = replace(cfg, frames_per_condition=args.frames)
     if getattr(args, "workers", None) is not None:
         cfg = replace(cfg, n_workers=args.workers)
+    if hasattr(args, "release"):
+        args.schedule = cfg.schedule(args.release)
+    if hasattr(args, "purity"):
+        args.state = FockDiagonalState.two_level(args.purity)
+    if hasattr(args, "adc_bits"):
+        bits = (cfg.adc.bits if cfg.adc else 0) if args.adc_bits is None else args.adc_bits
+        full_scale = (cfg.adc or AdcSpec()).full_scale if args.full_scale is None else args.full_scale
+        args.adc = AdcSpec(bits, full_scale) if bits else None
     return cfg
 
 
 def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    result = simulate_release(cfg.cavity, cfg.schedule(args.release))
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_release_csv(result, args.out / "envelope.csv")
-    write_release_metrics_json(result, args.out / "release_metrics.json")
-    print(json.dumps(result.metrics, indent=2, sort_keys=True))
+    files = release_files(simulate_release(cfg.cavity, args.schedule))
+    write_files(args.out, files)
+    print(files["release_metrics.json"], end="")
     return 0
 
 
 def _cmd_synth(args, cfg: ExperimentConfig) -> int:
-    release = simulate_release(cfg.cavity, cfg.schedule(args.release))
+    release = simulate_release(cfg.cavity, args.schedule)
     n_frames = cfg.frames_per_condition if args.n_frames is None else args.n_frames
-    bits = (cfg.adc.bits if cfg.adc else 0) if args.adc_bits is None else args.adc_bits
-    full_scale = (cfg.adc or AdcSpec()).full_scale if args.full_scale is None else args.full_scale
-    adc = AdcSpec(bits, full_scale) if bits else None
     fs = synth_condition(
-        FockDiagonalState.two_level(args.purity),
+        args.state,
         release.envelope,
         n_frames,
         cfg.master_seed,
         t0=cfg.window_start_ns,
         n_samples=cfg.n_samples,
         imperfections=cfg.imperfections,
-        adc=adc,
+        adc=args.adc,
         n_workers=cfg.n_workers,
     )
     args.out.mkdir(parents=True, exist_ok=True)
@@ -137,29 +152,12 @@ def _cmd_synth(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
     fs = load_frames(args.frames_file)
-    report, pca, quads = estimate_frames(
+    report, pca, _ = estimate_frames(
         fs, n_max=cfg.n_max, bootstrap_resamples=cfg.bootstrap_resamples, n_workers=cfg.n_workers
     )
-    args.out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "photon_number_distribution": [float(v) for v in report.state.c],
-        "loglik": report.loglik,
-        "purity": report.purity,
-        "purity_err": report.purity_err,
-        "wigner_origin": report.wigner_origin,
-        "pca_eigenvalue": pca.eigenvalue,
-        "mle_converged": report.mle.converged,
-        "mle_kkt_residual": report.mle.kkt_residual,
-        "mle_n_evals": report.mle.n_evals,
-        "bootstrap_failures": report.bootstrap_failures,
-        "adc_saturated_fraction": report.adc_saturated_fraction,
-        "n_frames": fs.n_frames,
-    }
-    atomic_write_text(args.out / "tomography.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    write_histogram_csv(report.histogram, args.out / "histogram.csv")
-    write_wigner_section_csv(wigner_section(report.state), args.out / "wigner_section.csv")
-    write_photon_number_csv(report.state, args.out / "photon_number.csv")
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = json_text({**tomography_fields(report, pca), "n_frames": fs.n_frames})
+    write_files(args.out, {"tomography.json": text, **tomography_files(report)})
+    print(text, end="")
     return 0
 
 
@@ -200,8 +198,8 @@ def cli_entry(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        cfg = _load_cfg(args)
-    except (OSError, ValueError) as exc:  # a config error is a usage error
+        cfg = _prepare(args)
+    except (OSError, ValueError) as exc:  # a config or flag error is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

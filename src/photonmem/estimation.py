@@ -4,10 +4,8 @@ tomography, histogram overlays, bootstrap errors, and exponential lifetime fits.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
@@ -507,14 +505,6 @@ def histogram_with_overlay(
     centers = (edges[:-1] + edges[1:]) / 2.0
     model = state.c @ (hermite_functions(state.n_max, centers) ** 2)
     return HistogramOverlay(edges=edges, density=density, centers=centers, model=model)
-
-
-def write_histogram_csv(overlay: HistogramOverlay, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "density", "model"])
-        for x, d, m in zip(overlay.centers, overlay.density, overlay.model):
-            writer.writerow([f"{x:.12g}", f"{d:.12g}", f"{m:.12g}"])
 
 
 def build_tomography_report(

@@ -8,15 +8,12 @@ evaluated by stable recurrences rather than factorial closed forms.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-from .modes import ModeFunction, overlap_sq
 
 PROB_TOL = 1e-9
 #: default Fock-space cutoff used by estimators and reports
@@ -168,30 +165,7 @@ def g2_zero(state: FockDiagonalState) -> float:
     return float(np.dot(n * (n - 1), state.c)) / nbar**2
 
 
-def purity_under_mismatch(p: float, psi0: ModeFunction, psi: ModeFunction) -> float:
-    """Single-photon weight observed in mode psi0 when the photon lives in psi."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return p * overlap_sq(psi0, psi)
-
-
 def wigner_section(state: FockDiagonalState, r_max: float = 4.0, n_points: int = 161) -> WignerSection:
     """Sectional side view through the origin, sampled on ``[-r_max, r_max]``."""
     r = np.linspace(-r_max, r_max, n_points)
     return WignerSection(r, np.asarray(wigner(state, r, 0.0)))
-
-
-def write_wigner_section_csv(section: WignerSection, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "w"])
-        for x, w in zip(section.r, section.w):
-            writer.writerow([f"{x:.12g}", f"{w:.12g}"])
-
-
-def write_photon_number_csv(state: FockDiagonalState, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "c_n"])
-        for n, cn in enumerate(state.c):
-            writer.writerow([n, f"{cn:.12g}"])

@@ -8,9 +8,7 @@ of a sampled auto-covariance matrix.  Sample ``i`` sits at ``t_i = t0 + i*dt``
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -235,29 +233,3 @@ def orthonormalize(modes: list[ModeFunction]) -> list[ModeFunction]:
             raise DegenerateInputError("modes are linearly dependent")
         basis.append(vec / np.sqrt(norm))
     return [ModeFunction(vec, first.t0, first.dt) for vec in basis]
-
-
-def write_mode_csv(m: ModeFunction, path: str | Path) -> None:
-    """Write a mode as ``t_ns, psi`` rows with a header line."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ns", "psi"])
-        for t, v in zip(m.times, m.samples):
-            writer.writerow([f"{t:.12g}", f"{v:.12g}"])
-
-
-def read_mode_csv(path: str | Path) -> ModeFunction:
-    """Read a mode written by :func:`write_mode_csv` (header required)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t_ns", "psi"]:
-            raise ValueError(f"{path}: expected header 't_ns, psi'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two samples")
-    t = np.array([r[0] for r in rows])
-    dt = float(t[1] - t[0])
-    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > GRID_TOL * dt:
-        raise ValueError(f"{path}: time column is not a uniform grid")
-    return normalized_mode([r[1] for r in rows], float(t[0]), dt)

@@ -21,12 +21,7 @@ import numpy as np
 from . import seeds
 from ._blas import single_blas_thread
 from ._version import __version__
-from .cavity import (
-    ReleaseResult,
-    simulate_release,
-    storage_lifetime,
-    write_release_csv,
-)
+from .cavity import ReleaseResult, simulate_release, storage_lifetime
 from .config import ExperimentConfig
 from .errors import PhotonMemError
 from .estimation import (
@@ -38,14 +33,8 @@ from .estimation import (
     fit_exponential_decay,
     matched_window_pca,
     mle_photon_distribution,
-    write_histogram_csv,
 )
-from .fock import (
-    FockDiagonalState,
-    wigner_section,
-    write_photon_number_csv,
-    write_wigner_section_csv,
-)
+from .fock import FockDiagonalState, wigner_section
 from .modes import ModeFunction, clip_and_renormalize, time_shift
 from .synth import FrameSet, extract_quadratures, synth_condition
 
@@ -235,10 +224,80 @@ def _fit_or_none(points) -> DecayFit | None:
         return None
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
+    """Write ``{file name: text}`` into ``out_dir``, creating it, each file
+    atomically (temp + rename); returns the written paths.  Every output
+    file goes through here."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, text in files.items():
+        path = out / name
+        tmp = path.with_name(name + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, path)
+        written.append(path)
+    return written
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\r\n")
+    for row in rows:
+        buf.write(",".join(row) + "\r\n")
+    return buf.getvalue()
+
+
+def _g(*values) -> list[str]:
+    return [f"{v:.12g}" for v in values]
+
+
+def release_files(release: ReleaseResult) -> dict[str, str]:
+    """The released envelope with the stored population, and its metrics."""
+    mode = release.envelope
+    rows = (_g(t, v, pop) for t, v, pop in zip(mode.times, mode.samples, release.mc_population))
+    return {
+        "envelope.csv": _csv_text(["t_ns", "psi", "mc_pop"], rows),
+        "release_metrics.json": json_text(release.metrics),
+    }
+
+
+def tomography_files(report: TomographyReport) -> dict[str, str]:
+    """Histogram with the fitted overlay, Wigner cross-section through the
+    origin, and photon-number distribution of one tomography report."""
+    hist = report.histogram
+    section = wigner_section(report.state)
+    return {
+        "histogram.csv": _csv_text(
+            ["x", "density", "model"], map(_g, hist.centers, hist.density, hist.model)
+        ),
+        "wigner_section.csv": _csv_text(["x", "w"], map(_g, section.r, section.w)),
+        "photon_number.csv": _csv_text(
+            ["n", "c_n"], ([str(n), *_g(cn)] for n, cn in enumerate(report.state.c))
+        ),
+    }
+
+
+def tomography_fields(report: TomographyReport, pca: PcaResult) -> dict:
+    """The estimate and its health numbers, shared by ``tomography.json`` and
+    each ``report.json`` condition entry."""
+    return {
+        "photon_number_distribution": [float(v) for v in report.state.c],
+        "loglik": report.loglik,
+        "purity": report.purity,
+        "purity_err": report.purity_err,
+        "wigner_origin": report.wigner_origin,
+        "pca_eigenvalue": pca.eigenvalue,
+        "mle_converged": report.mle.converged,
+        "mle_kkt_residual": report.mle.kkt_residual,
+        "mle_n_evals": report.mle.n_evals,
+        "bootstrap_failures": report.bootstrap_failures,
+        "adc_saturated_fraction": report.adc_saturated_fraction,
+    }
 
 
 def _decay_dict(fit: DecayFit | None) -> dict | None:
@@ -262,21 +321,11 @@ def report_as_dict(report: SweepReport) -> dict:
             "error": c.error,
         }
         if c.tomography is not None:
+            entry.update(tomography_fields(c.tomography, c.pca))
             entry.update(
                 {
-                    "photon_number_distribution": [float(v) for v in c.tomography.state.c],
-                    "loglik": c.tomography.loglik,
-                    "purity": c.tomography.purity,
-                    "purity_err": c.tomography.purity_err,
-                    "wigner_origin": c.tomography.wigner_origin,
-                    "mle_converged": c.tomography.mle.converged,
-                    "mle_kkt_residual": c.tomography.mle.kkt_residual,
-                    "mle_n_evals": c.tomography.mle.n_evals,
-                    "bootstrap_failures": c.tomography.bootstrap_failures,
-                    "adc_saturated_fraction": c.tomography.adc_saturated_fraction,
                     "shifted_purity": c.shifted_purity,
                     "shifted_error": c.shifted_error,
-                    "pca_eigenvalue": c.pca.eigenvalue,
                     "release_metrics": c.release.metrics,
                 }
             )
@@ -289,20 +338,6 @@ def report_as_dict(report: SweepReport) -> dict:
     }
 
 
-def write_report_json(report: SweepReport, path: str | Path) -> None:
-    atomic_write_text(
-        Path(path), json.dumps(report_as_dict(report), indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(row) + "\r\n")
-    return buf.getvalue()
-
-
 def emit_figure_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
     """Serialize all figure panels as CSV/JSON files; returns written paths.
 
@@ -311,42 +346,20 @@ def emit_figure_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
     level: |psi(t)|^2 family, decay points and both exponential fits, and the
     top-level report.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def emit(path: Path, text: str) -> None:
-        atomic_write_text(path, text)
-        written.append(path)
-
-    def emit_via(writer_fn, obj, path: Path) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        writer_fn(obj, tmp)
-        os.replace(tmp, path)
-        written.append(path)
-
     for c in report.conditions:
-        cdir = out / f"condition_{int(round(c.storage_time_ns))}ns"
-        cdir.mkdir(parents=True, exist_ok=True)
+        files: dict[str, str] = {}
         if c.release is not None:
-            emit_via(write_release_csv, c.release, cdir / "envelope.csv")
-            emit(
-                cdir / "release_metrics.json",
-                json.dumps(c.release.metrics, indent=2, sort_keys=True) + "\n",
-            )
+            files.update(release_files(c.release))
         if c.quadratures is not None:
-            emit(
-                cdir / "quadratures.csv",
-                _csv_text(
-                    ["index", "x"],
-                    ([str(i), f"{x:.12g}"] for i, x in enumerate(c.quadratures)),
-                ),
+            files["quadratures.csv"] = _csv_text(
+                ["index", "x"], ([str(i), *_g(x)] for i, x in enumerate(c.quadratures))
             )
         if c.tomography is not None:
-            emit_via(write_histogram_csv, c.tomography.histogram, cdir / "histogram.csv")
-            emit_via(write_wigner_section_csv, wigner_section(c.tomography.state), cdir / "wigner_section.csv")
-            emit_via(write_photon_number_csv, c.tomography.state, cdir / "photon_number.csv")
+            files.update(tomography_files(c.tomography))
+        written += write_files(Path(out_dir) / f"condition_{int(round(c.storage_time_ns))}ns", files)
 
+    files = {}
     with_release = [c for c in report.conditions if c.release is not None]
     if with_release:
         times = with_release[0].release.envelope.times
@@ -354,11 +367,10 @@ def emit_figure_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
             f"psisq_{int(round(c.storage_time_ns))}ns" for c in with_release
         ]
         rows = (
-            [f"{times[i]:.12g}"]
-            + [f"{c.release.envelope.samples[i] ** 2:.12g}" for c in with_release]
+            _g(times[i], *(c.release.envelope.samples[i] ** 2 for c in with_release))
             for i in range(times.size)
         )
-        emit(out / "intensity_family.csv", _csv_text(headers, rows))
+        files["intensity_family.csv"] = _csv_text(headers, rows)
 
     decay_rows = [
         [
@@ -369,12 +381,10 @@ def emit_figure_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
         ]
         for c in report.conditions
     ]
-    emit(
-        out / "decay_points.csv",
-        _csv_text(["t_release_ns", "purity", "purity_err", "shifted_purity"], decay_rows),
+    files["decay_points.csv"] = _csv_text(
+        ["t_release_ns", "purity", "purity_err", "shifted_purity"], decay_rows
     )
-    for name, fit in (("decay_fit_raw.json", report.decay_raw), ("decay_fit_shifted.json", report.decay_shifted)):
-        emit(out / name, json.dumps(_decay_dict(fit), indent=2, sort_keys=True) + "\n")
-    write_report_json(report, out / "report.json")
-    written.append(out / "report.json")
-    return written
+    files["decay_fit_raw.json"] = json_text(_decay_dict(report.decay_raw))
+    files["decay_fit_shifted.json"] = json_text(_decay_dict(report.decay_shifted))
+    files["report.json"] = json_text(report_as_dict(report))
+    return written + write_files(out_dir, files)

@@ -8,15 +8,13 @@ from photonmem.cavity import (
     SPEED_OF_LIGHT,
     CavityParams,
     ShutterSchedule,
-    calibrate_shutter_detuning,
     derive_rates,
     simulate_release,
     storage_lifetime,
-    write_release_csv,
-    write_release_metrics_json,
 )
 from photonmem.errors import DegenerateInputError, FitFailureError, NumericFailureError
 from photonmem.modes import clip_and_renormalize, overlap_sq, time_shift
+from photonmem.pipeline import release_files, write_files
 
 
 class TestDeriveRates:
@@ -156,21 +154,12 @@ class TestCalibration:
         res = simulate_release(params, sched)
         assert res.metrics["preleak_fraction"] == pytest.approx(0.03, abs=0.005)
 
-    def test_calibration_round_trip(self, params):
-        delta = calibrate_shutter_detuning(params, target_preleak=0.05, t_release_ns=300.0)
-        res = simulate_release(params, ShutterSchedule(t_release_ns=300.0, delta_closed_rad_s=delta))
-        assert res.metrics["preleak_fraction"] == pytest.approx(0.05, rel=0.02)
-
-    def test_bad_target_rejected(self, params):
-        with pytest.raises(ValueError):
-            calibrate_shutter_detuning(params, target_preleak=0.0)
-
 
 class TestReleaseIo:
     def test_csv_and_metrics_round_trip(self, tmp_path, base_release):
-        csv_path = tmp_path / "release.csv"
-        write_release_csv(base_release, csv_path)
-        rows = csv_path.read_text().strip().splitlines()
+        # the files `photonmem simulate` and each sweep condition emit
+        write_files(tmp_path, release_files(base_release))
+        rows = (tmp_path / "envelope.csv").read_text().strip().splitlines()
         assert rows[0] == "t_ns,psi,mc_pop"
         assert len(rows) == base_release.envelope.n_samples + 1
         t, psi, pop = rows[1].split(",")
@@ -178,7 +167,5 @@ class TestReleaseIo:
         assert float(psi) == pytest.approx(base_release.envelope.samples[0], rel=1e-9)
         assert float(pop) == pytest.approx(base_release.mc_population[0], rel=1e-9)
 
-        json_path = tmp_path / "metrics.json"
-        write_release_metrics_json(base_release, json_path)
-        loaded = json.loads(json_path.read_text())
+        loaded = json.loads((tmp_path / "release_metrics.json").read_text())
         assert loaded["fwhm_ns"] == pytest.approx(base_release.metrics["fwhm_ns"])

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from photonmem.counting import (
-    JitterKernel,
-    detection_density,
-    g2_from_counts,
-    jitter_decohered,
-    simulate_heralded_clicks,
-)
+from photonmem.counting import g2_from_counts, simulate_heralded_clicks
 from photonmem.errors import InsufficientDataError
-from photonmem.modes import normalized_mode, overlap_sq, time_shift
 
 from conftest import gaussian_mode
 
@@ -17,92 +10,6 @@ from conftest import gaussian_mode
 @pytest.fixture(scope="module")
 def pulse():
     return gaussian_mode(center=100.0, sigma=21.0, t0=0.0, n=256)
-
-
-class TestDetectionDensity:
-    def test_unit_efficiency_integrates_to_one(self, pulse):
-        d = detection_density(1.0, 1.0, pulse)
-        assert d.integral() == pytest.approx(1.0, abs=1e-9)
-
-    def test_partial_efficiency(self, pulse):
-        # Riemann-sum oracle: integral = p * eta
-        d = detection_density(0.582, 0.5, pulse)
-        oracle = 0.582 * 0.5 * float(np.sum(pulse.samples**2))
-        assert d.integral() == pytest.approx(oracle, abs=1e-12)
-        assert d.integral() == pytest.approx(0.291, abs=1e-9)
-
-    def test_density_tracks_envelope_intensity(self, base_release):
-        d = detection_density(1.0, 1.0, base_release.envelope)
-        expected = base_release.envelope.samples**2 / base_release.envelope.dt
-        np.testing.assert_allclose(d.values, expected, atol=1e-15)
-
-    def test_range_validated(self, pulse):
-        with pytest.raises(ValueError):
-            detection_density(1.2, 1.0, pulse)
-
-
-class TestJitterKernel:
-    def test_delta_kernel(self):
-        k = JitterKernel.delta(5.0)
-        np.testing.assert_allclose(k.probabilities, [1.0])
-
-    def test_gaussian_kernel_normalized(self):
-        k = JitterKernel.gaussian(sigma_ns=25.0, dt=1.0)
-        assert float(k.probabilities.sum()) == pytest.approx(1.0, abs=1e-9)
-
-    def test_nonuniform_grid_rejected(self):
-        with pytest.raises(ValueError, match="uniform"):
-            JitterKernel(np.array([0.0, 1.0, 3.0]), np.array([0.3, 0.4, 0.3]))
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="integrate"):
-            JitterKernel(np.array([0.0, 1.0]), np.array([0.3, 0.3]))
-
-
-class TestJitterDecohered:
-    def test_delta_kernel_is_identity(self, pulse):
-        out = jitter_decohered(pulse, JitterKernel.delta(0.0), pulse)
-        assert out.purity == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(out.density.values, pulse.samples**2 / pulse.dt, atol=1e-15)
-
-    def test_gaussian_jitter_decoheres(self, pulse):
-        kernel = JitterKernel.gaussian(sigma_ns=25.0, dt=1.0)
-        out = jitter_decohered(pulse, kernel, pulse)
-        assert out.density.integral() == pytest.approx(1.0, abs=1e-6)
-        assert out.purity < 1.0
-        # independent double-integral oracle for the purity
-        oracle = 0.0
-        for tau, prob in zip(kernel.delays_ns, kernel.probabilities):
-            oracle += prob * overlap_sq(time_shift(pulse, float(tau)), pulse)
-        assert out.purity == pytest.approx(oracle, abs=1e-12)
-
-    def test_wider_kernels_decohere_more(self, pulse):
-        purities = []
-        for sigma in (0.0, 10.0, 25.0, 50.0):
-            kernel = JitterKernel.gaussian(sigma_ns=sigma, dt=1.0)
-            purities.append(jitter_decohered(pulse, kernel, pulse).purity)
-        assert all(a > b for a, b in zip(purities, purities[1:]))
-
-    def test_subsample_delays_rejected(self, pulse):
-        with pytest.raises(ValueError, match="multiples"):
-            jitter_decohered(pulse, JitterKernel.delta(0.5), pulse)
-
-    def test_click_density_cannot_see_decoherence(self, pulse):
-        # the module's central contrast: a mixture of shifted pulses and the
-        # single pure mode with the same averaged intensity give identical
-        # click densities, but only homodyne-side purity drops
-        kernel = JitterKernel(
-            np.array([-20.0, 0.0, 20.0]), np.array([0.25, 0.5, 0.25]) / 1.0 / 20.0
-        )
-        out = jitter_decohered(pulse, kernel, pulse)
-        matched = normalized_mode(
-            np.sqrt(np.maximum(out.density.values * out.density.dt, 0.0)),
-            out.density.t0,
-            out.density.dt,
-        )
-        pure = detection_density(1.0, 1.0, matched)
-        np.testing.assert_allclose(pure.values, out.density.values, atol=1e-12)
-        assert out.purity < 0.9
 
 
 class TestG2FromCounts:

@@ -12,15 +12,11 @@ from photonmem.fock import (
     apply_loss,
     g2_zero,
     mean_photon,
-    purity_under_mismatch,
     quadrature_pdf,
     wigner,
     wigner_origin,
     wigner_section,
 )
-from photonmem.modes import inner_product
-
-from conftest import boxcar, gaussian_mode
 
 
 def random_state(seed: int, n_max: int = 6) -> FockDiagonalState:
@@ -200,28 +196,6 @@ class TestMeanPhoton:
         assert mean_photon(FockDiagonalState.vacuum()) == 0.0
         assert mean_photon(FockDiagonalState(np.array([0.418, 0.582]))) == pytest.approx(0.582)
         assert mean_photon(FockDiagonalState(np.array([0.25, 0.5, 0.25]))) == pytest.approx(1.0)
-
-
-class TestPurityUnderMismatch:
-    def test_matched_modes(self):
-        m = gaussian_mode(50.0, 10.0, 0.0, 100)
-        assert purity_under_mismatch(0.7, m, m) == pytest.approx(0.7, abs=1e-12)
-
-    def test_orthogonal_modes(self):
-        assert purity_under_mismatch(0.7, boxcar(0.0, 50.0), boxcar(100.0, 50.0)) == 0.0
-
-    def test_product_law(self):
-        # overlap from an explicit numeric inner product
-        a = gaussian_mode(50.0, 10.0, 0.0, 100)
-        b = gaussian_mode(55.0, 12.0, 0.0, 100)
-        expected = 0.582 * inner_product(a, b) ** 2
-        assert purity_under_mismatch(0.582, a, b) == pytest.approx(expected, abs=1e-12)
-        assert purity_under_mismatch(0.582, a, b) == pytest.approx(0.5762, abs=0.06)
-
-    def test_invalid_p(self):
-        m = boxcar(0.0, 10.0)
-        with pytest.raises(ValueError):
-            purity_under_mismatch(1.2, m, m)
 
 
 class TestStateValidation:

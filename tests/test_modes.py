@@ -15,9 +15,7 @@ from photonmem.modes import (
     normalized_mode,
     orthonormalize,
     overlap_sq,
-    read_mode_csv,
     time_shift,
-    write_mode_csv,
 )
 
 from conftest import boxcar, gaussian_mode
@@ -210,22 +208,6 @@ class TestComplexEnvelope:
     def test_validation(self):
         with pytest.raises(ValueError, match="normalized"):
             ComplexEnvelope(np.ones(4), np.zeros(4), 0.0, 1.0)
-
-
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path, base_release):
-        path = tmp_path / "mode.csv"
-        write_mode_csv(base_release.envelope, path)
-        back = read_mode_csv(path)
-        assert back.t0 == base_release.envelope.t0
-        assert back.dt == base_release.envelope.dt
-        assert overlap_sq(back, base_release.envelope) == pytest.approx(1.0, abs=1e-9)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.0,0.5\n1.0,0.5\n")
-        with pytest.raises(ValueError, match="header"):
-            read_mode_csv(path)
 
 
 class TestModeFunctionValidation:

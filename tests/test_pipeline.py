@@ -480,6 +480,13 @@ class TestCli:
             (["sweep", "--config", "{short}"], "([sweep] storage_times_ns 0.0 + intrinsic_delay_ns 150.0)"),
             (["synth", "--frames", "0"], "argument --frames: must be positive, got 0"),
             (["synth", "--frames", "-5"], "argument --frames: must be positive, got -5"),
+            # flags are built into inputs before any stage runs
+            (["synth", "--adc-bits", "20"], "bits must lie in [2, 16], got 20"),
+            (["synth", "--full-scale", "-1"], "full_scale must be positive and finite"),
+            (["synth", "--purity", "1.5"], "p must lie in [0, 1], got 1.5"),
+            (["simulate", "--release", "1e9"], "need t_start < t_release < t_end"),
+            (["simulate", "--release", "-5"], "need t_start < t_release < t_end"),
+            (["synth", "--release", "1e9"], "need t_start < t_release < t_end"),
         ],
         ids=[
             "unknown-key",
@@ -491,6 +498,12 @@ class TestCli:
             "release-names-keys",
             "synth-zero-frames",
             "synth-negative-frames",
+            "synth-adc-bits",
+            "synth-full-scale",
+            "synth-purity",
+            "simulate-release-late",
+            "simulate-release-negative",
+            "synth-release-late",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
@@ -506,6 +519,12 @@ class TestCli:
         argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
         assert cli_entry(argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_gate_criterion_is_usage_error(self, tmp_path, capsys):
+        # an unknown index used to run nothing and record "all_passed": true
+        assert cli_entry(["gate", "--criteria", "99", "--out", str(tmp_path / "out")]) == 2
+        assert "invalid choice: 99" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -607,6 +626,21 @@ class TestCli:
             return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
         assert tree(cli_dir) == tree(lib_dir)
+
+        # `simulate` and `estimate` write through the sweep's writers: the
+        # release files are byte-identical, and every tomography.json field
+        # but the frame count is also a report.json condition field
+        sim_dir, synth_dir, est_dir = tmp_path / "sim", tmp_path / "synth", tmp_path / "est"
+        common = ["--config", str(cfg_path), "--seed", "7"]
+        assert cli_entry(["simulate", *common, "--out", str(sim_dir)]) == 0
+        assert cli_entry(["synth", *common, "--out", str(synth_dir)]) == 0
+        assert cli_entry(["estimate", str(synth_dir / "frames.bin"), *common, "--out", str(est_dir)]) == 0
+        capsys.readouterr()
+        for name in ("envelope.csv", "release_metrics.json"):
+            assert (sim_dir / name).read_bytes() == (cli_dir / "condition_0ns" / name).read_bytes()
+        tomo_keys = set(json.loads((est_dir / "tomography.json").read_text())) - {"n_frames"}
+        entry = json.loads((cli_dir / "report.json").read_text())["conditions"][0]
+        assert tomo_keys <= set(entry)
 
 
 class TestEstimateFramesWindowing:
