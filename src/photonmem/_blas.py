@@ -5,7 +5,9 @@ one mode, the MLE's 6 x 6 Newton systems), so a second thread barely speeds
 them up, while a woken OpenBLAS pool spins its workers through the
 einsum-only code that follows: on a 2-core host ``estimate_frames`` used
 about twice its wall time in CPU.  numpy and scipy each map their own
-OpenBLAS, so every library found in the process is pinned.
+OpenBLAS, scipy's only at the first import of a scipy module that needs it
+(in photonmem, at the first decay fit), so every entry pins every library
+mapped so far.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ _SYMBOLS = (
     "scipy_openblas_{}_num_threads64_",
 )
 
-# The thread count is process-global, so the scope is too: the first scope
-# to enter saves and pins, the last to exit restores, whatever thread they
-# run on.
+# The thread count is process-global, so the scope is too: every entry saves
+# and pins the pools not yet saved, the last exit restores them all, whatever
+# thread they run on.
 _lock = threading.Lock()
 _depth = 0
-_saved: list[tuple[object, int]] = []
+#: library path -> (set_num_threads, the count to restore)
+_saved: dict[str, tuple[object, int]] = {}
 
 
 def _openblas_paths() -> list[str]:
@@ -42,9 +45,9 @@ def _openblas_paths() -> list[str]:
     return sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1])
 
 
-def _pools() -> list[tuple[object, object]]:
-    """``(get_num_threads, set_num_threads)`` of every mapped OpenBLAS."""
-    pools = []
+def _pools() -> dict[str, tuple[object, object]]:
+    """``{path: (get_num_threads, set_num_threads)}`` of every mapped OpenBLAS."""
+    pools = {}
     for path in _openblas_paths():
         try:
             lib = ctypes.CDLL(path)
@@ -56,7 +59,7 @@ def _pools() -> list[tuple[object, object]]:
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                pools.append((get, put))
+                pools[path] = (get, put)
                 break
     return pools
 
@@ -65,13 +68,15 @@ def _pools() -> list[tuple[object, object]]:
 def single_blas_thread():
     """Pin every OpenBLAS pool to one thread; restore the counts on exit.
 
-    Usable as a decorator.  A no-op where no OpenBLAS is found.
+    A nested entry pins the pools mapped since the outer ones, so code that
+    loads a BLAS library inside an open scope opens a nested scope after the
+    import.  Usable as a decorator.  A no-op where no OpenBLAS is found.
     """
-    global _depth, _saved
+    global _depth
     with _lock:
-        if _depth == 0:
-            _saved = [(put, get()) for get, put in _pools()]
-            for put, _ in _saved:
+        for path, (get, put) in _pools().items():
+            if path not in _saved:
+                _saved[path] = (put, get())
                 put(1)
         _depth += 1
     try:
@@ -80,5 +85,6 @@ def single_blas_thread():
         with _lock:
             _depth -= 1
             if _depth == 0:
-                for put, n in _saved:
+                for put, n in _saved.values():
                     put(n)
+                _saved.clear()

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import expm
 
 from .errors import DegenerateInputError, FitFailureError, NumericFailureError
 from .modes import ComplexEnvelope, ModeFunction, complex_envelope
@@ -157,7 +155,10 @@ def _propagate_segment(a_matrix: np.ndarray, a0: np.ndarray, seg_times_s: np.nda
     if np.linalg.cond(vecs) < 1e8:
         coeff = np.linalg.solve(vecs, a0)
         return (vecs @ (coeff[:, None] * np.exp(lam[:, None] * seg_times_s[None, :]))).T
-    # critical damping: fall back to repeated single-step exponentials
+    # critical damping: fall back to repeated single-step exponentials; no
+    # stock config gets here, so scipy.linalg loads only when one does
+    from scipy.linalg import expm
+
     out = np.empty((seg_times_s.size, 2), dtype=complex)
     if seg_times_s.size == 0:
         return out
@@ -192,6 +193,47 @@ def _solve(params: CavityParams, schedule: ShutterSchedule, *, hold_closed: bool
     if not np.all(np.isfinite(a.view(float))):
         raise NumericFailureError("cavity state became non-finite during integration")
     return t_ns, a, rates, k_rel
+
+
+def simpson(y, x) -> np.ndarray | float:
+    """Composite Simpson integral of ``y`` over its last axis, sampled at the
+    strictly increasing points ``x``.
+
+    Repeats ``scipy.integrate.simpson(y, x=x, axis=-1)`` operation for
+    operation, with the same operand shapes, so the result is the same to the
+    last bit: the non-uniform three-point rule over pairs of intervals, and
+    for an even number of points Cartwright's correction for the last
+    interval (the trapezoid for two points).  It needs numpy only, so no
+    command that simulates a release imports ``scipy.integrate``, which
+    brings scipy's optimize, linalg and special modules with it.
+    """
+    y = np.asarray(y, dtype=float)
+    # x broadcast against y as scipy reshapes it
+    x = np.asarray(x, dtype=float).reshape((1,) * (y.ndim - 1) + (-1,))
+    h = np.diff(x, axis=-1)
+    n = y.shape[-1]
+    if n == 2:
+        return 0.0 + 0.5 * h[..., -1] * (y[..., -1] + y[..., -2])
+    # pairs of intervals over every point, or all but the last for even n
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[..., 0:stop:2], h[..., 1 : stop + 1 : 2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    pairs = hsum / 6.0 * (
+        y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
+        + y[..., 1 : stop + 1 : 2] * (hsum * (hsum / hprod))
+        + y[..., 2 : stop + 2 : 2] * (2.0 - h0divh1)
+    )
+    result = np.sum(pairs, axis=-1)
+    if n % 2:
+        return result
+    h0, h1 = h[..., -2], h[..., -1]
+    alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1**3 / (6 * h0 * (h0 + h1))
+    # scipy adds a zero last, which turns a -0.0 result into 0.0
+    return result + (alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]) + 0.0
 
 
 def _fwhm_ns(times: np.ndarray, intensity: np.ndarray) -> float:

@@ -63,6 +63,11 @@ class ExperimentConfig:
             raise ValueError("need one purity per storage time")
         if not 0.0 < self.release_purity_p0 <= 1.0:
             raise ValueError("release_purity_p0 must lie in (0, 1]")
+        if self.master_seed < 0:
+            # numpy's seed sequence takes no negative entropy
+            raise ValueError(
+                f"master_seed ([run] master_seed, --seed) must be >= 0, got {self.master_seed}"
+            )
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0 (0: one per usable core)")
         if not 1 <= self.n_max <= MAX_N_MAX:

@@ -8,9 +8,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import seeds
+from ._blas import single_blas_thread
 from .errors import (
     FitFailureError,
     InsufficientDataError,
@@ -474,8 +474,12 @@ def fit_exponential_decay(points) -> DecayFit:
     def model(t, p0, tau):
         return p0 * np.exp(-t / tau)
 
+    # imported here, so that only the commands that fit a decay load
+    # scipy.optimize (and scipy's OpenBLAS, which the scope below then pins)
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     try:
-        with warnings.catch_warnings():
+        with single_blas_thread(), warnings.catch_warnings():
             # two points determine the two parameters exactly; the (unused)
             # parameter covariance is then undefined
             warnings.simplefilter("ignore", OptimizeWarning)

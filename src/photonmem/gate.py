@@ -18,9 +18,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .cavity import CavityParams, ShutterSchedule, simulate_release, storage_lifetime
+from .cavity import CavityParams, ShutterSchedule, simpson, simulate_release, storage_lifetime
 from .config import (
     STOCK_FRAMES_PER_CONDITION,
     STOCK_PURITIES,
@@ -332,7 +331,7 @@ def criterion_marginal_consistency() -> tuple[bool, str]:
     for _ in range(10):
         state = FockDiagonalState.from_weights(rng.random(6))
         w = wigner(state, x[:, None], p_grid[None, :])
-        marginal = simpson(w, x=p_grid, axis=1)
+        marginal = simpson(w, p_grid)
         worst = max(worst, float(np.max(np.abs(marginal - quadrature_pdf(state, x)))))
     return worst <= 1e-5, f"max |integral W dp - pdf| = {worst:.2e} (<= 1e-5)"
 

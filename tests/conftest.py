@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import photonmem
 from photonmem import CavityParams, ShutterSchedule, simulate_release
 from photonmem.modes import ModeFunction, normalized_mode
 
@@ -24,3 +30,12 @@ def boxcar(t0: float, width_ns: float, dt: float = 1.0) -> ModeFunction:
 def gaussian_mode(center: float, sigma: float, t0: float, n: int, dt: float = 1.0) -> ModeFunction:
     t = t0 + dt * np.arange(n)
     return normalized_mode(np.exp(-0.5 * ((t - center) / sigma) ** 2), t0, dt)
+
+
+def run_fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this photonmem; for
+    checks of what an import maps or loads, which this process already has."""
+    src = str(Path(photonmem.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)

@@ -1,13 +1,17 @@
+import textwrap
+
 import pytest
 
 from photonmem import _blas
 from photonmem._blas import single_blas_thread
 
+from conftest import run_fresh_python
+
 
 @pytest.fixture
 def pools():
     """Every OpenBLAS pool in the process, set to 2 threads for the test."""
-    found = _blas._pools()
+    found = list(_blas._pools().values())
     if not found:
         pytest.skip("no OpenBLAS mapped into this process")
     saved = [get() for get, _ in found]
@@ -87,6 +91,37 @@ def test_library_without_thread_symbols_is_skipped(monkeypatch):
     if libm is None:
         pytest.skip("no libm to stand in for a BLAS without the symbols")
     monkeypatch.setattr(_blas, "_openblas_paths", lambda: [libm])
-    assert _blas._pools() == []
+    assert _blas._pools() == {}
     with single_blas_thread():
         pass
+
+
+def test_library_mapped_inside_an_open_scope_is_pinned_and_restored():
+    # a fresh interpreter, so that scipy's OpenBLAS is first mapped inside
+    # the outer scope, as it is at the deferred scipy.optimize import of a
+    # sweep's first decay fit
+    code = textwrap.dedent(
+        """
+        import numpy
+        from photonmem import _blas
+        from photonmem._blas import single_blas_thread
+
+        before = set(_blas._openblas_paths())
+        with single_blas_thread():
+            import scipy.linalg
+            new = [p for p in _blas._openblas_paths() if p not in before]
+            if not new:
+                raise SystemExit(77)
+            get, put = _blas._pools()[new[0]]
+            put(2)  # the pool's default count on a multi-core host
+            with single_blas_thread():
+                inside = get()
+            still = get()
+        print(inside, still, get())
+        """
+    )
+    run = run_fresh_python(code)
+    if run.returncode == 77:
+        pytest.skip("importing scipy.linalg mapped no new OpenBLAS")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "1", "2"]

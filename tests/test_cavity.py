@@ -2,17 +2,25 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import simpson as scipy_simpson
 
 from photonmem.cavity import (
     DEFAULT_SHUTTER_DETUNING_RAD_S,
+    NS,
     SPEED_OF_LIGHT,
     CavityParams,
     ShutterSchedule,
+    _solve,
     derive_rates,
+    simpson,
     simulate_release,
     storage_lifetime,
 )
 from photonmem.errors import DegenerateInputError, FitFailureError, NumericFailureError
+from photonmem.fock import FockDiagonalState, wigner
 from photonmem.modes import clip_and_renormalize, overlap_sq, time_shift
 from photonmem.pipeline import release_files, write_files
 
@@ -169,3 +177,62 @@ class TestReleaseIo:
 
         loaded = json.loads((tmp_path / "release_metrics.json").read_text())
         assert loaded["fwhm_ns"] == pytest.approx(base_release.metrics["fwhm_ns"])
+
+
+def _same_as_scipy(y, x):
+    ours = simpson(y, x)
+    ref = scipy_simpson(y, x=x, axis=-1)
+    assert type(ours) is type(ref)
+    assert np.shape(ours) == np.shape(ref)
+    assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+
+class TestSimpson:
+    """``simpson`` repeats ``scipy.integrate.simpson(y, x=x, axis=-1)`` bit
+    for bit, so the release metrics and criterion 7 keep their bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scipy(self, data):
+        n = data.draw(st.integers(2, 64), label="n")
+        rows = data.draw(st.sampled_from([(), (1,), (3,)]), label="rows")
+        steps = data.draw(arrays(float, n - 1, elements=st.floats(1e-3, 1e3)), label="steps")
+        x = data.draw(st.floats(-1e3, 1e3), label="x0") + np.concatenate(([0.0], np.cumsum(steps)))
+        assert np.all(np.diff(x) > 0)
+        y = data.draw(arrays(float, rows + (n,), elements=st.floats(-1e6, 1e6)), label="y")
+        _same_as_scipy(y, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_end_correction_matches_scipy(self, data):
+        # samples on the last three points only, so that the even-length
+        # correction carries the result
+        n = 2 * data.draw(st.integers(2, 32), label="n/2")
+        steps = data.draw(arrays(float, n - 1, elements=st.floats(1e-3, 1e3)), label="steps")
+        x = np.concatenate(([0.0], np.cumsum(steps)))
+        y = np.zeros(n)
+        y[-3:] = data.draw(arrays(float, 3, elements=st.floats(-1e6, 1e6)), label="tail")
+        _same_as_scipy(y, x)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_signed_zero(self, n):
+        _same_as_scipy(np.full(n, -0.0), np.arange(float(n)))
+
+    @pytest.mark.parametrize("t_release_ns", [150.0, 250.0, 350.0, 450.0, 150.1])
+    def test_release_grids(self, params, t_release_ns):
+        # the three integrals of simulate_release; 150.1 ns makes the
+        # pre-leak grid even
+        t_ns, a, rates, k_rel = _solve(params, ShutterSchedule(t_release_ns))
+        pop_m, pop_s = np.abs(a[:, 0]) ** 2, np.abs(a[:, 1]) ** 2
+        out_rate = rates.kappa_out * pop_s
+        t_s = t_ns * NS
+        _same_as_scipy(out_rate, t_s)
+        _same_as_scipy(out_rate[: k_rel + 1], t_s[: k_rel + 1])
+        _same_as_scipy(rates.gamma_m * pop_m + rates.gamma_s * pop_s, t_s)
+
+    def test_wigner_marginal_grid(self):
+        # criterion 7's grid: W(x, p) integrated over p, one row per x
+        x = np.linspace(-3.5, 3.5, 29)
+        p_grid = np.linspace(-8.0, 8.0, 3201)
+        state = FockDiagonalState.from_weights(np.random.default_rng(3).random(6))
+        _same_as_scipy(wigner(state, x[:, None], p_grid[None, :]), p_grid)

@@ -1,5 +1,6 @@
 import json
 import re
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from photonmem.pipeline import (
 )
 from photonmem.fock import FockDiagonalState
 from photonmem.synth import AdcSpec, ImperfectionConfig, load_frames, synth_condition
+
+from conftest import run_fresh_python
 
 #: the stock config's canonical dump: every digest and report.json's
 #: config_text are built from these bytes
@@ -487,6 +490,9 @@ class TestCli:
             (["simulate", "--release", "1e9"], "need t_start < t_release < t_end"),
             (["simulate", "--release", "-5"], "need t_start < t_release < t_end"),
             (["synth", "--release", "1e9"], "need t_start < t_release < t_end"),
+            (["sweep", "--seed", "-1"], "master_seed ([run] master_seed, --seed) must be >= 0, got -1"),
+            (["synth", "--seed", "-1"], "must be >= 0, got -1"),
+            (["synth", "--config", "{negative_seed}"], "must be >= 0, got -1"),
         ],
         ids=[
             "unknown-key",
@@ -504,6 +510,9 @@ class TestCli:
             "simulate-release-late",
             "simulate-release-negative",
             "synth-release-late",
+            "sweep-negative-seed",
+            "synth-negative-seed",
+            "config-negative-seed",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
@@ -511,6 +520,7 @@ class TestCli:
             "typo": "[sweep]\nframes_per_condtion = 500\n",
             "few": "[sweep]\nframes_per_condition = 200\n[estimation]\nbootstrap_resamples = 5\n",
             "short": "[sweep]\nframes_per_condition = 200\n[schedule]\nwindow_end_ns = 100.0\n",
+            "negative_seed": "[run]\nmaster_seed = -1\n",
         }
         paths = {"missing": tmp_path / "missing.cfg"}
         for name, text in texts.items():
@@ -591,6 +601,33 @@ class TestCli:
         ]) == 0
         capsys.readouterr()
         assert (again / "tomography.json").read_bytes() == (est_dir / "tomography.json").read_bytes()
+
+    def test_simulate_synth_estimate_load_no_scipy_submodule(self, tmp_path):
+        # a fresh interpreter: this one has imported scipy for other tests
+        code = textwrap.dedent(
+            """
+            import json, sys
+            from photonmem.cli import cli_entry
+
+            SCIPY = ("integrate", "optimize", "linalg", "special", "sparse")
+            out = sys.argv[1]
+            runs = [
+                ("import", None),
+                ("simulate", ["simulate", "--out", out + "/sim"]),
+                ("synth", ["synth", "--frames", "1024", "--out", out + "/synth"]),
+                ("estimate", ["estimate", out + "/synth/frames.bin", "--out", out + "/est"]),
+            ]
+            seen = {}
+            for name, argv in runs:
+                status = 0 if argv is None else cli_entry(argv + ["--seed", "7"])
+                seen[name] = [status, [m for m in SCIPY if "scipy." + m in sys.modules]]
+            print(json.dumps(seen))
+            """
+        )
+        run = run_fresh_python(code, str(tmp_path))
+        assert run.returncode == 0, run.stderr
+        seen = json.loads(run.stdout.splitlines()[-1])
+        assert seen == {name: [0, []] for name in ("import", "simulate", "synth", "estimate")}
 
     def test_sweep_fixed_seed_reproducible(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
