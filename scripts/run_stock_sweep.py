@@ -4,28 +4,36 @@
 Reproduces the headline numbers of the demonstration this package models:
 four storage times (0/100/200/300 ns on top of the 150 ns intrinsic delay),
 4.3e4 homodyne frames per condition, 8-bit ADC, and both memory-lifetime
-fits (raw modes vs clip/shift/renormalize reanalysis).  Prints the sweep's
-wall and CPU time, the process's max RSS and the resolved worker count, so the
-stock-scale numbers quoted in README.md come from this script.
+fits (raw modes vs clip/shift/renormalize reanalysis) with their error bars.
+Prints the sweep's wall and CPU time, the process's max RSS and the resolved
+worker count, and per storage time the purity and W(0,0) in units of its
+bootstrap error.  ``--json FILE`` also writes those run numbers with the
+host's core count and library versions, so the stock-scale numbers quoted
+in README.md, and the committed ``BENCH_*.json`` files, come from this script.
 
 Usage:
-    python scripts/run_stock_sweep.py [--out OUT_DIR] [--seed N] [--frames M] [--workers W]
+    python scripts/run_stock_sweep.py [--out OUT_DIR] [--seed N] [--frames M]
+                                      [--workers W] [--json FILE]
 """
 
 import argparse
+import json
 import os
+import platform
 import resource
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from photonmem.config import ExperimentConfig
-from photonmem.pipeline import emit_figure_data, run_sweep
+from photonmem.pipeline import decay_lines, emit_figure_data, run_sweep
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", type=Path, default=Path("out/stock_sweep"))
     ap.add_argument("--seed", type=int, default=20140523)
     ap.add_argument("--frames", type=int, default=None)
@@ -35,38 +43,59 @@ def main() -> int:
         default=ExperimentConfig.n_workers,
         help="threads per frame-matrix pass (default: the config's, 0 = one per usable core)",
     )
+    ap.add_argument("--json", type=Path, default=None, help="also write the run numbers to this file")
     args = ap.parse_args()
 
     cfg = ExperimentConfig(master_seed=args.seed, n_workers=args.workers)
     if args.frames:
         cfg = replace(cfg, frames_per_condition=args.frames)
 
-    workers = cfg.n_workers
-    if workers == 0:  # one per usable core, as the frame-matrix passes resolve it
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # 0 means one per usable core, as the frame-matrix passes resolve it
+    workers = cfg.n_workers or nproc
     start, cpu = time.perf_counter(), time.process_time()
     report = run_sweep(cfg)
+    files = emit_figure_data(report, args.out)
     wall, cpu = time.perf_counter() - start, time.process_time() - cpu
     # ru_maxrss is in KiB on Linux
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"sweep: {wall:.1f} s wall, {cpu:.1f} s CPU, {rss_mb:.0f} MB max RSS, {workers} worker(s)")
+    print(
+        f"sweep + emit: {wall:.1f} s wall, {cpu:.1f} s CPU, {rss_mb:.0f} MB max RSS, "
+        f"{workers} worker(s)"
+    )
     for c in report.conditions:
         if c.error:
             print(f"  storage {c.storage_time_ns:5.0f} ns: FAILED ({c.error})")
             continue
+        t = c.tomography
         shifted = c.shifted_error or f"{c.shifted_purity:.4f}"
         print(
             f"  storage {c.storage_time_ns:5.0f} ns: "
-            f"purity {c.tomography.purity:.4f} +- {c.tomography.purity_err:.4f}  "
-            f"shifted {shifted}  W(0,0) = {c.tomography.wigner_origin:+.4f}"
+            f"purity {t.purity:.4f} +- {t.purity_err:.4f}  shifted {shifted}  "
+            f"W(0,0) = {t.wigner_origin:+.4f} +- {t.wigner_origin_err:.4f} "
+            f"({t.wigner_origin / t.wigner_origin_err:+.1f} sigma)"
         )
-    if report.decay_raw:
-        print(f"raw decay fit:     P0 = {report.decay_raw.p0:.4f}, tau = {report.decay_raw.tau_us:.3f} us")
-    if report.decay_shifted:
-        print(f"shifted decay fit: P0 = {report.decay_shifted.p0:.4f}, tau = {report.decay_shifted.tau_us:.3f} us")
-
-    files = emit_figure_data(report, args.out)
+    print("\n".join(decay_lines(report)))
     print(f"wrote {len(files)} files under {args.out}")
+
+    if args.json:
+        record = {
+            "command": " ".join(["python", *sys.argv]),
+            "frames_per_condition": cfg.frames_per_condition,
+            "conditions": len(report.conditions),
+            "master_seed": cfg.master_seed,
+            "wall_s": round(wall, 3),
+            "cpu_s": round(cpu, 3),
+            "max_rss_mb": round(rss_mb, 1),
+            "nproc": nproc,
+            "n_workers": workers,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        scipy = sys.modules.get("scipy")
+        if scipy is not None:  # photonmem imports none; name it if something did
+            record["scipy"] = scipy.__version__
+        args.json.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 1 if report.failed else 0
 
 

@@ -4,20 +4,21 @@ The stack's BLAS calls are small (``x.T @ x`` on 1024-row blocks, gemv on
 one mode, the MLE's 6 x 6 Newton systems), so a second thread barely speeds
 them up, while a woken OpenBLAS pool spins its workers through the
 einsum-only code that follows: on a 2-core host ``estimate_frames`` used
-about twice its wall time in CPU.  numpy and scipy each map their own
-OpenBLAS, scipy's only at the first import of a scipy module that needs it
-(in photonmem, at the first decay fit), so every entry pins every library
-mapped so far.
+about twice its wall time in CPU.  photonmem needs numpy alone, so the one
+pool to pin is the OpenBLAS that numpy calls.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import threading
 from contextlib import contextmanager
 
+from numpy.linalg import _umath_linalg
+
 #: thread-count symbols, ``{}`` standing for get/set: plain OpenBLAS, and the
-#: scipy-openblas builds that numpy (ILP64, suffix ``64_``) and scipy ship
+#: scipy-openblas builds that numpy wheels ship (ILP64, suffix ``64_``)
 _SYMBOLS = (
     "openblas_{}_num_threads",
     "openblas_{}_num_threads64_",
@@ -25,66 +26,55 @@ _SYMBOLS = (
     "scipy_openblas_{}_num_threads64_",
 )
 
-# The thread count is process-global, so the scope is too: every entry saves
-# and pins the pools not yet saved, the last exit restores them all, whatever
-# thread they run on.
+# The thread count is process-global, so the scope is too: the first entry
+# saves and pins the pool, the last exit restores it, whatever thread they
+# run on.
 _lock = threading.Lock()
 _depth = 0
-#: library path -> (set_num_threads, the count to restore)
-_saved: dict[str, tuple[object, int]] = {}
+_saved = 0
 
 
-def _openblas_paths() -> list[str]:
-    """Paths of the OpenBLAS libraries mapped into this process (Linux)."""
+def _thread_functions(path: str):
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS that the shared
+    library at ``path`` links (dlsym searches its dependencies), or None."""
     try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
+        lib = ctypes.CDLL(path)
     except OSError:
-        return []
-    paths = {f[5].strip() for f in fields if len(f) == 6}
-    return sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1])
+        return None
+    for name in _SYMBOLS:
+        get = getattr(lib, name.format("get"), None)
+        put = getattr(lib, name.format("set"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
-def _pools() -> dict[str, tuple[object, object]]:
-    """``{path: (get_num_threads, set_num_threads)}`` of every mapped OpenBLAS."""
-    pools = {}
-    for path in _openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _SYMBOLS:
-            get = getattr(lib, name.format("get"), None)
-            put = getattr(lib, name.format("set"), None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                pools[path] = (get, put)
-                break
-    return pools
+@functools.cache
+def _pool():
+    """The thread functions of numpy's OpenBLAS, or None for another BLAS."""
+    return _thread_functions(_umath_linalg.__file__)
 
 
 @contextmanager
 def single_blas_thread():
-    """Pin every OpenBLAS pool to one thread; restore the counts on exit.
+    """Pin numpy's OpenBLAS pool to one thread; restore its count on exit.
 
-    A nested entry pins the pools mapped since the outer ones, so code that
-    loads a BLAS library inside an open scope opens a nested scope after the
-    import.  Usable as a decorator.  A no-op where no OpenBLAS is found.
+    Nested entries share the outermost one's saved count.  Usable as a
+    decorator.  A no-op where numpy calls no OpenBLAS.
     """
-    global _depth
+    global _depth, _saved
+    pool = _pool()
     with _lock:
-        for path, (get, put) in _pools().items():
-            if path not in _saved:
-                _saved[path] = (put, get())
-                put(1)
+        if pool is not None and _depth == 0:
+            _saved = pool[0]()
+            pool[1](1)
         _depth += 1
     try:
         yield
     finally:
         with _lock:
             _depth -= 1
-            if _depth == 0:
-                for put, n in _saved.values():
-                    put(n)
-                _saved.clear()
+            if pool is not None and _depth == 0:
+                pool[1](_saved)

@@ -12,10 +12,9 @@ intensity loss rate is ``loss/tau``, the output rate ``t_out/tau``, and the
 inter-cavity coupling ``g = sqrt(t_c/(tau_M tau_S))``.
 
 The system is piecewise linear and time-invariant, so each shutter segment is
-propagated exactly through its eigendecomposition (with a fixed-step matrix
-exponential as fall-back near critical damping).  This is unconditionally
-stable for arbitrarily large closed-shutter detunings and reproducible to the
-last bit.
+propagated exactly by the closed-form exponential of its 2 x 2 drift matrix,
+critical damping included.  This is unconditionally stable for arbitrarily
+large closed-shutter detunings and reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -36,6 +35,10 @@ ENVELOPE_DT_NS = 1.0
 DEFAULT_SHUTTER_DETUNING_RAD_S = 1.6388e9
 #: lifetimes longer than this multiple of the probe window are flagged
 LIFETIME_WINDOW_FACTOR = 100.0
+#: a stored population that the fit finds decaying by less than this share
+#: over the window is constant to the propagator's rounding (a few 1e-16
+#: per sample), so :func:`storage_lifetime` counts it as not decaying
+_ROUNDING_DECAY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,28 +149,46 @@ def _drift_matrix(rates: CavityRates, delta: float) -> np.ndarray:
     )
 
 
+#: below this |nu t| the 2 x 2 exponential takes cosh and sinh(z)/z from
+#: their series through z^8, whose first omitted term is below 3e-17 there
+_SERIES_LIMIT = 0.1
+
+
 def _propagate_segment(a_matrix: np.ndarray, a0: np.ndarray, seg_times_s: np.ndarray) -> np.ndarray:
-    """States at the given times (measured from the segment start), exactly."""
+    """States ``exp(A t) a0`` at the given times (measured from the segment
+    start), from the closed form of a 2 x 2 exponential (Moler & Van Loan,
+    SIAM Rev. 45, 3 (2003))::
+
+        exp(A t) = e^{mu t} [cosh(nu t) I + t shc(nu t) (A - mu I)]
+
+    with ``mu = tr A / 2``, ``nu^2 = mu^2 - det A`` and ``shc(z) = sinh z / z``.
+    Both are even in ``nu``, so either square root serves, and the form is
+    exact at critical damping (``nu = 0``), where ``A`` has no eigenbasis.
+    ``e^{mu t} cosh(nu t)`` is evaluated as the mean of the two modal
+    exponentials ``e^{(mu +- nu) t}``, which cannot overflow for a damped
+    ``A``, and ``shc`` by its series where ``|nu t|`` is small.
+    """
     if not np.all(np.isfinite(a_matrix.view(float))):
         raise NumericFailureError("drift matrix contains non-finite entries")
-    lam, vecs = np.linalg.eig(a_matrix)
-    # eigendecomposition is exact unless the matrix is (nearly) defective
-    if np.linalg.cond(vecs) < 1e8:
-        coeff = np.linalg.solve(vecs, a0)
-        return (vecs @ (coeff[:, None] * np.exp(lam[:, None] * seg_times_s[None, :]))).T
-    # critical damping: fall back to repeated single-step exponentials; no
-    # stock config gets here, so scipy.linalg loads only when one does
-    from scipy.linalg import expm
-
-    out = np.empty((seg_times_s.size, 2), dtype=complex)
-    if seg_times_s.size == 0:
-        return out
-    step = expm(a_matrix * (seg_times_s[1] - seg_times_s[0])) if seg_times_s.size > 1 else None
-    state = a0.copy()
-    out[0] = state if seg_times_s[0] == 0.0 else expm(a_matrix * seg_times_s[0]) @ state
-    for k in range(1, seg_times_s.size):
-        out[k] = step @ out[k - 1]
-    return out
+    mu = 0.5 * (a_matrix[0, 0] + a_matrix[1, 1])
+    half_diff = 0.5 * (a_matrix[0, 0] - a_matrix[1, 1])
+    # mu^2 - det A, without the cancellation of forming both terms
+    nu = np.sqrt(half_diff * half_diff + a_matrix[0, 1] * a_matrix[1, 0])
+    t = np.asarray(seg_times_s, dtype=float)
+    z = nu * t
+    series = np.abs(z) < _SERIES_LIMIT
+    cosh_part = np.empty(t.shape, dtype=complex)  # e^{mu t} cosh(nu t)
+    sinh_part = np.empty(t.shape, dtype=complex)  # e^{mu t} t shc(nu t)
+    zs2, ts = z[series] ** 2, t[series]
+    growth = np.exp(mu * ts)
+    cosh_part[series] = growth * (1 + zs2 / 2 * (1 + zs2 / 12 * (1 + zs2 / 30 * (1 + zs2 / 56))))
+    sinh_part[series] = growth * ts * (1 + zs2 / 6 * (1 + zs2 / 20 * (1 + zs2 / 42 * (1 + zs2 / 72))))
+    tl = t[~series]
+    up, down = np.exp((mu + nu) * tl), np.exp((mu - nu) * tl)
+    cosh_part[~series] = 0.5 * (up + down)
+    sinh_part[~series] = (up - down) / (2 * nu)
+    shifted = a_matrix @ a0 - mu * a0  # (A - mu I) a0
+    return cosh_part[:, None] * a0[None, :] + sinh_part[:, None] * shifted[None, :]
 
 
 def _solve(params: CavityParams, schedule: ShutterSchedule, *, hold_closed: bool = False):
@@ -203,9 +224,8 @@ def simpson(y, x) -> np.ndarray | float:
     operation, with the same operand shapes, so the result is the same to the
     last bit: the non-uniform three-point rule over pairs of intervals, and
     for an even number of points Cartwright's correction for the last
-    interval (the trapezoid for two points).  It needs numpy only, so no
-    command that simulates a release imports ``scipy.integrate``, which
-    brings scipy's optimize, linalg and special modules with it.
+    interval (the trapezoid for two points).  It needs numpy only, like the
+    rest of photonmem; the tests check it against scipy's.
     """
     y = np.asarray(y, dtype=float)
     # x broadcast against y as scipy reshapes it
@@ -312,18 +332,19 @@ def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> Lifetim
     """1/e decay time of the stored population with the shutter held closed.
 
     Fits ``log |a_M(t)|^2`` linearly over the schedule window.  Raises
-    :class:`FitFailureError` when the population does not decay; lifetimes
-    beyond 100x the window are reported but flagged as exceeding it.
+    :class:`FitFailureError` when the population does not decay by more than
+    ``_ROUNDING_DECAY`` over the window; lifetimes beyond 100x the window are
+    reported but flagged as exceeding it.
     """
     t_ns, a, _, _ = _solve(params, schedule, hold_closed=True)
     pop = np.abs(a[:, 0]) ** 2
     if np.any(pop <= 0.0):
         raise FitFailureError("stored population vanished; cannot fit a decay")
     slope = float(np.polyfit(t_ns, np.log(pop), 1)[0])  # per ns
-    if slope >= 0.0:
+    window = schedule.t_end_ns - schedule.t_start_ns
+    if slope * window >= -_ROUNDING_DECAY:
         raise FitFailureError(f"population does not decay (slope {slope:.3e}/ns)")
     tau_ns = -1.0 / slope
-    window = schedule.t_end_ns - schedule.t_start_ns
     return LifetimeEstimate(
         tau_ns=tau_ns,
         exceeds_window=tau_ns > LIFETIME_WINDOW_FACTOR * window,

@@ -26,6 +26,7 @@ from .errors import PhotonMemError
 from .fock import FockDiagonalState
 from .gate import CRITERIA, run_gate
 from .pipeline import (
+    decay_lines,
     emit_figure_data,
     estimate_frames,
     json_text,
@@ -167,10 +168,7 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     for c in report.conditions:
         status = c.error or f"purity {c.tomography.purity:.4f} +- {c.tomography.purity_err:.4f}"
         print(f"storage {c.storage_time_ns:6.1f} ns: {status}")
-    if report.decay_raw:
-        print(f"raw decay fit:     P0 = {report.decay_raw.p0:.4f}, tau = {report.decay_raw.tau_us:.3f} us")
-    if report.decay_shifted:
-        print(f"shifted decay fit: P0 = {report.decay_shifted.p0:.4f}, tau = {report.decay_shifted.tau_us:.3f} us")
+    print("\n".join(decay_lines(report)))
     return 1 if report.failed else 0
 
 

@@ -4,13 +4,11 @@ tomography, histogram overlays, bootstrap errors, and exponential lifetime fits.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeds
-from ._blas import single_blas_thread
 from .errors import (
     FitFailureError,
     InsufficientDataError,
@@ -60,9 +58,11 @@ class MleResult:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Bootstrap spread of the single-photon weight c_1."""
+    """Bootstrap spread of the single-photon weight c_1 and of W(0,0)."""
 
     std: float
+    #: spread of the Wigner value at the origin over the same refits
+    wigner_origin_std: float
     #: refits whose KKT residual exceeded MLE_KKT_TOL; left out of ``std``
     failures: int
 
@@ -85,6 +85,7 @@ class TomographyReport:
     purity: float
     purity_err: float
     wigner_origin: float
+    wigner_origin_err: float
     histogram: HistogramOverlay
     #: bootstrap refits that missed MLE_KKT_TOL and were left out of purity_err
     bootstrap_failures: int
@@ -108,12 +109,19 @@ class TomographyReport:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """P(t) = P0 exp(-t/tau) fit of purity against storage time."""
+    """P(t) = P0 exp(-t/tau) fit of purity against storage time.
+
+    ``p0_err`` and ``tau_err`` are the standard errors
+    ``sqrt(diag((J^T J)^-1 s^2))``, ``s^2 = RSS/(n-2)``; None for two points
+    and where tau was capped.
+    """
 
     p0: float
     tau_us: float
     residuals: np.ndarray
     warning: str | None = None
+    p0_err: float | None = None
+    tau_err: float | None = None
 
 
 def autocovariance(fs: FrameSet, *, n_workers: int = 1) -> np.ndarray:
@@ -399,7 +407,8 @@ def bootstrap_purity(
     n_max: int = DEFAULT_N_MAX,
     master_seed: int,
 ) -> BootstrapResult:
-    """Bootstrap standard deviation of the single-photon weight c_1.
+    """Bootstrap standard deviations of the single-photon weight c_1 and of
+    the Wigner value at the origin, ``W(0,0) = sum_n (-1)^n c_n / pi``.
 
     Frames are resampled with replacement; extraction commutes with the
     resampling, so resample ``b`` is the weight vector ``bincount(idx) / N``
@@ -423,7 +432,7 @@ def bootstrap_purity(
     c0 = np.zeros(n_max + 1)
     take = min(point.c.size, n_max + 1)
     c0[:take] = point.c[:take]
-    values = []
+    values, origins = [], []
     failures = 0
     for b in range(n_resamples):
         rng = seeds.stream(master_seed, seeds.DOMAIN_BOOTSTRAP, b)
@@ -434,19 +443,90 @@ def bootstrap_purity(
             failures += 1
             continue
         values.append(c[1] / c.sum())
+        origins.append(wigner_origin(FockDiagonalState(c / c.sum())))
     if failures > 0.1 * n_resamples:
         raise UnstableEstimateError(
             f"{failures}/{n_resamples} bootstrap refits failed"
         )
-    return BootstrapResult(std=float(np.std(values, ddof=1)), failures=failures)
+    return BootstrapResult(
+        std=float(np.std(values, ddof=1)),
+        wigner_origin_std=float(np.std(origins, ddof=1)),
+        failures=failures,
+    )
+
+
+#: Levenberg-Marquardt settings of :func:`fit_exponential_decay`: the
+#: iteration cap, the relative parameter step and the relative RSS decrease
+#: at which the fit stops, and the damping that ends it where no step
+#: lowers the RSS any more (a minimum to rounding)
+_LM_MAX_ITER = 200
+_LM_XTOL = 1e-12
+_LM_FTOL = 1e-14
+_LM_MAX_DAMPING = 1e20
+
+
+def _decay_model(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P0 exp(-k t)`` at ``x = (P0, k)`` and its exact Jacobian in x."""
+    e = np.exp(-x[1] * t)
+    model = x[0] * e
+    return model, np.column_stack((e, -t * model))
+
+
+def _levenberg_marquardt(
+    t: np.ndarray, p: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least squares of ``P0 exp(-k t)`` to ``p`` over ``P0 > 0, k >= 0``
+    from the start ``x = (P0, k)`` (Moré, LNM 630, 1978, with Marquardt's
+    diagonal scaling); returns the fit, its Jacobian and RSS.
+
+    The decay rate ``k = 1/tau`` rather than tau is fitted, so that data
+    that do not decay drive it to its bound 0 (tau infinite) instead of
+    sending tau off to infinity.  A step that would make k negative is
+    replaced by the step on P0 alone with k on its bound.  A trial that
+    makes P0 non-positive or raises the RSS is retried with ten times the
+    damping.  The fit stops after an accepted step shorter than ``_LM_XTOL``
+    of each parameter or one that lowered the RSS by at most ``_LM_FTOL`` of
+    it, and where no step lowers the RSS at all.
+    """
+    model, jac = _decay_model(t, x)
+    r = p - model
+    rss = float(r @ r)
+    damping = 1e-3
+    for _ in range(_LM_MAX_ITER):
+        jtj, g = jac.T @ jac, jac.T @ r
+        while True:
+            scaled = jtj + damping * np.diag(np.diag(jtj))
+            step = np.linalg.solve(scaled, g)
+            if x[1] + step[1] < 0.0:
+                step = np.array([g[0] / scaled[0, 0], -x[1]])
+            trial = x + step
+            if trial[0] > 0.0:
+                model, trial_jac = _decay_model(t, trial)
+                trial_r = p - model
+                trial_rss = float(trial_r @ trial_r)
+                if trial_rss <= rss:
+                    break
+            damping *= 10.0
+            if damping > _LM_MAX_DAMPING:
+                return x, jac, rss
+        done = np.all(np.abs(step) <= _LM_XTOL * trial) or rss - trial_rss <= _LM_FTOL * rss
+        x, jac, r, rss = trial, trial_jac, trial_r, trial_rss
+        if done or rss == 0.0:
+            return x, jac, rss
+        damping = max(damping / 10.0, 1e-12)
+    raise FitFailureError(f"decay fit did not converge in {_LM_MAX_ITER} iterations")
 
 
 def fit_exponential_decay(points) -> DecayFit:
     """Nonlinear least squares of ``P(t) = P0 exp(-t/tau)`` (t in ns, tau in us).
 
-    Initialized from the log-linear regression; unweighted, deterministic.
-    Non-decreasing purity sequences are fitted anyway but flagged; tau beyond
-    100x the time span is capped at that bound and flagged.
+    Levenberg-Marquardt (:func:`_levenberg_marquardt`) from the log-linear
+    regression, with ``P0 > 0`` and ``tau > 0``; unweighted, deterministic,
+    and exact through two points.  Non-decreasing purity sequences are
+    fitted anyway but flagged; tau beyond 100x the time span (an infinite
+    one included) is capped at that bound and flagged, and then carries no
+    error bars.  Raises :class:`FitFailureError` when the fit does not
+    converge.
     """
     pts = [(float(t), float(p)) for t, p in points]
     if len(pts) < 2:
@@ -471,31 +551,23 @@ def fit_exponential_decay(points) -> DecayFit:
     tau0 = min(cap, -1.0 / slope) if slope < 0 else cap
     p00 = min(1.0, float(np.exp(intercept)))
 
-    def model(t, p0, tau):
-        return p0 * np.exp(-t / tau)
-
-    # imported here, so that only the commands that fit a decay load
-    # scipy.optimize (and scipy's OpenBLAS, which the scope below then pins)
-    from scipy.optimize import OptimizeWarning, curve_fit
-
-    try:
-        with single_blas_thread(), warnings.catch_warnings():
-            # two points determine the two parameters exactly; the (unused)
-            # parameter covariance is then undefined
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                model, t_us, p_sorted, p0=(p00, tau0), maxfev=20_000,
-                bounds=((1e-12, 1e-12), (np.inf, np.inf)),
-            )
-        p0_fit, tau_fit = float(popt[0]), float(popt[1])
-    except RuntimeError as exc:
-        raise FitFailureError(f"decay fit did not converge: {exc}") from exc
-
-    if tau_fit > cap:
+    x, jac, rss = _levenberg_marquardt(t_us, p_sorted, np.array([p00, 1.0 / tau0]))
+    p0_fit, rate = float(x[0]), float(x[1])
+    p0_err = tau_err = None
+    if rate * cap < 1.0:  # tau = 1/rate exceeds the cap
         tau_fit = cap
         warning = (warning + "; " if warning else "") + "tau exceeds 100x the data span (capped)"
-    residuals = p_sorted - model(t_us, p0_fit, tau_fit)
-    return DecayFit(p0=p0_fit, tau_us=tau_fit, residuals=residuals, warning=warning)
+    else:
+        tau_fit = 1.0 / rate
+        if len(pts) > 2:
+            var = np.diag(np.linalg.inv(jac.T @ jac)) * (rss / (len(pts) - 2))
+            # sigma_tau = sigma_k / k^2 for tau = 1/k
+            p0_err, tau_err = float(np.sqrt(var[0])), float(np.sqrt(var[1])) / rate**2
+    model, _ = _decay_model(t_us, np.array([p0_fit, 1.0 / tau_fit]))
+    return DecayFit(
+        p0=p0_fit, tau_us=tau_fit, residuals=p_sorted - model, warning=warning,
+        p0_err=p0_err, tau_err=tau_err,
+    )
 
 
 def histogram_with_overlay(
@@ -525,6 +597,7 @@ def build_tomography_report(
         purity=float(mle.state.c[1]),
         purity_err=bootstrap.std,
         wigner_origin=wigner_origin(mle.state),
+        wigner_origin_err=bootstrap.wigner_origin_std,
         histogram=histogram_with_overlay(quads, mle.state, bins),
         bootstrap_failures=bootstrap.failures,
     )

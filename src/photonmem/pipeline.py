@@ -25,7 +25,9 @@ from .cavity import ReleaseResult, simulate_release, storage_lifetime
 from .config import ExperimentConfig
 from .errors import PhotonMemError
 from .estimation import (
+    MLE_KKT_TOL,
     DecayFit,
+    MleResult,
     PcaResult,
     TomographyReport,
     bootstrap_purity,
@@ -52,10 +54,15 @@ class ConditionRecord:
     pca: PcaResult | None = None
     quadratures: np.ndarray | None = None
     tomography: TomographyReport | None = None
-    shifted_purity: float | None = None
+    #: point fit of the time-shifted reanalysis
+    shifted_mle: MleResult | None = None
     #: why the shifted reanalysis did not run, when it did not
     shifted_error: str | None = None
     error: str | None = None
+
+    @property
+    def shifted_purity(self) -> float | None:
+        return None if self.shifted_mle is None else float(self.shifted_mle.state.c[1])
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,12 @@ class SweepReport:
     decay_raw: DecayFit | None
     decay_shifted: DecayFit | None
     provenance: dict
+    #: why each decay fit is None, when it is
+    decay_raw_error: str | None = None
+    decay_shifted_error: str | None = None
+    #: ``"<t_release> ns: <reason>"`` for each point kept out of each fit
+    decay_raw_excluded: tuple[str, ...] = ()
+    decay_shifted_excluded: tuple[str, ...] = ()
 
     @property
     def failed(self) -> bool:
@@ -118,7 +131,11 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     schedules = [cfg.schedule(t) for t in cfg.release_times_ns]
     purities, extra_prov = _target_purities(cfg)
 
-    def process(k: int, base_mode: ModeFunction | None) -> ConditionRecord:
+    def process(
+        k: int, base_mode: ModeFunction | None
+    ) -> tuple[ConditionRecord, ModeFunction | None]:
+        """Condition k's record, and the base mode of the shifted reanalysis
+        (condition 0 clips its own estimated mode)."""
         storage = cfg.storage_times_ns[k]
         t_release = cfg.release_times_ns[k]
         try:
@@ -158,9 +175,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                     (cfg.window_start_ns, cfg.window_start_ns + cfg.n_samples - 1),
                 )
                 shifted_quads = extract_quadratures(frames, shifted_mode, n_workers=cfg.n_workers)
-                shifted = float(
-                    mle_photon_distribution(shifted_quads, cfg.n_max).state.c[1]
-                )
+                shifted = mle_photon_distribution(shifted_quads, cfg.n_max)
             return ConditionRecord(
                 storage_time_ns=storage,
                 t_release_ns=t_release,
@@ -169,30 +184,27 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 pca=pca,
                 quadratures=quads,
                 tomography=tomo,
-                shifted_purity=shifted,
+                shifted_mle=shifted,
                 shifted_error=shifted_error,
-            )
+            ), base_mode
         except (PhotonMemError, ValueError, ArithmeticError) as exc:
             return ConditionRecord(
                 storage_time_ns=storage,
                 t_release_ns=t_release,
                 configured_purity=purities[k],
                 error=f"{type(exc).__name__}: {exc}",
-            )
+            ), None
 
     # conditions run one at a time, so one frame matrix is alive at once;
     # condition 0 runs first: its estimated mode seeds the shifted reanalysis
-    records = [process(0, None)]
-    base_mode = None
-    if records[0].pca is not None:
-        base_mode = _clip_base_mode(records[0].pca.mode, cfg.release_times_ns[0])
-    records += [process(k, base_mode) for k in range(1, len(schedules))]
+    first, base_mode = process(0, None)
+    records = [first] + [process(k, base_mode)[0] for k in range(1, len(schedules))]
 
-    decay_raw = _fit_or_none(
-        [(c.t_release_ns, c.tomography.purity) for c in records if c.tomography]
+    decay_raw, raw_error, raw_excluded = _decay_fit(
+        [(c.t_release_ns, c.tomography.mle) for c in records if c.tomography]
     )
-    decay_shifted = _fit_or_none(
-        [(c.t_release_ns, c.shifted_purity) for c in records if c.shifted_purity is not None]
+    decay_shifted, shifted_error, shifted_excluded = _decay_fit(
+        [(c.t_release_ns, c.shifted_mle) for c in records if c.shifted_mle is not None]
     )
     provenance = {
         "package_version": __version__,
@@ -207,6 +219,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         decay_raw=decay_raw,
         decay_shifted=decay_shifted,
         provenance=provenance,
+        decay_raw_error=raw_error,
+        decay_shifted_error=shifted_error,
+        decay_raw_excluded=raw_excluded,
+        decay_shifted_excluded=shifted_excluded,
     )
 
 
@@ -215,13 +231,54 @@ def _clip_base_mode(mode: ModeFunction, t_release: float) -> ModeFunction:
     return clip_and_renormalize(mode, window)
 
 
-def _fit_or_none(points) -> DecayFit | None:
+def _decay_fit(
+    fits: list[tuple[float, MleResult]],
+) -> tuple[DecayFit | None, str | None, tuple[str, ...]]:
+    """Decay fit of ``(t_release, point fit)`` pairs: the fit, or the reason
+    there is none, and the points kept out of it.
+
+    A point fit that did not converge (KKT residual above ``MLE_KKT_TOL``)
+    is kept out, so that it cannot move the lifetime.
+    """
+    points, excluded = [], []
+    for t, mle in fits:
+        if mle.converged:
+            points.append((t, float(mle.state.c[1])))
+        else:
+            excluded.append(
+                f"{t:g} ns: MLE did not converge (KKT residual {mle.kkt_residual:.3g} "
+                f"> {MLE_KKT_TOL:g})"
+            )
     if len(points) < 2:
-        return None
+        return None, f"{len(points)} point(s) to fit, need at least two", tuple(excluded)
     try:
-        return fit_exponential_decay(points)
-    except (PhotonMemError, ValueError):
-        return None
+        return fit_exponential_decay(points), None, tuple(excluded)
+    except (PhotonMemError, ValueError) as exc:
+        return None, f"{type(exc).__name__}: {exc}", tuple(excluded)
+
+
+def _pm(value: float, err: float | None, fmt: str) -> str:
+    return f"{value:{fmt}}" + ("" if err is None else f" +- {err:{fmt}}")
+
+
+def decay_lines(report: SweepReport) -> list[str]:
+    """Both decay fits, with their error bars, or why each one is missing;
+    and the points each one kept out."""
+    lines = []
+    for label, fit, error, excluded in (
+        ("raw", report.decay_raw, report.decay_raw_error, report.decay_raw_excluded),
+        ("shifted", report.decay_shifted, report.decay_shifted_error, report.decay_shifted_excluded),
+    ):
+        head = f"{label} decay fit:".ljust(19)
+        if fit is None:
+            lines.append(f"{head}none ({error})")
+        else:
+            lines.append(
+                f"{head}P0 = {_pm(fit.p0, fit.p0_err, '.4f')}, "
+                f"tau = {_pm(fit.tau_us, fit.tau_err, '.3f')} us"
+            )
+        lines += [f"  kept out {point}" for point in excluded]
+    return lines
 
 
 def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
@@ -291,6 +348,7 @@ def tomography_fields(report: TomographyReport, pca: PcaResult) -> dict:
         "purity": report.purity,
         "purity_err": report.purity_err,
         "wigner_origin": report.wigner_origin,
+        "wigner_origin_err": report.wigner_origin_err,
         "pca_eigenvalue": pca.eigenvalue,
         "mle_converged": report.mle.converged,
         "mle_kkt_residual": report.mle.kkt_residual,
@@ -305,7 +363,9 @@ def _decay_dict(fit: DecayFit | None) -> dict | None:
         return None
     return {
         "P0": fit.p0,
+        "P0_err": fit.p0_err,
         "tau_us": fit.tau_us,
+        "tau_err": fit.tau_err,
         "residuals": [float(r) for r in fit.residuals],
         "warning": fit.warning,
     }
@@ -321,10 +381,13 @@ def report_as_dict(report: SweepReport) -> dict:
             "error": c.error,
         }
         if c.tomography is not None:
+            shifted = c.shifted_mle
             entry.update(tomography_fields(c.tomography, c.pca))
             entry.update(
                 {
                     "shifted_purity": c.shifted_purity,
+                    "shifted_mle_converged": None if shifted is None else shifted.converged,
+                    "shifted_mle_kkt_residual": None if shifted is None else shifted.kkt_residual,
                     "shifted_error": c.shifted_error,
                     "release_metrics": c.release.metrics,
                 }
@@ -335,6 +398,10 @@ def report_as_dict(report: SweepReport) -> dict:
         "conditions": conditions,
         "decay_raw": _decay_dict(report.decay_raw),
         "decay_shifted": _decay_dict(report.decay_shifted),
+        "decay_raw_error": report.decay_raw_error,
+        "decay_shifted_error": report.decay_shifted_error,
+        "decay_raw_excluded": list(report.decay_raw_excluded),
+        "decay_shifted_excluded": list(report.decay_shifted_excluded),
     }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import simpson as scipy_simpson
+from scipy.linalg import expm
 
 from photonmem.cavity import (
     DEFAULT_SHUTTER_DETUNING_RAD_S,
@@ -13,6 +14,7 @@ from photonmem.cavity import (
     SPEED_OF_LIGHT,
     CavityParams,
     ShutterSchedule,
+    _propagate_segment,
     _solve,
     derive_rates,
     simpson,
@@ -236,3 +238,66 @@ class TestSimpson:
         p_grid = np.linspace(-8.0, 8.0, 3201)
         state = FockDiagonalState.from_weights(np.random.default_rng(3).random(6))
         _same_as_scipy(wigner(state, x[:, None], p_grid[None, :]), p_grid)
+
+
+def _expm_states(a_matrix, a0, times):
+    return np.array([expm(a_matrix * t) @ a0 for t in times])
+
+
+class TestPropagateSegment:
+    """The closed-form 2 x 2 exponential against ``scipy.linalg.expm``: to
+    1e-13 of the largest state entry, where both round at about 1e-15."""
+
+    @staticmethod
+    def _check(a_matrix, a0, times):
+        ours = _propagate_segment(a_matrix, a0, times)
+        ref = _expm_states(a_matrix, a0, times)
+        assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_random_stable_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            # shift the spectrum into the left half-plane: a damped system
+            a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.01, 2.0)) * np.eye(2)
+            a0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+            self._check(a, a0, np.linspace(0.0, rng.uniform(0.1, 20.0), 40))
+
+    def test_critical_damping(self):
+        # one repeated eigenvalue and no eigenbasis: nu = 0 exactly
+        for a in (
+            np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex),
+            np.array([[-2.0, 1.0], [-1.0, 0.0]], dtype=complex),
+            np.array([[-1.0 - 1j, 2j], [0.0, -1.0 - 1j]]),
+        ):
+            self._check(a, np.array([0.3 - 1j, 1.0 + 0.5j]), np.linspace(0.0, 30.0, 301))
+
+    @pytest.mark.parametrize("nu_sq", [1e-30, 1e-12, 1e-4, 8e-3, 1.2e-2, 1.0])
+    def test_near_critical_damping(self, nu_sq):
+        # nu^2 = nu_sq; t up to 1 keeps |nu t| under the series limit 0.1
+        # for the first four values and crosses it for the last two
+        a = np.array([[-1.0, 1.0], [nu_sq, -1.0]], dtype=complex)
+        self._check(a, np.array([1.0, -0.5j]), np.linspace(0.0, 1.0, 101))
+
+    def test_stock_segments(self, params):
+        rates = derive_rates(params)
+        times = np.arange(0.0, 1001.0, 50.0) * NS
+        for delta in (DEFAULT_SHUTTER_DETUNING_RAD_S, 0.0):
+            a = np.array(
+                [
+                    [-0.5 * rates.gamma_m, -1j * rates.g],
+                    [-1j * rates.g, -(0.5 * rates.kappa_out + 0.5 * rates.gamma_s + 1j * delta)],
+                ]
+            )
+            self._check(a, np.array([1.0, 0.0], dtype=complex), times)
+
+    def test_long_overdamped_segment_stays_finite(self):
+        # nu t reaches 2.5e11: e^{mu t} cosh(nu t) as a product would
+        # overflow, the two modal exponentials do not
+        a = np.array([[-1e10, 1e9], [-1e9, -1.0]], dtype=complex)
+        times = np.linspace(0.0, 50.0, 11)
+        with np.errstate(over="raise", invalid="raise"):
+            ours = _propagate_segment(a, np.array([1.0, 1.0], dtype=complex), times)
+        assert np.all(np.isfinite(ours))
+        ref = _expm_states(a, np.array([1.0, 1.0]), times)
+        assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))

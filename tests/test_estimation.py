@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import curve_fit
 
-from photonmem import seeds
+from photonmem import estimation, seeds
 
 from photonmem.errors import (
     FitFailureError,
@@ -303,6 +306,16 @@ class TestBootstrap:
             bootstrap_purity(quads, FockDiagonalState.vacuum(), 10, master_seed=42)
 
 
+    def test_wigner_origin_spread_over_the_same_refits(self):
+        # with n_max = 1, W(0,0) = (1 - 2 c_1) / pi on every refit, so its
+        # spread is 2/pi that of c_1
+        samples = sample_mixture(FockDiagonalState(np.array([0.418, 0.582])), 5_000, 905)
+        point = mle_photon_distribution(samples, 1).state
+        boot = bootstrap_purity(samples, point, 20, n_max=1, master_seed=5)
+        assert boot.std > 0.0
+        assert boot.wigner_origin_std == pytest.approx(2.0 / np.pi * boot.std, rel=1e-9)
+
+
 class TestDecayFit:
     def test_reference_raw_points(self):
         fit = fit_exponential_decay(
@@ -326,6 +339,8 @@ class TestDecayFit:
         assert fit.p0 == pytest.approx(p0, rel=1e-6)
         assert fit.tau_us == pytest.approx(tau_us, rel=1e-6)
         np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-9)
+        # no degrees of freedom are left for an error estimate
+        assert fit.p0_err is None and fit.tau_err is None
 
     def test_non_decreasing_points_flagged(self):
         fit = fit_exponential_decay([(0.0, 0.4), (100.0, 0.45), (200.0, 0.5)])
@@ -335,6 +350,54 @@ class TestDecayFit:
         fit = fit_exponential_decay([(0.0, 0.5), (100.0, 0.5), (200.0, 0.49999999)])
         assert fit.tau_us <= 100.0 * 0.2 + 1e-9
         assert fit.warning is not None and "capped" in fit.warning
+        assert fit.p0_err is None and fit.tau_err is None
+
+    def test_increasing_points_capped_at_their_mean(self):
+        # tau = infinity is the best positive fit: P0 is the mean purity
+        fit = fit_exponential_decay([(0.0, 0.4), (100.0, 0.45), (200.0, 0.5)])
+        assert fit.tau_us == pytest.approx(100.0 * 0.2)
+        assert fit.p0 == pytest.approx(0.45, rel=1e-9)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_LM_MAX_ITER", 1)
+        with pytest.raises(FitFailureError):
+            fit_exponential_decay([(150.0, 0.582), (250.0, 0.546), (350.0, 0.531), (450.0, 0.497)])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # gate criterion 4's reference point sets, raw and shifted
+            [(150.0, 0.582), (250.0, 0.546), (350.0, 0.531), (450.0, 0.497)],
+            [(150.0, 0.582), (250.0, 0.529), (350.0, 0.499), (450.0, 0.448)],
+            # the seed-7 stock sweep (4 x 43 000 frames), raw and shifted
+            [(150.0, 0.579058749389), (250.0, 0.542009964606), (350.0, 0.52986788459), (450.0, 0.490771429516)],
+            [(150.0, 0.579058749389), (250.0, 0.54284738966), (350.0, 0.529608304343), (450.0, 0.489658838403)],
+            # a steep decay, three points
+            [(150.0, 0.5), (250.0, 0.3), (350.0, 0.1)],
+        ],
+    )
+    def test_agrees_with_curve_fit(self, points):
+        # scipy's bounded trust-region fit stops at its default tolerances
+        # (1e-8), so the parameters and their standard errors agree to 1e-6
+        # relative, and this fit's RSS is no larger than scipy's
+        t = np.array([p[0] for p in points]) / 1000.0
+        y = np.array([p[1] for p in points])
+
+        def model(t, p0, tau):
+            return p0 * np.exp(-t / tau)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            popt, pcov = curve_fit(
+                model, t, y, p0=(y[0], 1.0), bounds=((1e-12, 1e-12), (np.inf, np.inf))
+            )
+        fit = fit_exponential_decay(points)
+        assert fit.p0 == pytest.approx(popt[0], rel=1e-6)
+        assert fit.tau_us == pytest.approx(popt[1], rel=1e-6)
+        assert fit.p0_err == pytest.approx(np.sqrt(pcov[0, 0]), rel=1e-6)
+        assert fit.tau_err == pytest.approx(np.sqrt(pcov[1, 1]), rel=1e-6)
+        rss = float(np.sum(fit.residuals**2))
+        assert rss <= float(np.sum((y - model(t, *popt)) ** 2)) * (1.0 + 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

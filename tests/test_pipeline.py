@@ -9,12 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonmem import pipeline
+from photonmem import estimation, pipeline
 from photonmem.cavity import CavityParams
 from photonmem.cli import cli_entry
 from photonmem.config import ExperimentConfig, load_config, save_config
 from photonmem.errors import InsufficientDataError, PhotonMemError
-from photonmem.estimation import MAX_N_MAX, MIN_BOOTSTRAP_RESAMPLES, MIN_MLE_SAMPLES, MLE_KKT_TOL
+from photonmem.estimation import (
+    MAX_N_MAX,
+    MIN_BOOTSTRAP_RESAMPLES,
+    MIN_MLE_SAMPLES,
+    MLE_KKT_TOL,
+    MleResult,
+    fit_exponential_decay,
+)
 from photonmem.pipeline import (
     emit_figure_data,
     estimate_frames,
@@ -316,6 +323,10 @@ class TestRunSweep:
         assert report.failed
         assert report.conditions[0].error is not None
         assert report.decay_raw is None
+        assert report.decay_raw_error == "0 point(s) to fit, need at least two"
+        payload = report_as_dict(report)
+        assert payload["decay_raw_error"] == report.decay_raw_error
+        assert payload["decay_shifted_error"] == report.decay_shifted_error
 
     def test_failed_base_condition_skips_shifted_branch(self, monkeypatch, smoke_config):
         # fault injection: only condition 0's cavity simulation fails.  Without
@@ -349,8 +360,20 @@ class TestRunSweep:
             assert 1 <= entry["mle_n_evals"] <= 30
             assert entry["bootstrap_failures"] == 0
             assert entry["shifted_error"] is None
+            assert entry["shifted_mle_converged"] is True
+            assert 0.0 <= entry["shifted_mle_kkt_residual"] <= MLE_KKT_TOL
+            assert entry["wigner_origin_err"] > 0.0
             # the stock ADC range keeps every sample off its outermost codes
             assert entry["adc_saturated_fraction"] == 0.0
+
+    def test_decay_fits_report_no_error(self, smoke_report):
+        payload = report_as_dict(smoke_report)
+        for name in ("raw", "shifted"):
+            assert payload[f"decay_{name}_error"] is None
+            assert payload[f"decay_{name}_excluded"] == []
+            # two points: the fit is exact and has no error bars
+            assert payload[f"decay_{name}"]["P0_err"] is None
+            assert payload[f"decay_{name}"]["tau_err"] is None
 
     def test_adc_saturation_counted(self, base_release):
         # a full scale of 1.5 vacuum standard deviations clips often
@@ -399,6 +422,106 @@ class TestRunSweep:
         tau = report.provenance["simulated_lifetime_ns"]
         assert p0 == pytest.approx(0.626 * np.exp(-150.0 / tau), abs=1e-9)
         assert p1 < p0
+
+
+def _stop_early(monkeypatch, stopped: set[int]) -> None:
+    """Fault injection: the point fits (uniform weights) numbered in
+    ``stopped``, counted from 1 in run order, return their start unfitted;
+    a sweep runs condition k's point fit as number 2k+1 and its shifted
+    fit as 2k+2."""
+    real = estimation._fit_weighted
+    count = []
+
+    def fit(pdf_matrix, w, c0):
+        if np.all(w == w[0]):  # bootstrap refits have unequal weights
+            count.append(None)
+            if len(count) in stopped:
+                c = np.array(c0, dtype=float)
+                return c, 1, estimation._kkt_residual(c, pdf_matrix, w)
+        return real(pdf_matrix, w, c0)
+
+    monkeypatch.setattr(estimation, "_fit_weighted", fit)
+
+
+class TestUnconvergedMle:
+    """A point fit that misses MLE_KKT_TOL is kept out of its decay fit,
+    with the reason recorded, so it cannot move the lifetime."""
+
+    @pytest.fixture
+    def cfg(self):
+        return ExperimentConfig(
+            storage_times_ns=(0.0, 100.0, 200.0),
+            purities=(0.582, 0.546, 0.531),
+            frames_per_condition=2_000,
+            bootstrap_resamples=20,
+            window_end_ns=500.0,
+            master_seed=81,
+        )
+
+    @staticmethod
+    def _fit_of(records, purity):
+        return fit_exponential_decay([(c.t_release_ns, purity(c)) for c in records])
+
+    def test_raw_point_fit_kept_out(self, monkeypatch, cfg):
+        _stop_early(monkeypatch, {3})
+        report = run_sweep(cfg)
+        first, second, third = report.conditions
+        assert not second.tomography.mle.converged
+        assert second.tomography.mle.kkt_residual > MLE_KKT_TOL
+        (reason,) = report.decay_raw_excluded
+        assert reason.startswith("250 ns: MLE did not converge")
+        expected = self._fit_of([first, third], lambda c: c.tomography.purity)
+        assert (report.decay_raw.p0, report.decay_raw.tau_us) == (expected.p0, expected.tau_us)
+        # the shifted fit of that condition converged and stays in
+        assert report.decay_shifted_excluded == ()
+        payload = report_as_dict(report)
+        assert payload["conditions"][1]["mle_converged"] is False
+        assert payload["decay_raw_excluded"] == [reason]
+
+    def test_shifted_point_fit_kept_out_and_recorded(self, monkeypatch, cfg):
+        _stop_early(monkeypatch, {6})
+        report = run_sweep(cfg)
+        first, second, third = report.conditions
+        assert third.tomography.mle.converged
+        assert not third.shifted_mle.converged
+        (reason,) = report.decay_shifted_excluded
+        assert reason.startswith("350 ns: MLE did not converge")
+        expected = self._fit_of([first, second], lambda c: c.shifted_purity)
+        assert (report.decay_shifted.p0, report.decay_shifted.tau_us) == (expected.p0, expected.tau_us)
+        assert report.decay_raw_excluded == ()
+        entry = report_as_dict(report)["conditions"][2]
+        assert entry["shifted_mle_converged"] is False
+        assert entry["shifted_mle_kkt_residual"] == third.shifted_mle.kkt_residual > MLE_KKT_TOL
+
+
+def _mle(purity: float, converged: bool = True) -> MleResult:
+    return MleResult(
+        state=FockDiagonalState.two_level(purity),
+        loglik=0.0,
+        n_evals=1,
+        converged=converged,
+        kkt_residual=0.0 if converged else 1.0,
+    )
+
+
+class TestDecayFitErrors:
+    def test_too_few_points(self):
+        fit, error, excluded = pipeline._decay_fit([(150.0, _mle(0.58)), (250.0, _mle(0.55, False))])
+        assert fit is None
+        assert error == "1 point(s) to fit, need at least two"
+        assert excluded == ("250 ns: MLE did not converge (KKT residual 1 > 1e-06)",)
+
+    def test_invalid_points(self):
+        fit, error, _ = pipeline._decay_fit([(150.0, _mle(0.58)), (250.0, _mle(0.0))])
+        assert fit is None
+        assert error == "ValueError: purities must lie in (0, 1]"
+
+    def test_fit_failure(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_LM_MAX_ITER", 1)
+        points = [(150.0, _mle(0.582)), (250.0, _mle(0.546)), (350.0, _mle(0.531))]
+        fit, error, excluded = pipeline._decay_fit(points)
+        assert fit is None and excluded == ()
+        assert error.startswith("FitFailureError: decay fit did not converge")
 
 
 class TestEmitFigureData:
@@ -628,6 +751,32 @@ class TestCli:
         assert run.returncode == 0, run.stderr
         seen = json.loads(run.stdout.splitlines()[-1])
         assert seen == {name: [0, []] for name in ("import", "simulate", "synth", "estimate")}
+
+    def test_decay_fit_and_release_need_no_scipy(self):
+        # a fresh interpreter in which every scipy import fails
+        code = textwrap.dedent(
+            """
+            import sys
+            sys.modules["scipy"] = None
+            import numpy as np
+            from photonmem.cavity import CavityParams, ShutterSchedule, _propagate_segment, simulate_release
+            from photonmem.estimation import fit_exponential_decay
+
+            fit = fit_exponential_decay([(150.0, 0.582), (250.0, 0.546), (350.0, 0.531), (450.0, 0.497)])
+            release = simulate_release(CavityParams(), ShutterSchedule(t_release_ns=150.0))
+            # critical damping: exp(A t) [0, 1] = e^-t [t, 1]
+            a = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
+            states = _propagate_segment(a, np.array([0.0, 1.0], dtype=complex), np.array([0.0, 1.0]))
+            print(fit.p0, fit.tau_us, release.metrics["fwhm_ns"], states[1, 0].real)
+            """
+        )
+        run = run_fresh_python(code)
+        assert run.returncode == 0, run.stderr
+        p0, tau_us, fwhm_ns, state = map(float, run.stdout.split())
+        assert p0 == pytest.approx(0.6255, abs=1e-4)
+        assert tau_us == pytest.approx(1.995, abs=1e-3)
+        assert 25.0 <= fwhm_ns <= 75.0
+        assert state == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_sweep_fixed_seed_reproducible(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
