@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from photonmem.config import ExperimentConfig
-from photonmem.pipeline import decay_lines, emit_figure_data, run_sweep
+from photonmem.pipeline import decay_lines, emit_figure_data, run_sweep, unconverged_reason
 
 
 def main() -> int:
@@ -66,6 +66,9 @@ def main() -> int:
     for c in report.conditions:
         if c.error:
             print(f"  storage {c.storage_time_ns:5.0f} ns: FAILED ({c.error})")
+            continue
+        if not c.tomography.mle.converged:
+            print(f"  storage {c.storage_time_ns:5.0f} ns: {unconverged_reason(c.tomography.mle)}")
             continue
         t = c.tomography
         shifted = c.shifted_error or f"{c.shifted_purity:.4f}"

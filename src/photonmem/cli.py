@@ -34,6 +34,7 @@ from .pipeline import (
     run_sweep,
     tomography_fields,
     tomography_files,
+    unconverged_reason,
     write_files,
 )
 from .synth import AdcSpec, load_frames, save_frames, synth_condition
@@ -166,7 +167,12 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     report = run_sweep(cfg)
     emit_figure_data(report, args.out)
     for c in report.conditions:
-        status = c.error or f"purity {c.tomography.purity:.4f} +- {c.tomography.purity_err:.4f}"
+        if c.error:
+            status = c.error
+        elif not c.tomography.mle.converged:
+            status = unconverged_reason(c.tomography.mle)
+        else:
+            status = f"purity {c.tomography.purity:.4f} +- {c.tomography.purity_err:.4f}"
         print(f"storage {c.storage_time_ns:6.1f} ns: {status}")
     print("\n".join(decay_lines(report)))
     return 1 if report.failed else 0

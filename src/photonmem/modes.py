@@ -203,8 +203,12 @@ def detuning_overlap_penalty(m: ModeFunction, delta_rad_s: float, phase: float) 
     return proj**2
 
 
-def detuned_effective_mode(m: ModeFunction, delta_rad_s: float, phase: float) -> ModeFunction:
-    """Normalized in-phase component of a rotating mode, as seen by the LO.
+def detuned_effective_mode(
+    m: ModeFunction, delta_rad_s: float, phase: float
+) -> tuple[ModeFunction, float]:
+    """Normalized in-phase component of a rotating mode, as seen by the LO,
+    and its weight ``sum_i (m_i cos(...))^2``: the share of the photon that
+    the in-phase part carries.
 
     Uses the same centroid-referenced rotation as
     :func:`detuning_overlap_penalty`.
@@ -214,7 +218,7 @@ def detuned_effective_mode(m: ModeFunction, delta_rad_s: float, phase: float) ->
     norm = float(np.sum(raw**2))
     if norm < 1e-12:
         raise DegenerateInputError("detuned mode has no in-phase component")
-    return ModeFunction(raw / np.sqrt(norm), m.t0, m.dt)
+    return ModeFunction(raw / np.sqrt(norm), m.t0, m.dt), norm
 
 
 def orthonormalize(modes: list[ModeFunction]) -> list[ModeFunction]:

@@ -231,6 +231,11 @@ def _clip_base_mode(mode: ModeFunction, t_release: float) -> ModeFunction:
     return clip_and_renormalize(mode, window)
 
 
+def unconverged_reason(mle: MleResult) -> str:
+    """Why a point fit's purity is not reported or fitted."""
+    return f"MLE did not converge (KKT residual {mle.kkt_residual:.3g} > {MLE_KKT_TOL:g})"
+
+
 def _decay_fit(
     fits: list[tuple[float, MleResult]],
 ) -> tuple[DecayFit | None, str | None, tuple[str, ...]]:
@@ -245,10 +250,7 @@ def _decay_fit(
         if mle.converged:
             points.append((t, float(mle.state.c[1])))
         else:
-            excluded.append(
-                f"{t:g} ns: MLE did not converge (KKT residual {mle.kkt_residual:.3g} "
-                f"> {MLE_KKT_TOL:g})"
-            )
+            excluded.append(f"{t:g} ns: {unconverged_reason(mle)}")
     if len(points) < 2:
         return None, f"{len(points)} point(s) to fit, need at least two", tuple(excluded)
     try:
@@ -341,14 +343,19 @@ def tomography_files(report: TomographyReport) -> dict[str, str]:
 
 def tomography_fields(report: TomographyReport, pca: PcaResult) -> dict:
     """The estimate and its health numbers, shared by ``tomography.json`` and
-    each ``report.json`` condition entry."""
+    each ``report.json`` condition entry.
+
+    A point fit that did not converge reports no purity or W(0,0): ``null``
+    for both and their errors, with ``mle_converged`` false.
+    """
+    ok = report.mle.converged
     return {
         "photon_number_distribution": [float(v) for v in report.state.c],
         "loglik": report.loglik,
-        "purity": report.purity,
-        "purity_err": report.purity_err,
-        "wigner_origin": report.wigner_origin,
-        "wigner_origin_err": report.wigner_origin_err,
+        "purity": report.purity if ok else None,
+        "purity_err": report.purity_err if ok else None,
+        "wigner_origin": report.wigner_origin if ok else None,
+        "wigner_origin_err": report.wigner_origin_err if ok else None,
         "pca_eigenvalue": pca.eigenvalue,
         "mle_converged": report.mle.converged,
         "mle_kkt_residual": report.mle.kkt_residual,
@@ -441,15 +448,17 @@ def emit_figure_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
         )
         files["intensity_family.csv"] = _csv_text(headers, rows)
 
-    decay_rows = [
-        [
-            f"{c.t_release_ns:.12g}",
-            f"{c.tomography.purity:.12g}" if c.tomography else "",
-            f"{c.tomography.purity_err:.12g}" if c.tomography else "",
-            f"{c.shifted_purity:.12g}" if c.shifted_purity is not None else "",
-        ]
-        for c in report.conditions
-    ]
+    decay_rows = []
+    for c in report.conditions:
+        t = c.tomography if c.tomography and c.tomography.mle.converged else None
+        decay_rows.append(
+            [
+                f"{c.t_release_ns:.12g}",
+                f"{t.purity:.12g}" if t else "",
+                f"{t.purity_err:.12g}" if t else "",
+                f"{c.shifted_purity:.12g}" if c.shifted_purity is not None else "",
+            ]
+        )
     files["decay_points.csv"] = _csv_text(
         ["t_release_ns", "purity", "purity_err", "shifted_purity"], decay_rows
     )

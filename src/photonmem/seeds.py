@@ -1,9 +1,11 @@
-"""Deterministic, counter-based random streams.
+"""Deterministic random streams, one per structured path.
 
 Every stochastic routine in the package derives its generator from a master
-seed plus a structured path (domain constant, then indices).  Streams are
-independent Philox instances, so Monte-Carlo work can be executed in any
-order -- or in parallel -- and still reproduce bit-identical results.
+seed plus a structured path (domain constant, then indices).  Each stream is
+a PCG64DXSM generator seeded by the ``SeedSequence`` of (master seed, path),
+so streams are independent of one another and Monte-Carlo work can be
+executed in any order -- or in parallel -- and still reproduce bit-identical
+results.  No stream is jumped or advanced: each path starts its own.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ DOMAIN_CLICKS = 4
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:
-    """Return the Philox generator at ``path`` under ``master_seed``."""
+    """Return the PCG64DXSM generator at ``path`` under ``master_seed``."""
     key = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(key=key.generate_state(2, np.uint64)))
+    return np.random.Generator(np.random.PCG64DXSM(key))
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

@@ -41,6 +41,9 @@ _HEADER = struct.Struct("<4sIQQddBBdQ")
 #: every pass over a frame matrix; part of the seeded output format, not a
 #: tuning knob
 FRAME_BLOCK = 1024
+#: rows of a synthesis block drawn and finished while they are in cache; no
+#: output byte depends on it
+_SUB_BLOCK = 64
 
 
 def for_blocks(n_rows: int, fn, n_workers: int = 1) -> None:
@@ -98,9 +101,22 @@ class AdcSpec:
         return ((k + 0.5) * self.step).astype(np.float32)
 
     def encode(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Saturating codes floor(x / step) as float64 (in place in ``out``)."""
-        k = np.floor(np.divide(np.asarray(values, dtype=float), self.step, out=out), out=out)
-        return np.clip(k, *self.code_range, out=k)
+        """Saturating codes floor(x / step), the quotient taken in float64.
+
+        The codes come back in a float32 input's dtype (else float64), or
+        in ``out``, which may be the input itself: a code is an integer of
+        magnitude at most 2^15, exact in either.  A float64 ``out`` takes
+        every step in place.
+        """
+        values = np.asarray(values)
+        if out is None:
+            out = np.empty(values.shape, np.float32 if values.dtype == np.float32 else np.float64)
+        k = out if out.dtype == np.float64 else np.empty(values.shape)
+        np.floor(np.divide(values, self.step, out=k, dtype=np.float64), out=k)
+        np.clip(k, *self.code_range, out=k)
+        if k is not out:
+            out[...] = k
+        return out
 
     def decode(self, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """float32 levels of integer codes, through :attr:`levels`."""
@@ -114,7 +130,9 @@ class ImperfectionConfig:
     displacement: complex coherent contamination of the excited mode (adds
         sqrt(2) Re(alpha) to its quadrature).
     detuning: (delta rad/s, phase rad) rotation of the excited mode relative
-        to the LO frame; the embedded mode becomes its in-phase projection.
+        to the LO frame; the embedded mode becomes its normalised in-phase
+        projection, which carries only its weight of the photon (a loss,
+        composed with extra_loss).
     extra_loss: transmission in [0, 1] applied to the photon statistics.
     electronic_noise_std: additive Gaussian detector noise per sample, in
         quadrature units (off by default: shot noise dominates by ~20 dB).
@@ -164,7 +182,7 @@ class FrameSet:
             elif not np.isfinite(block).all():
                 raise ValueError("frames must be finite")
             elif adc is not None:
-                codes[lo : lo + FRAME_BLOCK] = adc.encode(block)
+                adc.encode(block, out=codes[lo : lo + FRAME_BLOCK])
                 if not np.array_equal(adc.decode(codes[lo : lo + FRAME_BLOCK]), block):
                     raise ValueError("frames are off the ADC's levels")
         data = np.ascontiguousarray(codes, dtype=adc.code_dtype if adc else None)
@@ -217,14 +235,6 @@ def _fock_inverse_cdf(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cdf, x
 
 
-def draw_fock_quadrature(n: int, rng: np.random.Generator, size=None):
-    """Sample quadratures of the n-photon state (one uniform draw per sample)."""
-    if n == 0:
-        return rng.normal(0.0, VACUUM_SIGMA, size)
-    cdf, x = _fock_inverse_cdf(n)
-    return np.interp(rng.random(size), cdf, x)
-
-
 def _mode_indices(psi: ModeFunction, t0: float, n_samples: int, dt: float) -> slice:
     """Column slice of the frame grid covered by psi; error on misalignment."""
     if abs(psi.dt - dt) > GRID_TOL * dt:
@@ -260,39 +270,43 @@ def synth_condition(
     ``b * FRAME_BLOCK`` onwards) uses the single stream
     ``(master_seed, DOMAIN_FRAME, b)`` with a fixed draw order:
 
-    1. a ``(FRAME_BLOCK, N)`` normal array of variance ``1/2 + sigma_e^2``;
-    2. ``FRAME_BLOCK`` photon-number uniforms;
-    3. ``FRAME_BLOCK`` quadrature uniforms, each mapped through the inverse
+    1. ``FRAME_BLOCK`` photon-number uniforms;
+    2. ``FRAME_BLOCK`` quadrature uniforms, each mapped through the inverse
        CDF of its photon number (``n = 0`` included);
-    4. ``FRAME_BLOCK`` electronic-noise normals along psi, only if
-       ``sigma_e > 0``.
+    3. ``FRAME_BLOCK`` electronic-noise normals along psi, only if
+       ``sigma_e > 0``;
+    4. the block's float32 standard normals, row after row, scaled by
+       ``float32(sqrt(1/2 + sigma_e^2))``.
 
     The electronic noise is folded into the Gaussian draw: along psi the
     frame carries ``x_psi + sigma_e * zeta``, orthogonal to it the isotropic
     noise, which is the distribution of the frame in the module docstring.
-    A partial last block draws the whole block and keeps its first rows, so
-    frame ``i`` depends only on ``(master_seed, i)``; the result is
-    bit-identical for any ``n_workers`` (see :func:`for_blocks`).
+    The mode swap is taken in float64 and rounded once to float32, and ADC
+    codes are :meth:`AdcSpec.encode` of those float32 frames.  Each row
+    sub-block is drawn and finished while it is in cache; the draws do not
+    depend on the sub-block size.  A partial last block draws its uniforms
+    for the whole block and normals for its own rows only, so frame ``i``
+    depends only on ``(master_seed, i)``; the result is bit-identical for
+    any ``n_workers`` (see :func:`for_blocks`).
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     imp = imperfections or ImperfectionConfig()
-    eff_state = apply_loss(state, imp.extra_loss) if imp.extra_loss < 1.0 else state
-    eff_psi = detuned_effective_mode(psi, *imp.detuning) if imp.detuning else psi
+    eff_psi, eta = detuned_effective_mode(psi, *imp.detuning) if imp.detuning else (psi, 1.0)
+    eta *= imp.extra_loss
+    eff_state = apply_loss(state, eta) if eta < 1.0 else state
     cols = _mode_indices(eff_psi, t0, n_samples, dt)
     mode = eff_psi.samples
     n_cdf = np.cumsum(eff_state.c)
     shift = np.sqrt(2.0) * np.real(imp.displacement) if imp.displacement is not None else 0.0
     noise = imp.electronic_noise_std
-    sigma = np.sqrt(0.5 + noise**2)
+    sigma = np.float32(np.sqrt(0.5 + noise**2))
 
     out = np.empty((n_frames, n_samples), dtype=adc.code_dtype if adc else np.float32)
 
     def fill(lo: int) -> None:
         m = min(FRAME_BLOCK, n_frames - lo)
         rng = seeds.stream(master_seed, seeds.DOMAIN_FRAME, lo // FRAME_BLOCK)
-        g = rng.standard_normal((FRAME_BLOCK, n_samples))[:m]
-        g *= sigma
         n = np.searchsorted(n_cdf, rng.random(FRAME_BLOCK)[:m], side="right")
         n = np.minimum(n, eff_state.n_max)
         u = rng.random(FRAME_BLOCK)[:m]
@@ -303,12 +317,20 @@ def synth_condition(
         x += shift
         if noise > 0.0:
             x += noise * rng.standard_normal(FRAME_BLOCK)[:m]
-        # rank-1 swap along psi; einsum keeps this off the threaded BLAS
-        x -= np.einsum("ij,j->i", g[:, cols], mode)
-        g[:, cols] += np.multiply.outer(x, mode)
-        if adc is not None:
-            adc.encode(g, out=g)
-        out[lo : lo + m] = g
+        g = np.empty((min(_SUB_BLOCK, m), n_samples), np.float32)
+        codes = np.empty(g.shape) if adc is not None else None
+        for s in range(0, m, _SUB_BLOCK):
+            rows = g[: min(_SUB_BLOCK, m - s)]
+            rng.standard_normal(out=rows, dtype=np.float32)
+            rows *= sigma
+            # rank-1 swap along psi in float64; einsum keeps it off the
+            # threaded BLAS
+            band = rows[:, cols].astype(np.float64)
+            band += np.multiply.outer(x[s : s + len(rows)] - np.einsum("ij,j->i", band, mode), mode)
+            rows[:, cols] = band
+            if adc is not None:
+                rows = adc.encode(rows, out=codes[: len(rows)])
+            out[lo + s : lo + s + len(rows)] = rows
 
     for_blocks(n_frames, fill, n_workers)
     return FrameSet(out, t0=t0, dt=dt, adc=adc, master_seed=master_seed)

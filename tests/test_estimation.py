@@ -27,7 +27,14 @@ from photonmem.estimation import (
 from photonmem.fock import FockDiagonalState, hermite_functions, quadrature_pdf
 from photonmem.modes import normalized_mode, overlap_sq
 from photonmem.pipeline import estimate_frames
-from photonmem.synth import AdcSpec, FrameSet, draw_fock_quadrature, extract_quadratures, synth_condition
+from photonmem.synth import (
+    VACUUM_SIGMA,
+    AdcSpec,
+    FrameSet,
+    _fock_inverse_cdf,
+    extract_quadratures,
+    synth_condition,
+)
 
 from conftest import gaussian_mode
 
@@ -44,7 +51,11 @@ def sample_mixture(state: FockDiagonalState, size: int, seed: int) -> np.ndarray
     out = np.empty(size)
     for n in range(state.n_max + 1):
         mask = ns == n
-        out[mask] = draw_fock_quadrature(n, rng, int(mask.sum()))
+        count = int(mask.sum())
+        if n == 0:
+            out[mask] = rng.normal(0.0, VACUUM_SIGMA, count)
+        else:
+            out[mask] = np.interp(rng.random(count), *_fock_inverse_cdf(n))
     return out
 
 

@@ -167,8 +167,12 @@ class TestDetuningPenalty:
 
     def test_effective_mode_normalized(self):
         m = gaussian_mode(100.0, 20.0, 0.0, 200)
-        eff = detuned_effective_mode(m, 2 * np.pi * 5e6, 0.3)
+        eff, weight = detuned_effective_mode(m, 2 * np.pi * 5e6, 0.3)
         assert np.sum(eff.samples**2) == pytest.approx(1.0, abs=1e-12)
+        # the in-phase weight times its overlap with m is the penalty along m
+        penalty = detuning_overlap_penalty(m, 2 * np.pi * 5e6, 0.3)
+        assert weight * np.dot(eff.samples, m.samples) ** 2 == pytest.approx(penalty, abs=1e-12)
+        assert penalty < weight < 1.0
 
     def test_effective_mode_degenerate(self):
         m = gaussian_mode(100.0, 20.0, 0.0, 200)

@@ -478,6 +478,22 @@ class TestUnconvergedMle:
         assert payload["conditions"][1]["mle_converged"] is False
         assert payload["decay_raw_excluded"] == [reason]
 
+    def test_raw_point_fit_reports_no_purity(self, monkeypatch, cfg, tmp_path, capsys):
+        # the unfitted start of condition 1 would read as purity 1/6
+        _stop_early(monkeypatch, {3})
+        save_config(cfg, tmp_path / "sweep.cfg")
+        assert cli_entry(["sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "out")]) == 0
+        status = capsys.readouterr().out.splitlines()[1]
+        assert re.fullmatch(r"storage  100\.0 ns: MLE did not converge \(KKT residual \S+ > \S+\)", status)
+        entry = json.loads((tmp_path / "out" / "report.json").read_text())["conditions"][1]
+        assert entry["mle_converged"] is False
+        for key in ("purity", "purity_err", "wigner_origin", "wigner_origin_err"):
+            assert entry[key] is None
+        rows = (tmp_path / "out" / "decay_points.csv").read_text().splitlines()
+        assert rows[0] == "t_release_ns,purity,purity_err,shifted_purity"
+        assert rows[2].split(",")[:3] == ["250", "", ""]
+        assert all(cell for cell in rows[1].split(",") + rows[3].split(","))
+
     def test_shifted_point_fit_kept_out_and_recorded(self, monkeypatch, cfg):
         _stop_early(monkeypatch, {6})
         report = run_sweep(cfg)

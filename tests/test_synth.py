@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
+from photonmem import seeds, synth
 from photonmem.estimation import mle_photon_distribution
 from photonmem.fock import FockDiagonalState
 from photonmem.modes import normalized_mode
@@ -15,8 +16,8 @@ from photonmem.synth import (
     AdcSpec,
     FrameSet,
     ImperfectionConfig,
+    _fock_inverse_cdf,
     bin_frames,
-    draw_fock_quadrature,
     extract_quadratures,
     for_blocks,
     load_frames,
@@ -57,6 +58,11 @@ class TestSynthFrame:
         # variance of a variance estimate: ~ 0.5 sqrt(2/M); allow 3 sigma + binomial band
         band = 3.0 * 0.5 * math.sqrt(2.0 / 10_000)
         assert np.all(np.abs(var - 0.5) < band + 0.01)
+
+    def test_vacuum_column_is_normal(self, mode):
+        # one sample of every frame: float32 normals scaled by sqrt(1/2)
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20_000, 43, n_samples=128)
+        assert kstest(fs.frames[:, 100], norm(scale=math.sqrt(0.5)).cdf).pvalue > 0.01
 
     def test_single_photon_quadratures_match_p1(self, mode):
         fs = synth_condition(FockDiagonalState.fock(1), mode, 43_000, 12, n_samples=128)
@@ -120,8 +126,9 @@ class TestExtract:
 class TestFockSampler:
     @pytest.mark.parametrize("n,var", [(0, 0.5), (1, 1.5), (2, 2.5), (3, 3.5)])
     def test_moments(self, n, var):
-        rng = np.random.default_rng(16)
-        x = draw_fock_quadrature(n, rng, 400_000)
+        # the inverse-CDF table synthesis maps its quadrature uniforms through
+        u = np.random.default_rng(16).random(400_000)
+        x = np.interp(u, *_fock_inverse_cdf(n))
         assert float(np.mean(x)) == pytest.approx(0.0, abs=0.02)
         assert float(np.var(x)) == pytest.approx(var, rel=0.02)
 
@@ -187,6 +194,51 @@ class TestQuantizeAdc:
         assert got.tobytes() == expected.tobytes()
         assert np.all(np.abs(spec.decode(expected.astype(spec.code_dtype))) < full_scale)
 
+    @given(
+        bits=st.integers(2, 16),
+        full_scale=st.floats(1e-3, 1e3),
+        scaled=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float32_in_place_matches_float64(self, bits, full_scale, scaled, seed):
+        spec = AdcSpec(bits, full_scale)
+        # code boundaries k step in float32 and their float32 neighbours,
+        # where a float32 quotient would floor to the other side
+        k = np.random.default_rng(seed).integers(*spec.code_range, endpoint=True, size=20)
+        edges = (k * spec.step).astype(np.float32)
+        values = np.concatenate(
+            [
+                np.float32(full_scale) * np.array(scaled, np.float32),
+                edges,
+                np.nextafter(edges, np.float32(-np.inf)),
+                np.nextafter(edges, np.float32(np.inf)),
+            ]
+        )
+        expected = spec.encode(values.astype(np.float64))
+        buf = values.copy()
+        got = spec.encode(buf, out=buf)
+        assert got is buf and got.dtype == np.float32
+        np.testing.assert_array_equal(got, expected)
+        assert spec.encode(values).dtype == np.float32
+
+
+class TestSeeds:
+    def test_streams_are_pcg64dxsm(self):
+        assert isinstance(seeds.stream(7, seeds.DOMAIN_FRAME, 0).bit_generator, np.random.PCG64DXSM)
+
+    def test_distinct_paths_give_distinct_draws(self):
+        paths = [
+            (7, seeds.DOMAIN_FRAME, 0),
+            (7, seeds.DOMAIN_FRAME, 1),
+            (7, seeds.DOMAIN_BOOTSTRAP, 0),
+            (7, seeds.DOMAIN_FRAME, 0, 0),
+            (8, seeds.DOMAIN_FRAME, 0),
+        ]
+        draws = [seeds.stream(*path).random(4).tobytes() for path in paths]
+        assert len(set(draws)) == len(paths)
+        assert seeds.stream(*paths[0]).random(4).tobytes() == draws[0]  # a path repeats
+
 
 class TestImperfections:
     def test_displacement_shifts_mode_quadrature(self, mode):
@@ -203,17 +255,22 @@ class TestImperfections:
         c1 = float(mle_photon_distribution(extract_quadratures(fs, mode), 5).state.c[1])
         assert c1 == pytest.approx(0.4, abs=0.02)
 
-    def test_detuning_attenuates_purity(self, mode):
+    @pytest.mark.parametrize(
+        "p, phase, seed", [(1.0, 0.0, 20), (1.0, 0.0, 21), (1.0, 0.0, 22), (0.8, 0.3, 20)]
+    )
+    def test_detuning_attenuates_purity(self, mode, p, phase, seed):
+        # the in-phase part carries only its weight of the photon, so along
+        # the undetuned mode the single-photon weight is p times the penalty
         from photonmem.modes import detuning_overlap_penalty
 
-        delta, phase = 2 * math.pi * 3e6, 0.0
+        delta = 2 * math.pi * 3e6
         imp = ImperfectionConfig(detuning=(delta, phase))
-        state = FockDiagonalState.fock(1)
-        fs = synth_condition(state, mode, 30_000, 20, n_samples=128, imperfections=imp)
+        state = FockDiagonalState.two_level(p)
+        fs = synth_condition(state, mode, 30_000, seed, n_samples=128, imperfections=imp)
         c1 = float(mle_photon_distribution(extract_quadratures(fs, mode), 5).state.c[1])
         penalty = detuning_overlap_penalty(mode, delta, phase)
         assert penalty < 0.99  # 3 MHz over a wide pulse is no longer harmless
-        assert c1 == pytest.approx(penalty, abs=0.025)
+        assert c1 == pytest.approx(p * penalty, abs=0.025)
 
     @pytest.mark.parametrize("which", ["mode", "ortho"])
     def test_electronic_noise_along_and_across_mode(self, mode, ortho, which):
@@ -260,12 +317,25 @@ class TestDeterminism:
         assert a.frames.tobytes() == b.frames.tobytes()
 
     def test_frame_depends_only_on_seed_and_index(self, mode):
-        # a partial last block draws the whole block: a shorter run is a prefix
+        # a block's uniforms come first and its normals row by row: a shorter
+        # run is a prefix
         state = FockDiagonalState.two_level(0.5)
         imp = ImperfectionConfig(displacement=0.2, electronic_noise_std=0.1)
         short = synth_condition(state, mode, 1500, 35, n_samples=128, imperfections=imp)
         long = synth_condition(state, mode, 2049, 35, n_samples=128, imperfections=imp)
         np.testing.assert_array_equal(short.frames, long.frames[:1500])
+
+    @pytest.mark.parametrize("adc", [AdcSpec(), None], ids=["adc", "no-adc"])
+    def test_sub_block_does_not_change_bytes(self, monkeypatch, mode, adc):
+        state = FockDiagonalState.two_level(0.5)
+        imp = ImperfectionConfig(
+            displacement=0.2, detuning=(2e7, 0.3), extra_loss=0.9, electronic_noise_std=0.1
+        )
+        kw = dict(n_samples=128, imperfections=imp, adc=adc)
+        ref = synth_condition(state, mode, 2049, 44, **kw).data.tobytes()
+        for rows in (1, 7, FRAME_BLOCK):
+            monkeypatch.setattr(synth, "_SUB_BLOCK", rows)
+            assert synth_condition(state, mode, 2049, 44, **kw).data.tobytes() == ref
 
     def test_zero_frames_rejected(self, mode):
         with pytest.raises(ValueError):
