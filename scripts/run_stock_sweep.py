@@ -18,7 +18,6 @@ Usage:
 
 import argparse
 import json
-import os
 import platform
 import resource
 import sys
@@ -29,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from photonmem.config import ExperimentConfig
-from photonmem.pipeline import decay_lines, emit_figure_data, run_sweep, unconverged_reason
+from photonmem.pipeline import condition_lines, decay_lines, emit_figure_data, run_sweep
+from photonmem.synth import resolve_workers
 
 
 def main() -> int:
@@ -50,9 +50,8 @@ def main() -> int:
     if args.frames:
         cfg = replace(cfg, frames_per_condition=args.frames)
 
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # 0 means one per usable core, as the frame-matrix passes resolve it
-    workers = cfg.n_workers or nproc
+    nproc = resolve_workers(0)
+    workers = resolve_workers(cfg.n_workers)
     start, cpu = time.perf_counter(), time.process_time()
     report = run_sweep(cfg)
     files = emit_figure_data(report, args.out)
@@ -63,22 +62,7 @@ def main() -> int:
         f"sweep + emit: {wall:.1f} s wall, {cpu:.1f} s CPU, {rss_mb:.0f} MB max RSS, "
         f"{workers} worker(s)"
     )
-    for c in report.conditions:
-        if c.error:
-            print(f"  storage {c.storage_time_ns:5.0f} ns: FAILED ({c.error})")
-            continue
-        if not c.tomography.mle.converged:
-            print(f"  storage {c.storage_time_ns:5.0f} ns: {unconverged_reason(c.tomography.mle)}")
-            continue
-        t = c.tomography
-        shifted = c.shifted_error or f"{c.shifted_purity:.4f}"
-        print(
-            f"  storage {c.storage_time_ns:5.0f} ns: "
-            f"purity {t.purity:.4f} +- {t.purity_err:.4f}  shifted {shifted}  "
-            f"W(0,0) = {t.wigner_origin:+.4f} +- {t.wigner_origin_err:.4f} "
-            f"({t.wigner_origin / t.wigner_origin_err:+.1f} sigma)"
-        )
-    print("\n".join(decay_lines(report)))
+    print("\n".join(condition_lines(report) + decay_lines(report)))
     print(f"wrote {len(files)} files under {args.out}")
 
     if args.json:

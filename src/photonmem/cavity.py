@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, FitFailureError, NumericFailureError
-from .modes import ComplexEnvelope, ModeFunction, complex_envelope
+from .modes import ModeFunction
 
 SPEED_OF_LIGHT = 299792458.0
 NS = 1e-9
@@ -61,14 +61,6 @@ class CavityParams:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
-
-    @property
-    def mc_fsr_hz(self) -> float:
-        return SPEED_OF_LIGHT / self.mc_round_trip_m
-
-    @property
-    def sc_fsr_hz(self) -> float:
-        return SPEED_OF_LIGHT / self.sc_round_trip_m
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,6 @@ class ReleaseResult:
     """Released envelope plus stored-population trace and pulse metrics."""
 
     envelope: ModeFunction
-    complex_envelope: ComplexEnvelope
     mc_population: np.ndarray
     metrics: dict = field(default_factory=dict)
 
@@ -124,7 +115,6 @@ class ReleaseResult:
 class LifetimeEstimate:
     tau_ns: float
     exceeds_window: bool
-    decay_rate_per_ns: float
 
 
 def derive_rates(params: CavityParams) -> CavityRates:
@@ -277,12 +267,34 @@ def _fwhm_ns(times: np.ndarray, intensity: np.ndarray) -> float:
     return float(t_right - t_left)
 
 
+def _real_mode(values: np.ndarray, t0: float) -> ModeFunction:
+    """Real mode of complex field samples on the envelope grid from ``t0``.
+
+    Normalizes the samples, rotates them by the global phase that maximizes
+    ``sum(Re part)^2``, takes the real part, renormalizes, and fixes the sign
+    so the largest-|value| entry is positive.
+    """
+    norm = float(np.sum(np.abs(values) ** 2))
+    if norm < 1e-24:
+        raise DegenerateInputError("cannot normalize: zero-energy samples")
+    z = values / np.sqrt(norm)
+    # sum(Re(z e^{i theta})^2) = |z|^2/2 + Re(e^{2i theta} sum z^2)/2
+    s = np.sum(z**2)
+    theta = -0.5 * np.angle(s) if s != 0 else 0.0
+    real_part = np.real(z * np.exp(1j * theta))
+    # that phase keeps (1 + |sum z^2|) / 2 >= 1/2 of the energy
+    psi = real_part / np.sqrt(float(np.sum(real_part**2)))
+    if psi[np.argmax(np.abs(psi))] < 0:
+        psi = -psi
+    return ModeFunction(psi, t0, ENVELOPE_DT_NS)
+
+
 def simulate_release(params: CavityParams, schedule: ShutterSchedule) -> ReleaseResult:
     """Integrate the release dynamics and return the emitted temporal mode.
 
-    The output field is ``sqrt(kappa_out) a_S(t)``; it is projected onto a real
-    mode by a global phase (see ``ComplexEnvelope.to_real_mode``) and sampled
-    on the 1 ns envelope grid.  Metrics are energy fractions of the initially
+    The output field is ``sqrt(kappa_out) a_S(t)``; it is sampled on the 1 ns
+    envelope grid and projected onto a real mode by a global phase (see
+    :func:`_real_mode`).  Metrics are energy fractions of the initially
     stored photon: ``preleak_fraction`` escaped before the release time,
     ``emitted_fraction`` in total, ``loss_fraction`` absorbed inside the
     cavities, ``residual_fraction`` still stored at the window end.
@@ -305,10 +317,7 @@ def simulate_release(params: CavityParams, schedule: ShutterSchedule) -> Release
     stride = int(round(ENVELOPE_DT_NS / schedule.dt_int_ns))
     # half-open window [t_start, t_end): one sample per ns, matching frame grids
     coarse = slice(0, t_ns.size - 1, stride)
-    env = complex_envelope(
-        np.sqrt(rates.kappa_out) * a[coarse, 1], schedule.t_start_ns, ENVELOPE_DT_NS
-    )
-    mode, _ = env.to_real_mode()
+    mode = _real_mode(np.sqrt(rates.kappa_out) * a[coarse, 1], schedule.t_start_ns)
 
     intensity = mode.samples**2
     peak_idx = int(np.argmax(intensity))
@@ -320,12 +329,7 @@ def simulate_release(params: CavityParams, schedule: ShutterSchedule) -> Release
         "loss_fraction": loss,
         "residual_fraction": residual,
     }
-    return ReleaseResult(
-        envelope=mode,
-        complex_envelope=env,
-        mc_population=pop_m[coarse].copy(),
-        metrics=metrics,
-    )
+    return ReleaseResult(envelope=mode, mc_population=pop_m[coarse].copy(), metrics=metrics)
 
 
 def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> LifetimeEstimate:
@@ -348,5 +352,4 @@ def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> Lifetim
     return LifetimeEstimate(
         tau_ns=tau_ns,
         exceeds_window=tau_ns > LIFETIME_WINDOW_FACTOR * window,
-        decay_rate_per_ns=-slope,
     )

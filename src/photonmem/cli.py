@@ -26,6 +26,7 @@ from .errors import PhotonMemError
 from .fock import FockDiagonalState
 from .gate import CRITERIA, run_gate
 from .pipeline import (
+    condition_lines,
     decay_lines,
     emit_figure_data,
     estimate_frames,
@@ -34,7 +35,6 @@ from .pipeline import (
     run_sweep,
     tomography_fields,
     tomography_files,
-    unconverged_reason,
     write_files,
 )
 from .synth import AdcSpec, load_frames, save_frames, synth_condition
@@ -166,20 +166,11 @@ def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     report = run_sweep(cfg)
     emit_figure_data(report, args.out)
-    for c in report.conditions:
-        if c.error:
-            status = c.error
-        elif not c.tomography.mle.converged:
-            status = unconverged_reason(c.tomography.mle)
-        else:
-            status = f"purity {c.tomography.purity:.4f} +- {c.tomography.purity_err:.4f}"
-        print(f"storage {c.storage_time_ns:6.1f} ns: {status}")
-    print("\n".join(decay_lines(report)))
+    print("\n".join(condition_lines(report) + decay_lines(report)))
     return 1 if report.failed else 0
 
 
 def _cmd_gate(args, cfg: ExperimentConfig) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     results = run_gate(indices=args.criteria, out_json=args.out / "gate_results.json")
     return 0 if results and all(r.passed for r in results) else 1
 

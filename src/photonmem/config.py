@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown purity_model {self.purity_model!r}")
         if self.purity_model == "explicit" and len(self.purities) != len(self.storage_times_ns):
             raise ValueError("need one purity per storage time")
+        if not all(0.0 <= p <= 1.0 for p in self.purities):
+            raise ValueError(f"[sweep] purities must lie in [0, 1], got {self.purities}")
         if not 0.0 < self.release_purity_p0 <= 1.0:
             raise ValueError("release_purity_p0 must lie in (0, 1]")
         if self.master_seed < 0:
@@ -226,7 +228,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
         else:
             kwargs.update(vals)
     return ExperimentConfig(**kwargs)
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(cfg.to_text())

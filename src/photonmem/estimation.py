@@ -35,15 +35,6 @@ class PcaResult:
     eigenvalue: float
     spectrum: np.ndarray
 
-    @property
-    def mean_photon(self) -> float:
-        """Photon-number estimate implied by the eigenvalue.
-
-        For a phase-insensitive state both quadrature variances equal the
-        eigenvalue, so ``2 <n> = <x^2> + <p^2> - 1`` gives ``lambda - 1/2``.
-        """
-        return self.eigenvalue - 0.5
-
 
 @dataclass(frozen=True)
 class MleResult:
@@ -90,21 +81,13 @@ class TomographyReport:
     #: bootstrap refits that missed MLE_KKT_TOL and were left out of purity_err
     bootstrap_failures: int
     #: share of ADC samples at the two outermost codes (None without an ADC)
-    adc_saturated_fraction: float | None = None
+    adc_saturated_fraction: float | None
 
     def __post_init__(self):
         if not 0.0 <= self.purity <= 1.0:
             raise ValueError(f"purity must lie in [0, 1], got {self.purity}")
         if self.purity_err < 0.0:
             raise ValueError("purity_err must be non-negative")
-
-    @property
-    def state(self) -> FockDiagonalState:
-        return self.mle.state
-
-    @property
-    def loglik(self) -> float:
-        return self.mle.loglik
 
 
 @dataclass(frozen=True)
@@ -588,16 +571,17 @@ def build_tomography_report(
     mle: MleResult,
     *,
     bootstrap: BootstrapResult,
-    bins: int = 60,
+    adc_saturated_fraction: float | None,
 ) -> TomographyReport:
     """Derived quantities of the point estimate ``mle`` fitted to ``quads``,
-    with the error bar of ``bootstrap``."""
+    with the error bar of ``bootstrap`` and the frames' ADC saturation."""
     return TomographyReport(
         mle=mle,
         purity=float(mle.state.c[1]),
         purity_err=bootstrap.std,
         wigner_origin=wigner_origin(mle.state),
         wigner_origin_err=bootstrap.wigner_origin_std,
-        histogram=histogram_with_overlay(quads, mle.state, bins),
+        histogram=histogram_with_overlay(quads, mle.state),
         bootstrap_failures=bootstrap.failures,
+        adc_saturated_fraction=adc_saturated_fraction,
     )

@@ -2,13 +2,12 @@
 
 Each criterion returns pass/fail plus a detail string; :func:`run_gate`
 prints one line per criterion and can write a machine-readable JSON summary.
-The heavyweight shared artifacts (the full-scale synthetic data set) are
-cached so the whole gate stays within its runtime budget.
+The heavyweight shared artifacts (the full-scale synthetic data set and its
+estimate) are cached so the whole gate stays within its runtime budget.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import shutil
 import tempfile
@@ -26,13 +25,7 @@ from .config import (
     ExperimentConfig,
 )
 from .counting import g2_from_counts, simulate_heralded_clicks
-from .estimation import (
-    bootstrap_purity,
-    fit_exponential_decay,
-    matched_window_pca,
-    mle_photon_distribution,
-    pca_from_frames,
-)
+from .estimation import fit_exponential_decay, mle_photon_distribution, pca_from_frames
 from .fock import (
     FockDiagonalState,
     apply_loss,
@@ -48,7 +41,7 @@ from .modes import (
     overlap_sq,
     time_shift,
 )
-from .pipeline import emit_figure_data, run_sweep
+from .pipeline import emit_figure_data, estimate_frames, json_text, run_sweep, write_files
 from .synth import AdcSpec, FrameSet, extract_quadratures, synth_condition
 
 GATE_SEED = 7043
@@ -88,8 +81,10 @@ def _full_scale_frames():
 
 
 @lru_cache(maxsize=1)
-def _full_scale_pca():
-    return matched_window_pca(_full_scale_frames())
+def _full_scale_estimate():
+    """The sweep's estimate of the full-scale frame set, fitted once for
+    criteria 2 and 6: tomography report, PCA result and quadratures."""
+    return estimate_frames(_full_scale_frames(), n_max=5, bootstrap_resamples=40)
 
 
 def _short_mode(n_samples: int = 128, t0: float = 140.0) -> ModeFunction:
@@ -125,12 +120,9 @@ def criterion_wigner_anchors() -> tuple[bool, str]:
 
 def criterion_tomography_round_trip() -> tuple[bool, str]:
     """Full-scale synthesis -> PCA -> MLE recovers p and the mode."""
-    fs = _full_scale_frames()
-    pca = _full_scale_pca()
+    report, pca, _ = _full_scale_estimate()
     overlap = overlap_sq(pca.mode, _release_base().envelope)
-    quads = extract_quadratures(fs, pca.mode)
-    mle = mle_photon_distribution(quads, n_max=5)
-    c1 = float(mle.state.c[1])
+    c1 = report.purity
     ok = abs(c1 - _STOCK_PURITY) <= 0.01 and overlap >= 0.99
     details = (
         f"recovered c1 = {c1:.4f} (target {_STOCK_PURITY} +- 0.01), "
@@ -295,15 +287,8 @@ def criterion_loss_and_correlations() -> tuple[bool, str]:
     mc_invariant = bool(np.all(np.abs(full.g2 - thinned.g2) <= bands))
     antibunched = full.g2[0] <= 3.0 * full.err[0]
 
-    fs = _full_scale_frames()
-    quads = extract_quadratures(fs, _full_scale_pca().mode)
-    boot_std = bootstrap_purity(
-        quads,
-        mle_photon_distribution(quads, n_max=5).state,
-        40,
-        n_max=5,
-        master_seed=fs.master_seed,
-    ).std
+    report, _, _ = _full_scale_estimate()
+    boot_std = report.purity_err
     boot_ok = 0.0025 <= boot_std <= 0.01
 
     ok = (
@@ -416,5 +401,5 @@ def run_gate(
             "all_passed": all(r.passed for r in results),
             "criteria": [asdict(r) for r in results],
         }
-        Path(out_json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_files(Path(out_json).parent, {Path(out_json).name: json_text(payload)})
     return results

@@ -19,12 +19,6 @@ NORM_TOL = 1e-9
 GRID_TOL = 1e-6
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class ModeFunction:
     """Real temporal envelope, unit norm in the sqrt(dt) convention."""
@@ -34,7 +28,9 @@ class ModeFunction:
     dt: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _as_readonly(self.samples))
+        samples = np.array(self.samples, dtype=float, copy=True)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.samples)):
@@ -59,55 +55,6 @@ class ModeFunction:
         return self.t0 + self.dt * (self.samples.size - 1)
 
 
-@dataclass(frozen=True)
-class ComplexEnvelope:
-    """Complex envelope before projection onto the (real) local-oscillator frame."""
-
-    re: np.ndarray
-    im: np.ndarray
-    t0: float
-    dt: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_readonly(self.re))
-        object.__setattr__(self, "im", _as_readonly(self.im))
-        if self.re.shape != self.im.shape or self.re.ndim != 1:
-            raise ValueError("re and im must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(self.re)) and np.all(np.isfinite(self.im))):
-            raise ValueError("envelope samples must be finite")
-        norm = float(np.sum(self.re**2 + self.im**2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"complex envelope not normalized: {norm!r}")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.re.size)
-
-    def to_real_mode(self) -> tuple["ModeFunction", float]:
-        """Project onto a real mode by an energy-maximizing global phase.
-
-        Rotates by the phase that maximizes ``sum(Re part)^2``, takes the real
-        part, renormalizes, and fixes the sign so the largest-|value| entry is
-        positive.  Returns the mode and the energy fraction it retains.
-        """
-        z = self.values
-        # sum(Re(z e^{i theta})^2) = |z|^2/2 + Re(e^{2i theta} sum z^2)/2
-        s = np.sum(z**2)
-        theta = -0.5 * np.angle(s) if s != 0 else 0.0
-        real_part = np.real(z * np.exp(1j * theta))
-        kept = float(np.sum(real_part**2))
-        if kept < 1e-12:
-            raise DegenerateInputError("real projection retains no energy")
-        psi = real_part / np.sqrt(kept)
-        if psi[np.argmax(np.abs(psi))] < 0:
-            psi = -psi
-        return ModeFunction(psi, self.t0, self.dt), kept
-
-
 def normalized_mode(samples, t0: float, dt: float = 1.0) -> ModeFunction:
     """Build a ModeFunction from raw samples, normalizing them first."""
     arr = np.asarray(samples, dtype=float)
@@ -115,16 +62,6 @@ def normalized_mode(samples, t0: float, dt: float = 1.0) -> ModeFunction:
     if norm < 1e-24:
         raise DegenerateInputError("cannot normalize: zero-energy samples")
     return ModeFunction(arr / np.sqrt(norm), t0, dt)
-
-
-def complex_envelope(values, t0: float, dt: float = 1.0) -> ComplexEnvelope:
-    """Build a normalized ComplexEnvelope from complex samples."""
-    z = np.asarray(values, dtype=complex)
-    norm = float(np.sum(np.abs(z) ** 2))
-    if norm < 1e-24:
-        raise DegenerateInputError("cannot normalize: zero-energy samples")
-    z = z / np.sqrt(norm)
-    return ComplexEnvelope(z.real, z.imag, t0, dt)
 
 
 def _grid_offset(a: ModeFunction, b: ModeFunction) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,15 +89,14 @@ def estimate_frames(
     *,
     n_max: int,
     bootstrap_resamples: int,
-    master_seed: int | None = None,
     n_workers: int = 1,
 ) -> tuple[TomographyReport, PcaResult, np.ndarray]:
     """PCA mode + quadrature extraction + MLE + bootstrap for one frame set.
 
-    This is the single estimation path used both in-process by
-    :func:`run_sweep` and by the file-mediated CLI, so staged runs reproduce
-    in-process results exactly.  ``n_workers`` threads the frame-matrix
-    passes and changes no result.
+    This is the single estimation path used in-process by :func:`run_sweep`
+    and the acceptance gate and by the file-mediated CLI, so staged runs
+    reproduce in-process results exactly.  ``n_workers`` threads the
+    frame-matrix passes and changes no result.
     """
     pca = matched_window_pca(fs, n_workers=n_workers)
     quads = extract_quadratures(fs, pca.mode, n_workers=n_workers)
@@ -107,10 +106,11 @@ def estimate_frames(
         mle.state,
         bootstrap_resamples,
         n_max=n_max,
-        master_seed=fs.master_seed if master_seed is None else master_seed,
+        master_seed=fs.master_seed,
     )
-    report = build_tomography_report(quads, mle, bootstrap=boot)
-    report = replace(report, adc_saturated_fraction=fs.adc_saturated_fraction)
+    report = build_tomography_report(
+        quads, mle, bootstrap=boot, adc_saturated_fraction=fs.adc_saturated_fraction
+    )
     return report, pca, quads
 
 
@@ -263,6 +263,29 @@ def _pm(value: float, err: float | None, fmt: str) -> str:
     return f"{value:{fmt}}" + ("" if err is None else f" +- {err:{fmt}}")
 
 
+def condition_lines(report: SweepReport) -> list[str]:
+    """Per condition: its error, why its point fit reports no purity, or its
+    purity, shifted purity and W(0,0) in units of its bootstrap error."""
+    lines = []
+    for c in report.conditions:
+        t = c.tomography
+        if c.error:
+            status = c.error
+        elif not t.mle.converged:
+            status = unconverged_reason(t.mle)
+        else:
+            shifted = c.shifted_error or (
+                f"{c.shifted_purity:.4f}" if c.shifted_mle.converged else unconverged_reason(c.shifted_mle)
+            )
+            status = (
+                f"purity {_pm(t.purity, t.purity_err, '.4f')}, shifted {shifted}, "
+                f"W(0,0) = {t.wigner_origin:+.4f} +- {t.wigner_origin_err:.4f} "
+                f"({t.wigner_origin / t.wigner_origin_err:+.1f} sigma)"
+            )
+        lines.append(f"storage {c.storage_time_ns:6.1f} ns: {status}")
+    return lines
+
+
 def decay_lines(report: SweepReport) -> list[str]:
     """Both decay fits, with their error bars, or why each one is missing;
     and the points each one kept out."""
@@ -329,14 +352,14 @@ def tomography_files(report: TomographyReport) -> dict[str, str]:
     """Histogram with the fitted overlay, Wigner cross-section through the
     origin, and photon-number distribution of one tomography report."""
     hist = report.histogram
-    section = wigner_section(report.state)
+    section = wigner_section(report.mle.state)
     return {
         "histogram.csv": _csv_text(
             ["x", "density", "model"], map(_g, hist.centers, hist.density, hist.model)
         ),
         "wigner_section.csv": _csv_text(["x", "w"], map(_g, section.r, section.w)),
         "photon_number.csv": _csv_text(
-            ["n", "c_n"], ([str(n), *_g(cn)] for n, cn in enumerate(report.state.c))
+            ["n", "c_n"], ([str(n), *_g(cn)] for n, cn in enumerate(report.mle.state.c))
         ),
     }
 
@@ -350,8 +373,8 @@ def tomography_fields(report: TomographyReport, pca: PcaResult) -> dict:
     """
     ok = report.mle.converged
     return {
-        "photon_number_distribution": [float(v) for v in report.state.c],
-        "loglik": report.loglik,
+        "photon_number_distribution": [float(v) for v in report.mle.state.c],
+        "loglik": report.mle.loglik,
         "purity": report.purity if ok else None,
         "purity_err": report.purity_err if ok else None,
         "wigner_origin": report.wigner_origin if ok else None,

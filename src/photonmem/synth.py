@@ -46,21 +46,26 @@ FRAME_BLOCK = 1024
 _SUB_BLOCK = 64
 
 
+def resolve_workers(n_workers: int) -> int:
+    """Threads that ``n_workers`` stands for: itself, or for 0 one per usable
+    core (the CPU affinity where the platform has it)."""
+    if n_workers:
+        return n_workers
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def for_blocks(n_rows: int, fn, n_workers: int = 1) -> None:
     """Call ``fn(lo)`` for every ``FRAME_BLOCK`` row start ``lo`` in
-    ``[0, n_rows)``, on up to ``n_workers`` threads (0: one per usable core,
-    the CPU affinity where the platform has it).
+    ``[0, n_rows)``, on up to ``resolve_workers(n_workers)`` threads.
 
     The partition is fixed, so a pass whose blocks write disjoint rows gives
     the same bytes for any worker count.
     """
-    if n_workers == 0:
-        try:
-            n_workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity API on this platform
-            n_workers = os.cpu_count() or 1
     starts = range(0, n_rows, FRAME_BLOCK)
-    workers = min(n_workers, len(starts))
+    workers = min(resolve_workers(n_workers), len(starts))
     if workers <= 1:
         for lo in starts:
             fn(lo)
@@ -219,10 +224,6 @@ class FrameSet:
         blocks = (self.data[i : i + FRAME_BLOCK] for i in range(0, self.n_frames, FRAME_BLOCK))
         return sum(np.count_nonzero(b == lo) + np.count_nonzero(b == hi) for b in blocks) / self.data.size
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
-
 
 @lru_cache(maxsize=64)
 def _fock_inverse_cdf(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,12 +260,12 @@ def synth_condition(
     *,
     t0: float = 0.0,
     n_samples: int = 1000,
-    dt: float = 1.0,
     imperfections: ImperfectionConfig | None = None,
     adc: AdcSpec | None = None,
     n_workers: int = 1,
 ) -> FrameSet:
-    """Generate ``n_frames`` independent frames for one experimental condition.
+    """Generate ``n_frames`` independent frames on the 1 ns grid for one
+    experimental condition.
 
     Frames are drawn in blocks of ``FRAME_BLOCK``; block ``b`` (frames
     ``b * FRAME_BLOCK`` onwards) uses the single stream
@@ -295,7 +296,7 @@ def synth_condition(
     eff_psi, eta = detuned_effective_mode(psi, *imp.detuning) if imp.detuning else (psi, 1.0)
     eta *= imp.extra_loss
     eff_state = apply_loss(state, eta) if eta < 1.0 else state
-    cols = _mode_indices(eff_psi, t0, n_samples, dt)
+    cols = _mode_indices(eff_psi, t0, n_samples, 1.0)
     mode = eff_psi.samples
     n_cdf = np.cumsum(eff_state.c)
     shift = np.sqrt(2.0) * np.real(imp.displacement) if imp.displacement is not None else 0.0
@@ -333,7 +334,7 @@ def synth_condition(
             out[lo + s : lo + s + len(rows)] = rows
 
     for_blocks(n_frames, fill, n_workers)
-    return FrameSet(out, t0=t0, dt=dt, adc=adc, master_seed=master_seed)
+    return FrameSet(out, t0=t0, dt=1.0, adc=adc, master_seed=master_seed)
 
 
 def bin_frames(
@@ -410,7 +411,10 @@ def extract_quadratures(fs: FrameSet, psi0: ModeFunction, *, n_workers: int = 1)
 
 def save_frames(fs: FrameSet, path: str | Path) -> None:
     """Write the frame format (version 2): fixed header + row-major data, as
-    little-endian ADC codes iff the ADC flag is set and float32 otherwise."""
+    little-endian ADC codes iff the ADC flag is set and float32 otherwise.
+
+    The file is written under a temporary name and renamed over ``path``, so
+    a failed write leaves an earlier file intact."""
     adc = fs.adc
     header = _HEADER.pack(
         _MAGIC,
@@ -424,9 +428,11 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
         adc.full_scale if adc else 0.0,
         fs.master_seed & 0xFFFFFFFFFFFFFFFF,
     )
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(header)
         fs.data.astype(adc.code_dtype if adc else "<f4", copy=False).tofile(fh)
+    os.replace(tmp, path)
 
 
 def load_frames(path: str | Path) -> FrameSet:

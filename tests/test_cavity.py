@@ -15,6 +15,7 @@ from photonmem.cavity import (
     CavityParams,
     ShutterSchedule,
     _propagate_segment,
+    _real_mode,
     _solve,
     derive_rates,
     simpson,
@@ -42,9 +43,12 @@ class TestDeriveRates:
         assert rates.g == 0.0
 
     def test_fsr(self, params):
-        assert params.mc_fsr_hz == pytest.approx(2.141e8, rel=1e-3)
+        # the free spectral range c / L is the inverse round-trip time that
+        # turns the round-trip loss into a rate
+        fsr = derive_rates(params).gamma_m / params.mc_loss
+        assert fsr == pytest.approx(2.141e8, rel=1e-3)
         # agrees with the hardware's two-digit 2.2e2 MHz nameplate figure
-        assert abs(params.mc_fsr_hz - 2.2e8) < 1e7
+        assert abs(fsr - 2.2e8) < 1e7
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -112,6 +116,31 @@ class TestSimulateRelease:
             ShutterSchedule(t_release_ns=150.0, dt_int_ns=0.3)  # does not divide 1 ns
         with pytest.raises(ValueError):
             ShutterSchedule(t_release_ns=150.05, dt_int_ns=0.1)  # off the step grid
+
+
+class TestRealMode:
+    """The projection of the complex output field onto the real release mode."""
+
+    def test_constant_phase_keeps_all_energy(self):
+        rng = np.random.default_rng(13)
+        amplitude = rng.normal(size=32)
+        mode = _real_mode(amplitude * np.exp(1j * 0.7), 5.0)
+        # the rotation undoes the phase: the mode is the whole field
+        expected = amplitude / np.linalg.norm(amplitude)
+        np.testing.assert_allclose(np.abs(mode.samples), np.abs(expected), atol=1e-12)
+        assert abs(float(mode.samples @ expected)) == pytest.approx(1.0, abs=1e-12)
+        assert mode.samples[np.argmax(np.abs(mode.samples))] > 0
+        assert (mode.t0, mode.dt) == (5.0, 1.0)
+
+    def test_mixed_phase_splits_energy(self):
+        # half the energy is in phase, half in quadrature: the mode keeps
+        # the in-phase half and drops the other
+        mode = _real_mode(np.array([1.0, 1.0j, 1.0, 1.0j]), 0.0)
+        np.testing.assert_allclose(mode.samples, [np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0], atol=1e-15)
+
+    def test_zero_energy_rejected(self):
+        with pytest.raises(DegenerateInputError, match="zero-energy"):
+            _real_mode(np.zeros(4, dtype=complex), 0.0)
 
 
 class TestStorageLifetime:

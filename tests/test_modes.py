@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from photonmem.errors import DegenerateInputError
 from photonmem.modes import (
-    ComplexEnvelope,
     ModeFunction,
     clip_and_renormalize,
-    complex_envelope,
     detuned_effective_mode,
     detuning_overlap_penalty,
     inner_product,
@@ -192,26 +190,6 @@ class TestOrthonormalize:
         m = random_mode(12)
         with pytest.raises(DegenerateInputError):
             orthonormalize([m, m])
-
-
-class TestComplexEnvelope:
-    def test_constant_phase_keeps_all_energy(self):
-        rng = np.random.default_rng(13)
-        z = rng.normal(size=32) * np.exp(1j * 0.7)
-        env = complex_envelope(z, 0.0, 1.0)
-        mode, kept = env.to_real_mode()
-        assert kept == pytest.approx(1.0, abs=1e-12)
-        assert mode.samples[np.argmax(np.abs(mode.samples))] > 0
-
-    def test_mixed_phase_splits_energy(self):
-        z = np.array([1.0, 1.0j, 1.0, 1.0j])
-        env = complex_envelope(z, 0.0, 1.0)
-        _, kept = env.to_real_mode()
-        assert kept == pytest.approx(0.5, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="normalized"):
-            ComplexEnvelope(np.ones(4), np.zeros(4), 0.0, 1.0)
 
 
 class TestModeFunctionValidation:

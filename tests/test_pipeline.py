@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from photonmem import estimation, pipeline
 from photonmem.cavity import CavityParams
 from photonmem.cli import cli_entry
-from photonmem.config import ExperimentConfig, load_config, save_config
+from photonmem.config import ExperimentConfig, load_config
 from photonmem.errors import InsufficientDataError, PhotonMemError
 from photonmem.estimation import (
     MAX_N_MAX,
@@ -151,14 +151,14 @@ def smoke_report(smoke_config):
 class TestConfig:
     def test_round_trip(self, tmp_path, smoke_config):
         path = tmp_path / "exp.cfg"
-        save_config(smoke_config, path)
+        path.write_text(smoke_config.to_text())
         back = load_config(path)
         assert back == smoke_config
 
     def test_phase_only_detuning_round_trip(self, tmp_path, smoke_config):
         cfg = replace(smoke_config, imperfections=ImperfectionConfig(detuning=(0.0, 0.7)))
         path = tmp_path / "phase.cfg"
-        save_config(cfg, path)
+        path.write_text(cfg.to_text())
         back = load_config(path)
         assert back.imperfections.detuning == (0.0, 0.7)
         assert back == cfg
@@ -175,7 +175,7 @@ class TestConfig:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, tmp_path_factory, cfg):
         path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
-        save_config(cfg, path)
+        path.write_text(cfg.to_text())
         back = load_config(path)
         assert back == cfg
         assert back.digest() == cfg.digest()
@@ -184,7 +184,7 @@ class TestConfig:
         # a zero displacement or detuning is stock: same digest, same config
         cfg = ExperimentConfig(imperfections=ImperfectionConfig(displacement=0j, detuning=(0.0, 0.0)))
         path = tmp_path / "zero.cfg"
-        save_config(cfg, path)
+        path.write_text(cfg.to_text())
         assert load_config(path) == cfg == ExperimentConfig()
         assert cfg.digest() == ExperimentConfig().digest()
 
@@ -260,8 +260,12 @@ class TestConfig:
             ({"window_start_ns": 200.0}, "t_start < t_release"),
             ({"dt_int_ns": 0.3}, "divide the 1 ns output grid"),
             ({"intrinsic_delay_ns": 150.05}, "multiple of dt_int"),
+            ({"purities": (0.582, 0.546, -0.1, 0.497)}, r"\[sweep\] purities must lie in \[0, 1\]"),
         ],
-        ids=["few-resamples", "n_max-0", "n_max-30", "release-after-end", "release-before-start", "dt-grid", "off-grid"],
+        ids=[
+            "few-resamples", "n_max-0", "n_max-30", "release-after-end", "release-before-start", "dt-grid", "off-grid",
+            "negative-purity",
+        ],
     )
     def test_rejects_configs_that_fail_later(self, fields, message):
         # each of these used to construct and then fail every condition
@@ -481,10 +485,16 @@ class TestUnconvergedMle:
     def test_raw_point_fit_reports_no_purity(self, monkeypatch, cfg, tmp_path, capsys):
         # the unfitted start of condition 1 would read as purity 1/6
         _stop_early(monkeypatch, {3})
-        save_config(cfg, tmp_path / "sweep.cfg")
+        (tmp_path / "sweep.cfg").write_text(cfg.to_text())
         assert cli_entry(["sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "out")]) == 0
-        status = capsys.readouterr().out.splitlines()[1]
-        assert re.fullmatch(r"storage  100\.0 ns: MLE did not converge \(KKT residual \S+ > \S+\)", status)
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"storage  100\.0 ns: MLE did not converge \(KKT residual \S+ > \S+\)", lines[1])
+        for line, storage in ((lines[0], "  0"), (lines[2], "200")):
+            assert re.fullmatch(
+                rf"storage  {storage}\.0 ns: purity 0\.\d{{4}} \+- 0\.\d{{4}}, shifted 0\.\d{{4}}, "
+                r"W\(0,0\) = [+-]0\.\d{4} \+- 0\.\d{4} \([+-]\d+\.\d sigma\)",
+                line,
+            )
         entry = json.loads((tmp_path / "out" / "report.json").read_text())["conditions"][1]
         assert entry["mle_converged"] is False
         for key in ("purity", "purity_err", "wigner_origin", "wigner_origin_err"):
@@ -632,6 +642,9 @@ class TestCli:
             (["sweep", "--seed", "-1"], "master_seed ([run] master_seed, --seed) must be >= 0, got -1"),
             (["synth", "--seed", "-1"], "must be >= 0, got -1"),
             (["synth", "--config", "{negative_seed}"], "must be >= 0, got -1"),
+            # used to run every stage, record the 100 ns condition as
+            # failed, fit both decays on the other three points and exit 1
+            (["sweep", "--config", "{purity}"], "[sweep] purities must lie in [0, 1], got (0.582, 1.5, 0.531, 0.497)"),
         ],
         ids=[
             "unknown-key",
@@ -652,6 +665,7 @@ class TestCli:
             "sweep-negative-seed",
             "synth-negative-seed",
             "config-negative-seed",
+            "sweep-purity-range",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
@@ -660,6 +674,7 @@ class TestCli:
             "few": "[sweep]\nframes_per_condition = 200\n[estimation]\nbootstrap_resamples = 5\n",
             "short": "[sweep]\nframes_per_condition = 200\n[schedule]\nwindow_end_ns = 100.0\n",
             "negative_seed": "[run]\nmaster_seed = -1\n",
+            "purity": "[sweep]\npurities = 0.582, 1.5, 0.531, 0.497\nframes_per_condition = 1200\n",
         }
         paths = {"missing": tmp_path / "missing.cfg"}
         for name, text in texts.items():
@@ -726,7 +741,7 @@ class TestCli:
         assert payload["purity"] == report.purity
         assert payload["purity_err"] == report.purity_err
         assert payload["pca_eigenvalue"] == pca.eigenvalue
-        assert payload["photon_number_distribution"] == [float(v) for v in report.state.c]
+        assert payload["photon_number_distribution"] == [float(v) for v in report.mle.state.c]
         assert payload["mle_converged"] is True
         assert payload["mle_kkt_residual"] == report.mle.kkt_residual
         assert payload["mle_n_evals"] == report.mle.n_evals

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import struct
 
 import numpy as np
@@ -367,6 +369,11 @@ class TestForBlocks:
         with pytest.raises(ValueError, match="block failed"):
             for_blocks(3 * FRAME_BLOCK, fail, 2)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
+    def test_zero_means_one_per_usable_core(self):
+        assert synth.resolve_workers(0) == len(os.sched_getaffinity(0))
+        assert synth.resolve_workers(3) == 3
+
 
 class TestAutocovarianceContract:
     def test_vacuum_autocovariance_is_isotropic(self, mode):
@@ -437,6 +444,28 @@ class TestFrameIo:
         path = tmp_path / "frames.bin"
         save_frames(fs, path)
         return path
+
+    def test_failed_write_keeps_earlier_file(self, saved, mode):
+        before = saved.read_bytes()
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 37, n_samples=128)
+        codes = fs.data
+
+        class DiskFull:
+            """Frame data whose write stops half way with a full disk."""
+
+            shape = codes.shape
+
+            def astype(self, *args, **kwargs):
+                return self
+
+            def tofile(self, fh):
+                fh.write(codes.tobytes()[: codes.nbytes // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        object.__setattr__(fs, "data", DiskFull())
+        with pytest.raises(OSError, match="No space left"):
+            save_frames(fs, saved)
+        assert saved.read_bytes() == before
 
     def test_save_writes_header_and_raw_float32(self, saved, tmp_path, mode):
         # version 2: fixed 58-byte header, then the row-major little-endian
