@@ -41,7 +41,7 @@ def main() -> int:
         "--workers",
         type=int,
         default=ExperimentConfig.n_workers,
-        help="threads per frame-matrix pass (default: the config's, 0 = one per usable core)",
+        help="synthesis threads (default: the config's, 0 = one per usable core)",
     )
     ap.add_argument("--json", type=Path, default=None, help="also write the run numbers to this file")
     args = ap.parse_args()

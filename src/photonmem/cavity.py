@@ -55,8 +55,11 @@ class CavityParams:
     t_sc_out: float = 0.17
 
     def __post_init__(self):
-        if self.mc_round_trip_m <= 0 or self.sc_round_trip_m <= 0:
-            raise ValueError("round-trip lengths must be positive")
+        if not (0 < self.mc_round_trip_m < np.inf and 0 < self.sc_round_trip_m < np.inf):
+            raise ValueError(
+                f"round-trip lengths must be positive and finite, got "
+                f"{self.mc_round_trip_m}, {self.sc_round_trip_m}"
+            )
         for name in ("mc_loss", "sc_loss", "t_mc_sc", "t_sc_out"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:

@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="threads per frame-matrix pass (0: one per usable core); output bytes do not depend on it",
+        help="synthesis threads (0: one per usable core); output bytes do not depend on it",
     )
 
     p = sub.add_parser("gate", parents=[common], help="run the acceptance criteria")
@@ -154,9 +154,7 @@ def _cmd_synth(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
     fs = load_frames(args.frames_file)
-    report, pca, _ = estimate_frames(
-        fs, n_max=cfg.n_max, bootstrap_resamples=cfg.bootstrap_resamples, n_workers=cfg.n_workers
-    )
+    report, pca, _ = estimate_frames(fs, n_max=cfg.n_max, bootstrap_resamples=cfg.bootstrap_resamples)
     text = json_text({**tomography_fields(report, pca), "n_frames": fs.n_frames})
     write_files(args.out, {"tomography.json": text, **tomography_files(report)})
     print(text, end="")

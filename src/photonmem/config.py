@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +49,7 @@ class ExperimentConfig:
     n_max: int = DEFAULT_N_MAX
     bootstrap_resamples: int = 40
     master_seed: int = 20140523
-    #: threads per pass over a frame matrix; 0 means one per usable core
+    #: synthesis threads; 0 means one per usable core (estimation is serial)
     n_workers: int = 0
 
     def __post_init__(self):
@@ -70,6 +71,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"master_seed ([run] master_seed, --seed) must be >= 0, got {self.master_seed}"
             )
+        if not math.isfinite(self.delta_closed_rad_s):
+            raise ValueError(f"[schedule] delta_closed_rad_s must be finite, got {self.delta_closed_rad_s}")
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0 (0: one per usable core)")
         if not 1 <= self.n_max <= MAX_N_MAX:

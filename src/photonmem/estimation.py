@@ -16,7 +16,7 @@ from .errors import (
 )
 from .fock import DEFAULT_N_MAX, FockDiagonalState, hermite_functions, wigner_origin
 from .modes import ModeFunction
-from .synth import FRAME_BLOCK, FrameSet, bin_frames, for_blocks
+from .synth import FRAME_BLOCK, FrameSet, bin_frames
 
 MIN_MLE_SAMPLES = 1000
 #: the MLE's Fock cutoff range is [1, MAX_N_MAX]
@@ -107,30 +107,23 @@ class DecayFit:
     tau_err: float | None = None
 
 
-def autocovariance(fs: FrameSet, *, n_workers: int = 1) -> np.ndarray:
+def autocovariance(fs: FrameSet) -> np.ndarray:
     """Sample second-moment matrix of the frames after mean subtraction.
 
     Mean subtraction keeps coherent contamination (e.g. scattered LO light)
-    out of the mode estimate.  Normalization is 1/M.  The matrix is the sum,
-    in block order, of the centred float64 Gram matrices of the fixed
-    ``FRAME_BLOCK`` row blocks, which ``n_workers`` threads fill (see
-    :func:`synth.for_blocks`); the bytes do not depend on the thread count.
-    ADC codes enter at their exact levels, in code units scaled by step².
+    out of the mode estimate.  Normalization is 1/M.  The matrix is the
+    running sum, in block order, of the centred float64 Gram matrices of the
+    fixed ``FRAME_BLOCK`` row blocks.  ADC codes enter at their exact levels,
+    in code units scaled by step².
     """
     m, n = fs.data.shape
     if m < 2:
         raise InsufficientDataError("need at least 2 frames for an auto-covariance")
     mean = fs.data.mean(axis=0, dtype=np.float64)
-    partial = np.empty((-(-m // FRAME_BLOCK), n, n))
-
-    def gram(lo: int) -> None:
+    v, gram = np.zeros((n, n)), np.empty((n, n))
+    for lo in range(0, m, FRAME_BLOCK):
         x = fs.data[lo : lo + FRAME_BLOCK] - mean
-        np.matmul(x.T, x, out=partial[lo // FRAME_BLOCK])
-
-    for_blocks(m, gram, n_workers)
-    v = partial[0]
-    for block in partial[1:]:
-        v += block
+        v += np.matmul(x.T, x, out=gram)
     v /= m
     v *= fs.adc.step**2 if fs.adc else 1.0
     return (v + v.T) / 2.0
@@ -161,24 +154,18 @@ def pca_leading_mode(v: np.ndarray, *, t0: float = 0.0, dt: float = 1.0) -> PcaR
 
 
 def pca_from_frames(
-    fs: FrameSet,
-    *,
-    window: tuple[float, float] | None = None,
-    bin_ns: float | None = None,
-    n_workers: int = 1,
+    fs: FrameSet, *, window: tuple[float, float] | None = None, bin_ns: float | None = None
 ) -> PcaResult:
     """Auto-covariance + leading mode, optionally on a windowed/binned grid.
 
     With restriction, the eigenproblem runs in the coarse space but the
     returned mode is upsampled back to the frame grid (piecewise constant,
     exactly norm preserving) so downstream extraction needs no changes.
-    ``n_workers`` threads the binning and the auto-covariance (see
-    :func:`synth.for_blocks`).
     """
     if window is None and bin_ns in (None, 1):
-        return pca_leading_mode(autocovariance(fs, n_workers=n_workers), t0=fs.t0, dt=fs.dt)
-    fsb = bin_frames(fs, (bin_ns or 1) * fs.dt, window, n_workers=n_workers)
-    coarse = pca_leading_mode(autocovariance(fsb, n_workers=n_workers), t0=fsb.t0, dt=fsb.dt)
+        return pca_leading_mode(autocovariance(fs), t0=fs.t0, dt=fs.dt)
+    fsb = bin_frames(fs, (bin_ns or 1) * fs.dt, window)
+    coarse = pca_leading_mode(autocovariance(fsb), t0=fsb.t0, dt=fsb.dt)
     b = int(round(fsb.dt / fs.dt))
     fine = np.repeat(coarse.mode.samples, b) / np.sqrt(b)
     return PcaResult(
@@ -197,17 +184,16 @@ PCA_WINDOW_BEFORE_PEAK_NS = 74.0
 PCA_WINDOW_AFTER_PEAK_NS = 276.0
 
 
-def matched_window_pca(fs: FrameSet, *, n_workers: int = 1) -> PcaResult:
+def matched_window_pca(fs: FrameSet) -> PcaResult:
     """Two-pass PCA: coarse pass locates the pulse, fine pass runs on a
-    matched window (4 ns bins) around it.  Deterministic given the frames,
-    whatever ``n_workers``."""
+    matched window (4 ns bins) around it.  Deterministic given the frames."""
     if fs.n_samples < 4 * PCA_COARSE_BIN:
         return pca_from_frames(fs)
-    coarse = pca_from_frames(fs, bin_ns=PCA_COARSE_BIN, n_workers=n_workers)
+    coarse = pca_from_frames(fs, bin_ns=PCA_COARSE_BIN)
     peak_t = float(coarse.mode.times[int(np.argmax(np.abs(coarse.mode.samples)))])
     lo = max(fs.t0, peak_t - PCA_WINDOW_BEFORE_PEAK_NS)
     hi = min(fs.t0 + fs.n_samples * fs.dt, peak_t + PCA_WINDOW_AFTER_PEAK_NS)
-    return pca_from_frames(fs, window=(lo, hi), bin_ns=PCA_BIN, n_workers=n_workers)
+    return pca_from_frames(fs, window=(lo, hi), bin_ns=PCA_BIN)
 
 
 #: a fit whose KKT residual (see :func:`_kkt_residual`) is at most this

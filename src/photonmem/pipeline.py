@@ -2,10 +2,11 @@
 estimation, sweep-level decay fits, and figure-data emission.
 
 Every output byte is a pure function of (config, master seed): conditions use
-independent derived seeds and run one after another, every pass over a frame
-matrix fills fixed row blocks on ``n_workers`` threads (0: one per usable
-core; see :func:`synth.for_blocks`), and all files are written atomically
-(temp + rename) from deterministically formatted text.
+independent derived seeds and run one after another, synthesis fills fixed
+row blocks on ``n_workers`` threads (0: one per usable core; see
+:func:`synth.for_blocks`) while the estimation passes run on the calling
+thread, and all files are written atomically (temp + rename) from
+deterministically formatted text.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ class ConditionRecord:
 
     @property
     def shifted_purity(self) -> float | None:
-        return None if self.shifted_mle is None else float(self.shifted_mle.state.c[1])
+        """c_1 of the shifted point fit; None where it did not run or converge."""
+        if self.shifted_mle is None or not self.shifted_mle.converged:
+            return None
+        return float(self.shifted_mle.state.c[1])
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,16 @@ def estimate_frames(
     *,
     n_max: int,
     bootstrap_resamples: int,
-    n_workers: int = 1,
 ) -> tuple[TomographyReport, PcaResult, np.ndarray]:
     """PCA mode + quadrature extraction + MLE + bootstrap for one frame set.
 
     This is the single estimation path used in-process by :func:`run_sweep`
     and the acceptance gate and by the file-mediated CLI, so staged runs
-    reproduce in-process results exactly.  ``n_workers`` threads the
-    frame-matrix passes and changes no result.
+    reproduce in-process results exactly.  Its passes run on the calling
+    thread.
     """
-    pca = matched_window_pca(fs, n_workers=n_workers)
-    quads = extract_quadratures(fs, pca.mode, n_workers=n_workers)
+    pca = matched_window_pca(fs)
+    quads = extract_quadratures(fs, pca.mode)
     mle = mle_photon_distribution(quads, n_max)
     boot = bootstrap_purity(
         quads,
@@ -157,7 +160,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 fs=frames,
                 n_max=cfg.n_max,
                 bootstrap_resamples=cfg.bootstrap_resamples,
-                n_workers=cfg.n_workers,
             )
             if k == 0:
                 base_mode = _clip_base_mode(pca.mode, t_release)
@@ -174,7 +176,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                     shifted_mode,
                     (cfg.window_start_ns, cfg.window_start_ns + cfg.n_samples - 1),
                 )
-                shifted_quads = extract_quadratures(frames, shifted_mode, n_workers=cfg.n_workers)
+                shifted_quads = extract_quadratures(frames, shifted_mode)
                 shifted = mle_photon_distribution(shifted_quads, cfg.n_max)
             return ConditionRecord(
                 storage_time_ns=storage,
@@ -308,16 +310,20 @@ def decay_lines(report: SweepReport) -> list[str]:
 
 def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
     """Write ``{file name: text}`` into ``out_dir``, creating it, each file
-    atomically (temp + rename); returns the written paths.  Every output
-    file goes through here."""
+    atomically (temp + rename, the temp file removed if the write fails);
+    returns the written paths.  Every output file goes through here."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name, text in files.items():
         path = out / name
         tmp = path.with_name(name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         written.append(path)
     return written
 

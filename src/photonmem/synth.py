@@ -151,8 +151,14 @@ class ImperfectionConfig:
     def __post_init__(self):
         if not 0.0 <= self.extra_loss <= 1.0:
             raise ValueError(f"extra_loss must lie in [0, 1], got {self.extra_loss}")
-        if self.electronic_noise_std < 0.0:
-            raise ValueError("electronic_noise_std must be non-negative")
+        if not 0.0 <= self.electronic_noise_std < float("inf"):
+            raise ValueError(
+                f"electronic_noise_std must be finite and non-negative, got {self.electronic_noise_std}"
+            )
+        for name in ("displacement", "detuning"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         # a zero displacement or detuning is no imperfection: one spelling
         # keeps configs that synthesise alike equal, with equal INI dumps
         if self.displacement == 0:
@@ -337,9 +343,7 @@ def synth_condition(
     return FrameSet(out, t0=t0, dt=1.0, adc=adc, master_seed=master_seed)
 
 
-def bin_frames(
-    fs: FrameSet, bin_ns: float, window: tuple[float, float] | None = None, *, n_workers: int = 1
-) -> FrameSet:
+def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None = None) -> FrameSet:
     """Coarse-grain frames in time: boxcar sums normalized by sqrt(bin size).
 
     The normalization makes binning an isometry onto the coarse subspace, so
@@ -349,8 +353,8 @@ def bin_frames(
     dropped since binned samples no longer sit on quantizer levels.  Bin
     ``j`` is the float32 sum of its ``b`` samples taken in order, divided by
     ``float32(sqrt(b))``, or from ADC codes ``float32((S + b/2) step /
-    sqrt(b))`` with ``S`` their exact integer sum; row blocks run on
-    ``n_workers`` threads (see :func:`for_blocks`).
+    sqrt(b))`` with ``S`` their exact integer sum; the sums run over
+    ``FRAME_BLOCK`` row blocks.
     """
     per_bin = bin_ns / fs.dt
     if abs(per_bin - round(per_bin)) > GRID_TOL or per_bin < 1:
@@ -370,8 +374,7 @@ def bin_frames(
     binned = np.empty((fs.n_frames, n_bins), dtype=np.float32)
     # codes sum exactly in the narrowest integer type that holds b of them
     acc_type = np.min_scalar_type(-(b << (fs.adc.bits - 1))) if fs.adc else np.float32
-
-    def fill(lo: int) -> None:
+    for lo in range(0, fs.n_frames, FRAME_BLOCK):
         # b strided column passes: a reduction over a short last axis
         # (reshape + sum(axis=2)) is several times slower
         rows, out = seg[lo : lo + FRAME_BLOCK], binned[lo : lo + FRAME_BLOCK]
@@ -382,28 +385,22 @@ def bin_frames(
             np.multiply(np.add(acc, b / 2, dtype=np.float64), fs.adc.step / np.sqrt(b), out=out)
         else:
             np.divide(acc, np.float32(np.sqrt(b)), out=out)
-
-    for_blocks(fs.n_frames, fill, n_workers)
     return FrameSet(
         binned, t0=fs.t0 + i0 * fs.dt, dt=b * fs.dt, adc=None, master_seed=fs.master_seed
     )
 
 
-def extract_quadratures(fs: FrameSet, psi0: ModeFunction, *, n_workers: int = 1) -> np.ndarray:
+def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
     """Mode quadrature of every frame in the set (float64).
 
-    One float64 gemv per row block on ``n_workers`` threads (see
-    :func:`for_blocks`), so no M x N float64 copy of the frames is made; ADC
-    codes count at their exact levels.
+    One float64 gemv per ``FRAME_BLOCK`` row block, so no M x N float64 copy
+    of the frames is made; ADC codes count at their exact levels.
     """
     cols = _mode_indices(psi0, fs.t0, fs.n_samples, fs.dt)
     quads = np.empty(fs.n_frames)
-
-    def fill(lo: int) -> None:
+    for lo in range(0, fs.n_frames, FRAME_BLOCK):
         block = fs.data[lo : lo + FRAME_BLOCK, cols].astype(np.float64)
         np.matmul(block, psi0.samples, out=quads[lo : lo + FRAME_BLOCK])
-
-    for_blocks(fs.n_frames, fill, n_workers)
     if fs.adc is not None:  # code k stands for the level (k + 1/2) step
         return (quads + 0.5 * psi0.samples.sum()) * fs.adc.step
     return quads
@@ -414,7 +411,7 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
     little-endian ADC codes iff the ADC flag is set and float32 otherwise.
 
     The file is written under a temporary name and renamed over ``path``, so
-    a failed write leaves an earlier file intact."""
+    a failed write leaves an earlier file intact and removes the temporary one."""
     adc = fs.adc
     header = _HEADER.pack(
         _MAGIC,
@@ -428,11 +425,15 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
         adc.full_scale if adc else 0.0,
         fs.master_seed & 0xFFFFFFFFFFFFFFFF,
     )
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fs.data.astype(adc.code_dtype if adc else "<f4", copy=False).tofile(fh)
-    os.replace(tmp, path)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fs.data.astype(adc.code_dtype if adc else "<f4", copy=False).tofile(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_frames(path: str | Path) -> FrameSet:

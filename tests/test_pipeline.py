@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import textwrap
@@ -405,7 +406,7 @@ class TestRunSweep:
             raise AssertionError("ADC codes decoded")
 
         monkeypatch.setattr(AdcSpec, "decode", fail)
-        report, _, _ = estimate_frames(fs, n_max=5, bootstrap_resamples=20, n_workers=2)
+        report, _, _ = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
         assert report.purity_err > 0
         sweep = run_sweep(ExperimentConfig(frames_per_condition=3000, master_seed=7, bootstrap_resamples=20))
         assert not sweep.failed, [c.error for c in sweep.conditions]
@@ -504,7 +505,7 @@ class TestUnconvergedMle:
         assert rows[2].split(",")[:3] == ["250", "", ""]
         assert all(cell for cell in rows[1].split(",") + rows[3].split(","))
 
-    def test_shifted_point_fit_kept_out_and_recorded(self, monkeypatch, cfg):
+    def test_shifted_point_fit_kept_out_and_recorded(self, monkeypatch, cfg, tmp_path):
         _stop_early(monkeypatch, {6})
         report = run_sweep(cfg)
         first, second, third = report.conditions
@@ -518,6 +519,14 @@ class TestUnconvergedMle:
         entry = report_as_dict(report)["conditions"][2]
         assert entry["shifted_mle_converged"] is False
         assert entry["shifted_mle_kkt_residual"] == third.shifted_mle.kkt_residual > MLE_KKT_TOL
+        # the unfitted start would read as a shifted purity
+        emit_figure_data(report, tmp_path)
+        entries = json.loads((tmp_path / "report.json").read_text())["conditions"]
+        assert entries[2]["shifted_purity"] is None
+        assert entries[0]["shifted_purity"] is not None
+        rows = (tmp_path / "decay_points.csv").read_text().splitlines()
+        assert rows[3].split(",")[3] == ""
+        assert rows[1].split(",")[3] and rows[2].split(",")[3]
 
 
 def _mle(purity: float, converged: bool = True) -> MleResult:
@@ -589,6 +598,20 @@ class TestEmitFigureData:
         assert w[mid] == np.min(w)
         assert w[mid] < 0  # p ~ 0.57 recovered: negative at the origin
 
+    def test_failed_write_leaves_no_temp_file(self, monkeypatch, tmp_path):
+        pipeline.write_files(tmp_path, {"report.json": "before\n"})
+
+        def disk_full(path, text):
+            with open(path, "w") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            pipeline.write_files(tmp_path, {"report.json": "after, and longer\n"})
+        assert (tmp_path / "report.json").read_text() == "before\n"
+        assert not (tmp_path / "report.json.tmp").exists()
+
     def test_report_json_parses(self, tmp_path, smoke_report):
         out = tmp_path / "rep"
         emit_figure_data(smoke_report, out)
@@ -645,6 +668,17 @@ class TestCli:
             # used to run every stage, record the 100 ns condition as
             # failed, fit both decays on the other three points and exit 1
             (["sweep", "--config", "{purity}"], "[sweep] purities must lie in [0, 1], got (0.582, 1.5, 0.531, 0.497)"),
+            # non-finite imperfections used to make synth write all-zero
+            # codes and exit 0; the cavity and schedule ones failed at run
+            # time with exit 1
+            (["synth", "--config", "{noise_nan}"], "electronic_noise_std must be finite and non-negative, got nan"),
+            (["synth", "--config", "{noise_inf}"], "electronic_noise_std must be finite and non-negative, got inf"),
+            (["synth", "--config", "{displacement_nan}"], "displacement must be finite, got (nan+0j)"),
+            (["synth", "--config", "{displacement_im_inf}"], "displacement must be finite"),
+            (["synth", "--config", "{detuning_nan}"], "detuning must be finite, got (nan, 0.0)"),
+            (["synth", "--config", "{round_trip_nan}"], "round-trip lengths must be positive and finite, got nan"),
+            (["synth", "--config", "{delta_nan}"], "[schedule] delta_closed_rad_s must be finite, got nan"),
+            (["sweep", "--config", "{delta_nan}"], "[schedule] delta_closed_rad_s must be finite, got nan"),
         ],
         ids=[
             "unknown-key",
@@ -666,6 +700,14 @@ class TestCli:
             "synth-negative-seed",
             "config-negative-seed",
             "sweep-purity-range",
+            "synth-noise-nan",
+            "synth-noise-inf",
+            "synth-displacement-nan",
+            "synth-displacement-im-inf",
+            "synth-detuning-nan",
+            "synth-round-trip-nan",
+            "synth-delta-closed-nan",
+            "sweep-delta-closed-nan",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
@@ -675,6 +717,13 @@ class TestCli:
             "short": "[sweep]\nframes_per_condition = 200\n[schedule]\nwindow_end_ns = 100.0\n",
             "negative_seed": "[run]\nmaster_seed = -1\n",
             "purity": "[sweep]\npurities = 0.582, 1.5, 0.531, 0.497\nframes_per_condition = 1200\n",
+            "noise_nan": "[imperfections]\nelectronic_noise_std = nan\n",
+            "noise_inf": "[imperfections]\nelectronic_noise_std = inf\n",
+            "displacement_nan": "[imperfections]\ndisplacement_re = nan\n",
+            "displacement_im_inf": "[imperfections]\ndisplacement_im = inf\n",
+            "detuning_nan": "[imperfections]\ndetuning_rad_s = nan\n",
+            "round_trip_nan": "[cavity]\nmc_round_trip_m = nan\n",
+            "delta_nan": "[schedule]\ndelta_closed_rad_s = nan\n",
         }
         paths = {"missing": tmp_path / "missing.cfg"}
         for name, text in texts.items():
@@ -683,7 +732,7 @@ class TestCli:
         argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
         assert cli_entry(argv) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists()  # no frames.bin, no tree
 
     def test_unknown_gate_criterion_is_usage_error(self, tmp_path, capsys):
         # an unknown index used to run nothing and record "all_passed": true

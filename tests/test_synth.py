@@ -111,7 +111,7 @@ class TestExtract:
         # codes count at their exact levels (k + 1/2) step
         exact = (fs.data.astype(np.float64) + 0.5) * fs.adc.step
         ref = np.array([np.dot(row[cols], mode.samples) for row in exact])
-        quads = extract_quadratures(fs, mode, n_workers=2)
+        quads = extract_quadratures(fs, mode)
         np.testing.assert_allclose(quads, ref, rtol=0, atol=1e-12)
         # the float32 levels of .frames are within their rounding of those
         bound = np.abs(mode.samples).sum() * np.abs(fs.frames - exact).max()
@@ -343,16 +343,6 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             synth_condition(FockDiagonalState.vacuum(), mode, 0, 23, n_samples=128)
 
-    def test_frame_passes_do_not_depend_on_workers(self, mode):
-        fs = synth_condition(FockDiagonalState.two_level(0.5), mode, 2049, 36, n_samples=128)
-        for window in (None, (13.0, 101.0)):
-            a = bin_frames(fs, 4.0, window, n_workers=1)
-            b = bin_frames(fs, 4.0, window, n_workers=3)
-            assert a.frames.tobytes() == b.frames.tobytes()
-        a = extract_quadratures(fs, mode, n_workers=1)
-        b = extract_quadratures(fs, mode, n_workers=3)
-        assert a.tobytes() == b.tobytes()
-
 
 class TestForBlocks:
     @pytest.mark.parametrize("n_workers", [0, 1, 2, 5])
@@ -466,6 +456,7 @@ class TestFrameIo:
         with pytest.raises(OSError, match="No space left"):
             save_frames(fs, saved)
         assert saved.read_bytes() == before
+        assert not saved.with_name("frames.bin.tmp").exists()
 
     def test_save_writes_header_and_raw_float32(self, saved, tmp_path, mode):
         # version 2: fixed 58-byte header, then the row-major little-endian
@@ -639,8 +630,7 @@ class TestBinFrames:
             FockDiagonalState.two_level(0.5), mode, 2049, 42, n_samples=128,
             adc=AdcSpec(bits, 2.5),  # clips: the outermost codes are in use
         )
-        binned = bin_frames(fs, float(b), window, n_workers=1)
-        assert binned.data.tobytes() == bin_frames(fs, float(b), window, n_workers=3).data.tobytes()
+        binned = bin_frames(fs, float(b), window)
         i0 = 0 if window is None else 13
         n_bins = binned.n_samples
         exact = (fs.data.astype(np.float64) + 0.5) * fs.adc.step
