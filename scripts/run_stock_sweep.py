@@ -5,15 +5,17 @@ Reproduces the headline numbers of the demonstration this package models:
 four storage times (0/100/200/300 ns on top of the 150 ns intrinsic delay),
 4.3e4 homodyne frames per condition, 8-bit ADC, and both memory-lifetime
 fits (raw modes vs clip/shift/renormalize reanalysis) with their error bars.
-Prints the sweep's wall and CPU time, the process's max RSS and the resolved
-worker count, and per storage time the purity and W(0,0) in units of its
-bootstrap error.  ``--json FILE`` also writes those run numbers with the
-host's core count and library versions, so the stock-scale numbers quoted
-in README.md, and the committed ``BENCH_*.json`` files, come from this script.
+Prints the sweep's wall and CPU time, the process's max RSS and the
+synthesis thread count, and per storage time the purity and W(0,0) in units
+of its bootstrap error.  Synthesis runs one thread per core of the CPU
+affinity, so ``taskset -c 0`` runs it on one thread.  ``--json FILE`` also
+writes those run numbers with the host's core count and library versions,
+so the stock-scale numbers quoted in README.md, and the committed
+``BENCH_*.json`` files, come from this script.
 
 Usage:
     python scripts/run_stock_sweep.py [--out OUT_DIR] [--seed N] [--frames M]
-                                      [--workers W] [--json FILE]
+                                      [--json FILE]
 """
 
 import argparse
@@ -29,7 +31,7 @@ import numpy as np
 
 from photonmem.config import ExperimentConfig
 from photonmem.pipeline import condition_lines, decay_lines, emit_figure_data, run_sweep
-from photonmem.synth import resolve_workers
+from photonmem.synth import usable_cores
 
 
 def main() -> int:
@@ -37,21 +39,14 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("out/stock_sweep"))
     ap.add_argument("--seed", type=int, default=20140523)
     ap.add_argument("--frames", type=int, default=None)
-    ap.add_argument(
-        "--workers",
-        type=int,
-        default=ExperimentConfig.n_workers,
-        help="synthesis threads (default: the config's, 0 = one per usable core)",
-    )
     ap.add_argument("--json", type=Path, default=None, help="also write the run numbers to this file")
     args = ap.parse_args()
 
-    cfg = ExperimentConfig(master_seed=args.seed, n_workers=args.workers)
+    cfg = ExperimentConfig(master_seed=args.seed)
     if args.frames:
         cfg = replace(cfg, frames_per_condition=args.frames)
 
-    nproc = resolve_workers(0)
-    workers = resolve_workers(cfg.n_workers)
+    threads = usable_cores()
     start, cpu = time.perf_counter(), time.process_time()
     report = run_sweep(cfg)
     files = emit_figure_data(report, args.out)
@@ -60,7 +55,7 @@ def main() -> int:
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"sweep + emit: {wall:.1f} s wall, {cpu:.1f} s CPU, {rss_mb:.0f} MB max RSS, "
-        f"{workers} worker(s)"
+        f"{threads} synthesis thread(s)"
     )
     print("\n".join(condition_lines(report) + decay_lines(report)))
     print(f"wrote {len(files)} files under {args.out}")
@@ -74,8 +69,8 @@ def main() -> int:
             "wall_s": round(wall, 3),
             "cpu_s": round(cpu, 3),
             "max_rss_mb": round(rss_mb, 1),
-            "nproc": nproc,
-            "n_workers": workers,
+            "nproc": threads,
+            "n_workers": threads,
             "python": platform.python_version(),
             "numpy": np.__version__,
         }

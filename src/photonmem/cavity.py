@@ -19,6 +19,7 @@ large closed-shutter detunings and reproducible to the last bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,6 @@ ENVELOPE_DT_NS = 1.0
 #: shutter detuning (rad/s) calibrated so that ~3% of the photon pre-leaks
 #: through the closed shutter over the longest stock release time (450 ns)
 DEFAULT_SHUTTER_DETUNING_RAD_S = 1.6388e9
-#: lifetimes longer than this multiple of the probe window are flagged
-LIFETIME_WINDOW_FACTOR = 100.0
 #: a stored population that the fit finds decaying by less than this share
 #: over the window is constant to the propagator's rounding (a few 1e-16
 #: per sample), so :func:`storage_lifetime` counts it as not decaying
@@ -87,6 +86,10 @@ class ShutterSchedule:
     dt_int_ns: float = 0.1
 
     def __post_init__(self):
+        # a non-finite dt_int fails its range check below
+        for name in ("t_start_ns", "t_end_ns"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_start_ns < self.t_release_ns < self.t_end_ns:
             raise ValueError(
                 f"need t_start < t_release < t_end, got "
@@ -117,7 +120,6 @@ class ReleaseResult:
 @dataclass(frozen=True)
 class LifetimeEstimate:
     tau_ns: float
-    exceeds_window: bool
 
 
 def derive_rates(params: CavityParams) -> CavityRates:
@@ -340,8 +342,7 @@ def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> Lifetim
 
     Fits ``log |a_M(t)|^2`` linearly over the schedule window.  Raises
     :class:`FitFailureError` when the population does not decay by more than
-    ``_ROUNDING_DECAY`` over the window; lifetimes beyond 100x the window are
-    reported but flagged as exceeding it.
+    ``_ROUNDING_DECAY`` over the window.
     """
     t_ns, a, _, _ = _solve(params, schedule, hold_closed=True)
     pop = np.abs(a[:, 0]) ** 2
@@ -351,8 +352,4 @@ def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> Lifetim
     window = schedule.t_end_ns - schedule.t_start_ns
     if slope * window >= -_ROUNDING_DECAY:
         raise FitFailureError(f"population does not decay (slope {slope:.3e}/ns)")
-    tau_ns = -1.0 / slope
-    return LifetimeEstimate(
-        tau_ns=tau_ns,
-        exceeds_window=tau_ns > LIFETIME_WINDOW_FACTOR * window,
-    )
+    return LifetimeEstimate(tau_ns=-1.0 / slope)

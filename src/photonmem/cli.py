@@ -82,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="run the full storage-time sweep")
     p.add_argument("--frames", type=int, default=None, help="override frames per condition")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="synthesis threads (0: one per usable core); output bytes do not depend on it",
-    )
 
     p = sub.add_parser("gate", parents=[common], help="run the acceptance criteria")
     p.add_argument(
@@ -111,8 +105,6 @@ def _prepare(args) -> ExperimentConfig:
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "frames", None) is not None:
         cfg = replace(cfg, frames_per_condition=args.frames)
-    if getattr(args, "workers", None) is not None:
-        cfg = replace(cfg, n_workers=args.workers)
     if hasattr(args, "release"):
         args.schedule = cfg.schedule(args.release)
     if hasattr(args, "purity"):
@@ -143,7 +135,6 @@ def _cmd_synth(args, cfg: ExperimentConfig) -> int:
         n_samples=cfg.n_samples,
         imperfections=cfg.imperfections,
         adc=args.adc,
-        n_workers=cfg.n_workers,
     )
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "frames.bin"

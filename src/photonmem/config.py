@@ -49,8 +49,6 @@ class ExperimentConfig:
     n_max: int = DEFAULT_N_MAX
     bootstrap_resamples: int = 40
     master_seed: int = 20140523
-    #: synthesis threads; 0 means one per usable core (estimation is serial)
-    n_workers: int = 0
 
     def __post_init__(self):
         if len(self.storage_times_ns) == 0:
@@ -73,8 +71,6 @@ class ExperimentConfig:
             )
         if not math.isfinite(self.delta_closed_rad_s):
             raise ValueError(f"[schedule] delta_closed_rad_s must be finite, got {self.delta_closed_rad_s}")
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be >= 0 (0: one per usable core)")
         if not 1 <= self.n_max <= MAX_N_MAX:
             raise ValueError(f"n_max must lie in [1, {MAX_N_MAX}]")
         if self.bootstrap_resamples < MIN_BOOTSTRAP_RESAMPLES:
@@ -116,17 +112,9 @@ class ExperimentConfig:
             rows.setdefault(section, []).append(f"{key} = {_FORMAT.get(cast, str)(read(self))}\n")
         return "".join(f"[{section}]\n{''.join(lines)}\n" for section, lines in rows.items())
 
-    def provenance_text(self) -> str:
-        """Like :meth:`to_text` but without the worker count: parallelism is
-        an execution knob and must not affect any output byte."""
-        lines = [
-            ln for ln in self.to_text().splitlines() if not ln.startswith("n_workers")
-        ]
-        return "\n".join(lines) + "\n"
-
     def digest(self) -> str:
-        """SHA-256 of the canonical provenance text."""
-        return hashlib.sha256(self.provenance_text().encode()).hexdigest()
+        """SHA-256 of the canonical text."""
+        return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -175,7 +163,6 @@ _FIELDS = (
     ("estimation", "n_max", int, lambda c: c.n_max),
     ("estimation", "bootstrap_resamples", int, lambda c: c.bootstrap_resamples),
     ("run", "master_seed", int, lambda c: c.master_seed),
-    ("run", "n_workers", int, lambda c: c.n_workers),
 )
 
 #: canonical INI text of a value, by the cast that reads it back

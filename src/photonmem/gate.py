@@ -321,17 +321,6 @@ def criterion_marginal_consistency() -> tuple[bool, str]:
     return worst <= 1e-5, f"max |integral W dp - pdf| = {worst:.2e} (<= 1e-5)"
 
 
-def _smoke_config(n_workers: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        storage_times_ns=(0.0, 100.0),
-        purities=(0.582, 0.546),
-        frames_per_condition=1200,
-        bootstrap_resamples=20,
-        master_seed=GATE_SEED + 500,
-        n_workers=n_workers,
-    )
-
-
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -341,12 +330,19 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 def criterion_determinism() -> tuple[bool, str]:
-    """Sweep output is byte-identical across runs and worker counts."""
+    """Sweep output is byte-identical across runs and synthesis thread counts."""
+    cfg = ExperimentConfig(
+        storage_times_ns=(0.0, 100.0),
+        purities=(0.582, 0.546),
+        frames_per_condition=1200,
+        bootstrap_resamples=20,
+        master_seed=GATE_SEED + 500,
+    )
     tmp = Path(tempfile.mkdtemp(prefix="photonmem-gate-"))
     try:
         trees = []
-        for label, workers in (("a", 1), ("b", 1), ("c", 3)):
-            report = run_sweep(_smoke_config(workers))
+        for label, threads in (("a", 1), ("b", 1), ("c", 3)):
+            report = run_sweep(cfg, threads=threads)
             out = tmp / label
             emit_figure_data(report, out)
             trees.append(_tree_bytes(out))

@@ -3,10 +3,9 @@ estimation, sweep-level decay fits, and figure-data emission.
 
 Every output byte is a pure function of (config, master seed): conditions use
 independent derived seeds and run one after another, synthesis fills fixed
-row blocks on ``n_workers`` threads (0: one per usable core; see
-:func:`synth.for_blocks`) while the estimation passes run on the calling
-thread, and all files are written atomically (temp + rename) from
-deterministically formatted text.
+row blocks on one thread per usable core (see :func:`synth.synth_condition`)
+while the estimation passes run on the calling thread, and all files are
+written atomically (temp + rename) from deterministically formatted text.
 """
 
 from __future__ import annotations
@@ -129,8 +128,9 @@ def _target_purities(cfg: ExperimentConfig) -> tuple[list[float], dict]:
 
 
 @single_blas_thread()
-def run_sweep(cfg: ExperimentConfig) -> SweepReport:
-    """Run the full per-condition pipeline and both decay fits."""
+def run_sweep(cfg: ExperimentConfig, *, threads: int | None = None) -> SweepReport:
+    """Run the full per-condition pipeline and both decay fits; ``threads``
+    is the synthesis pool size (None: one per usable core)."""
     schedules = [cfg.schedule(t) for t in cfg.release_times_ns]
     purities, extra_prov = _target_purities(cfg)
 
@@ -154,7 +154,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 n_samples=cfg.n_samples,
                 imperfections=cfg.imperfections,
                 adc=cfg.adc,
-                n_workers=cfg.n_workers,
+                threads=threads,
             )
             tomo, pca, quads = estimate_frames(
                 fs=frames,
@@ -213,7 +213,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         "config_sha256": cfg.digest(),
         "master_seed": cfg.master_seed,
         "purity_model": cfg.purity_model,
-        "config_text": cfg.provenance_text(),
+        "config_text": cfg.to_text(),
         **extra_prov,
     }
     return SweepReport(

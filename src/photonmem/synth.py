@@ -16,6 +16,7 @@ an ADC -- which keeps file-mediated pipelines bit-identical to in-process ones.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -46,32 +47,13 @@ FRAME_BLOCK = 1024
 _SUB_BLOCK = 64
 
 
-def resolve_workers(n_workers: int) -> int:
-    """Threads that ``n_workers`` stands for: itself, or for 0 one per usable
-    core (the CPU affinity where the platform has it)."""
-    if n_workers:
-        return n_workers
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    has one, else ``os.cpu_count()``."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         return os.cpu_count() or 1
-
-
-def for_blocks(n_rows: int, fn, n_workers: int = 1) -> None:
-    """Call ``fn(lo)`` for every ``FRAME_BLOCK`` row start ``lo`` in
-    ``[0, n_rows)``, on up to ``resolve_workers(n_workers)`` threads.
-
-    The partition is fixed, so a pass whose blocks write disjoint rows gives
-    the same bytes for any worker count.
-    """
-    starts = range(0, n_rows, FRAME_BLOCK)
-    workers = min(resolve_workers(n_workers), len(starts))
-    if workers <= 1:
-        for lo in starts:
-            fn(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fn, starts))
 
 
 @dataclass(frozen=True)
@@ -178,6 +160,10 @@ class FrameSet:
     master_seed: int
 
     def __post_init__(self):
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         adc, arr = self.adc, np.asarray(self.data)
         is_codes = adc is not None and arr.dtype.kind in "iu"
         arr = arr if is_codes else np.ascontiguousarray(arr, dtype=np.float32)
@@ -199,8 +185,6 @@ class FrameSet:
         data = np.ascontiguousarray(codes, dtype=adc.code_dtype if adc else None)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
 
     @cached_property
     def frames(self) -> np.ndarray:
@@ -268,7 +252,7 @@ def synth_condition(
     n_samples: int = 1000,
     imperfections: ImperfectionConfig | None = None,
     adc: AdcSpec | None = None,
-    n_workers: int = 1,
+    threads: int | None = None,
 ) -> FrameSet:
     """Generate ``n_frames`` independent frames on the 1 ns grid for one
     experimental condition.
@@ -293,8 +277,9 @@ def synth_condition(
     sub-block is drawn and finished while it is in cache; the draws do not
     depend on the sub-block size.  A partial last block draws its uniforms
     for the whole block and normals for its own rows only, so frame ``i``
-    depends only on ``(master_seed, i)``; the result is bit-identical for
-    any ``n_workers`` (see :func:`for_blocks`).
+    depends only on ``(master_seed, i)``.  The blocks are filled on a pool
+    of ``threads`` threads (None: :func:`usable_cores`), at most one per
+    block; each writes only its own rows, so no byte depends on the count.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -339,7 +324,10 @@ def synth_condition(
                 rows = adc.encode(rows, out=codes[: len(rows)])
             out[lo + s : lo + s + len(rows)] = rows
 
-    for_blocks(n_frames, fill, n_workers)
+    starts = range(0, n_frames, FRAME_BLOCK)
+    threads = usable_cores() if threads is None else threads
+    with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+        list(pool.map(fill, starts))
     return FrameSet(out, t0=t0, dt=1.0, adc=adc, master_seed=master_seed)
 
 

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import re
 import textwrap
@@ -78,7 +79,6 @@ bootstrap_resamples = 40
 
 [run]
 master_seed = 20140523
-n_workers = 0
 
 """
 
@@ -128,7 +128,6 @@ def valid_configs(draw):
         n_max=draw(st.integers(1, MAX_N_MAX)),
         bootstrap_resamples=draw(st.integers(MIN_BOOTSTRAP_RESAMPLES, 1000)),
         master_seed=draw(st.integers(0, 2**63 - 1)),
-        n_workers=draw(st.integers(0, 16)),
     )
 
 
@@ -227,11 +226,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(purities=(0.5,))
 
-    def test_worker_count(self):
-        assert ExperimentConfig().n_workers == 0  # one thread per usable core
-        assert ExperimentConfig(n_workers=0).n_workers == 0
-        with pytest.raises(ValueError, match="n_workers must be >= 0"):
-            ExperimentConfig(n_workers=-1)
+    def test_worker_count(self, tmp_path):
+        # synthesis threads follow the CPU affinity: the config holds only
+        # what fixes the output bytes
+        path = tmp_path / "workers.cfg"
+        path.write_text("[run]\nn_workers = 2\n")
+        with pytest.raises(ValueError, match=r"unknown section or key: \[run\] n_workers"):
+            load_config(path)
 
     def test_frame_floor_is_the_mle_floor(self):
         # fewer frames used to pass here and then fail every condition's MLE
@@ -274,8 +275,8 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**fields)
 
-    def test_digest_ignores_worker_count(self, smoke_config):
-        assert smoke_config.digest() == replace(smoke_config, n_workers=4).digest()
+    def test_digest_hashes_canonical_text(self, smoke_config):
+        assert smoke_config.digest() == hashlib.sha256(smoke_config.to_text().encode()).hexdigest()
         assert smoke_config.digest() != replace(smoke_config, master_seed=1).digest()
 
 
@@ -679,6 +680,11 @@ class TestCli:
             (["synth", "--config", "{round_trip_nan}"], "round-trip lengths must be positive and finite, got nan"),
             (["synth", "--config", "{delta_nan}"], "[schedule] delta_closed_rad_s must be finite, got nan"),
             (["sweep", "--config", "{delta_nan}"], "[schedule] delta_closed_rad_s must be finite, got nan"),
+            # an infinite window bound used to escape as an OverflowError
+            # traceback with exit 1
+            (["simulate", "--config", "{window_end_inf}"], "window_end_ns inf, dt_int_ns 0.1: t_end_ns must be finite"),
+            (["sweep", "--config", "{window_start_inf}"], "t_start_ns must be finite, got -inf"),
+            (["sweep", "--config", "{workers}"], "unknown section or key: [run] n_workers"),
         ],
         ids=[
             "unknown-key",
@@ -708,6 +714,9 @@ class TestCli:
             "synth-round-trip-nan",
             "synth-delta-closed-nan",
             "sweep-delta-closed-nan",
+            "simulate-window-end-inf",
+            "sweep-window-start-inf",
+            "sweep-worker-count-key",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
@@ -724,6 +733,9 @@ class TestCli:
             "detuning_nan": "[imperfections]\ndetuning_rad_s = nan\n",
             "round_trip_nan": "[cavity]\nmc_round_trip_m = nan\n",
             "delta_nan": "[schedule]\ndelta_closed_rad_s = nan\n",
+            "window_end_inf": "[schedule]\nwindow_end_ns = inf\n",
+            "window_start_inf": "[schedule]\nwindow_start_ns = -inf\n",
+            "workers": "[run]\nn_workers = 2\n",
         }
         paths = {"missing": tmp_path / "missing.cfg"}
         for name, text in texts.items():

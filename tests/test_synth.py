@@ -21,7 +21,6 @@ from photonmem.synth import (
     _fock_inverse_cdf,
     bin_frames,
     extract_quadratures,
-    for_blocks,
     load_frames,
     save_frames,
     synth_condition,
@@ -314,8 +313,8 @@ class TestDeterminism:
         # 2049 frames are three blocks, the last one partial
         assert 2 * FRAME_BLOCK < 2049 < 3 * FRAME_BLOCK
         kw = dict(n_samples=128, adc=AdcSpec())
-        a = synth_condition(FockDiagonalState.two_level(0.5), mode, 2049, 22, n_workers=1, **kw)
-        b = synth_condition(FockDiagonalState.two_level(0.5), mode, 2049, 22, n_workers=3, **kw)
+        a = synth_condition(FockDiagonalState.two_level(0.5), mode, 2049, 22, threads=1, **kw)
+        b = synth_condition(FockDiagonalState.two_level(0.5), mode, 2049, 22, threads=3, **kw)
         assert a.frames.tobytes() == b.frames.tobytes()
 
     def test_frame_depends_only_on_seed_and_index(self, mode):
@@ -344,25 +343,22 @@ class TestDeterminism:
             synth_condition(FockDiagonalState.vacuum(), mode, 0, 23, n_samples=128)
 
 
-class TestForBlocks:
-    @pytest.mark.parametrize("n_workers", [0, 1, 2, 5])
-    def test_every_block_start_once(self, n_workers):
-        seen = []
-        for_blocks(2 * FRAME_BLOCK + 1, seen.append, n_workers)
-        assert sorted(seen) == [0, FRAME_BLOCK, 2 * FRAME_BLOCK]
+class TestSynthThreads:
+    def test_block_error_propagates(self, monkeypatch, mode):
+        stream = seeds.stream
 
-    def test_errors_propagate(self):
-        def fail(lo):
-            if lo == FRAME_BLOCK:
-                raise ValueError("block failed")
+        def fail_block_1(seed, domain, index):
+            if index == 1:
+                raise ValueError("block 1 failed")
+            return stream(seed, domain, index)
 
-        with pytest.raises(ValueError, match="block failed"):
-            for_blocks(3 * FRAME_BLOCK, fail, 2)
+        monkeypatch.setattr(seeds, "stream", fail_block_1)
+        with pytest.raises(ValueError, match="block 1 failed"):
+            synth_condition(FockDiagonalState.vacuum(), mode, 3 * FRAME_BLOCK, 24, n_samples=128, threads=2)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
-    def test_zero_means_one_per_usable_core(self):
-        assert synth.resolve_workers(0) == len(os.sched_getaffinity(0))
-        assert synth.resolve_workers(3) == 3
+    def test_usable_cores_follow_affinity(self):
+        assert synth.usable_cores() == len(os.sched_getaffinity(0))
 
 
 class TestAutocovarianceContract:
@@ -564,6 +560,18 @@ class TestFrameIo:
     def test_trailing_bytes_rejected(self, saved):
         saved.write_bytes(saved.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_frames(saved)
+
+    @pytest.mark.parametrize(
+        "field, offset, value", [("t0", 24, math.nan), ("t0", 24, -math.inf), ("dt", 32, math.inf)]
+    )
+    def test_non_finite_grid_rejected(self, saved, field, offset, value):
+        # a NaN t0 used to load, and estimate then failed with "cannot
+        # convert float NaN to integer", naming neither file nor field
+        raw = bytearray(saved.read_bytes())
+        struct.pack_into("<d", raw, offset, value)
+        saved.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=rf"frames\.bin: {field} must be .*finite, got {value}"):
             load_frames(saved)
 
     def test_huge_header_rejected_before_reading(self, saved):
