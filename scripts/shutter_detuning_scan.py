@@ -31,14 +31,14 @@ def main() -> int:
     for delta in np.geomspace(2e8, 2e10, 25):
         sched = ShutterSchedule(t_release_ns=args.release, delta_closed_rad_s=float(delta))
         res = simulate_release(params, sched)
-        life = storage_lifetime(params, sched)
+        tau_ns = storage_lifetime(params, sched)
         rows.append(
             {
                 "delta_rad_s": f"{delta:.6g}",
                 "preleak_fraction": f"{res.metrics['preleak_fraction']:.6g}",
                 "emitted_fraction": f"{res.metrics['emitted_fraction']:.6g}",
                 "fwhm_ns": f"{res.metrics['fwhm_ns']:.6g}",
-                "lifetime_us": f"{life.tau_ns / 1000.0:.6g}",
+                "lifetime_us": f"{tau_ns / 1000.0:.6g}",
             }
         )
         print(

@@ -117,11 +117,6 @@ class ReleaseResult:
     metrics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class LifetimeEstimate:
-    tau_ns: float
-
-
 def derive_rates(params: CavityParams) -> CavityRates:
     """Map cavity geometry onto the rate-equation coefficients."""
     tau_m = params.mc_round_trip_m / SPEED_OF_LIGHT
@@ -337,8 +332,8 @@ def simulate_release(params: CavityParams, schedule: ShutterSchedule) -> Release
     return ReleaseResult(envelope=mode, mc_population=pop_m[coarse].copy(), metrics=metrics)
 
 
-def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> LifetimeEstimate:
-    """1/e decay time of the stored population with the shutter held closed.
+def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> float:
+    """1/e decay time (ns) of the stored population with the shutter held closed.
 
     Fits ``log |a_M(t)|^2`` linearly over the schedule window.  Raises
     :class:`FitFailureError` when the population does not decay by more than
@@ -352,4 +347,4 @@ def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> Lifetim
     window = schedule.t_end_ns - schedule.t_start_ns
     if slope * window >= -_ROUNDING_DECAY:
         raise FitFailureError(f"population does not decay (slope {slope:.3e}/ns)")
-    return LifetimeEstimate(tau_ns=-1.0 / slope)
+    return -1.0 / slope

@@ -19,6 +19,7 @@ from pathlib import Path
 from .cavity import DEFAULT_SHUTTER_DETUNING_RAD_S, CavityParams, ShutterSchedule
 from .estimation import MAX_N_MAX, MIN_BOOTSTRAP_RESAMPLES, MIN_MLE_SAMPLES
 from .fock import DEFAULT_N_MAX
+from .modes import GRID_TOL
 from .synth import AdcSpec, ImperfectionConfig
 
 STOCK_STORAGE_TIMES_NS = (0.0, 100.0, 200.0, 300.0)
@@ -53,8 +54,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.storage_times_ns) == 0:
             raise ValueError("storage_times_ns must be non-empty")
-        diffs = [b - a for a, b in zip(self.storage_times_ns, self.storage_times_ns[1:])]
-        if any(d <= 0 for d in diffs):
+        # the shifted reanalysis moves a mode on the 1 ns frame grid by the
+        # difference of two storage times, and each condition's output
+        # directory is named by its whole ns; half the tolerance each keeps
+        # the difference within GRID_TOL of whole
+        if not all(math.isfinite(t) and abs(t - round(t)) <= GRID_TOL / 2 for t in self.storage_times_ns):
+            raise ValueError(
+                f"[sweep] storage_times_ns must be whole numbers of ns, got {self.storage_times_ns}"
+            )
+        whole = [round(t) for t in self.storage_times_ns]
+        if any(b <= a for a, b in zip(whole, whole[1:])):
             raise ValueError("storage_times_ns must be strictly increasing")
         if self.purity_model not in ("explicit", "lifetime"):
             raise ValueError(f"unknown purity_model {self.purity_model!r}")
@@ -64,10 +73,12 @@ class ExperimentConfig:
             raise ValueError(f"[sweep] purities must lie in [0, 1], got {self.purities}")
         if not 0.0 < self.release_purity_p0 <= 1.0:
             raise ValueError("release_purity_p0 must lie in (0, 1]")
-        if self.master_seed < 0:
-            # numpy's seed sequence takes no negative entropy
+        if not 0 <= self.master_seed < 2**64:
+            # numpy's seed sequence takes no negative entropy, and the frame
+            # file stores the seed in 64 bits
+            bound = ">= 0" if self.master_seed < 0 else "< 2**64"
             raise ValueError(
-                f"master_seed ([run] master_seed, --seed) must be >= 0, got {self.master_seed}"
+                f"master_seed ([run] master_seed, --seed) must be {bound}, got {self.master_seed}"
             )
         if not math.isfinite(self.delta_closed_rad_s):
             raise ValueError(f"[schedule] delta_closed_rad_s must be finite, got {self.delta_closed_rad_s}")

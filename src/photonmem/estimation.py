@@ -70,24 +70,25 @@ class HistogramOverlay:
 
 @dataclass(frozen=True)
 class TomographyReport:
-    """Per-condition estimation results."""
+    """One frame set's estimate: its PCA mode, the quadratures along it, the
+    ML point fit to them and that fit's bootstrap spread."""
 
+    pca: PcaResult
+    quadratures: np.ndarray
     mle: MleResult
-    purity: float
-    purity_err: float
-    wigner_origin: float
-    wigner_origin_err: float
-    histogram: HistogramOverlay
-    #: bootstrap refits that missed MLE_KKT_TOL and were left out of purity_err
-    bootstrap_failures: int
+    bootstrap: BootstrapResult
     #: share of ADC samples at the two outermost codes (None without an ADC)
     adc_saturated_fraction: float | None
 
-    def __post_init__(self):
-        if not 0.0 <= self.purity <= 1.0:
-            raise ValueError(f"purity must lie in [0, 1], got {self.purity}")
-        if self.purity_err < 0.0:
-            raise ValueError("purity_err must be non-negative")
+    @property
+    def purity(self) -> float:
+        """Single-photon weight c_1 of the point fit."""
+        return float(self.mle.state.c[1])
+
+    @property
+    def wigner_origin(self) -> float:
+        """W(0,0) of the point fit."""
+        return wigner_origin(self.mle.state)
 
 
 @dataclass(frozen=True)
@@ -550,24 +551,3 @@ def histogram_with_overlay(
     centers = (edges[:-1] + edges[1:]) / 2.0
     model = state.c @ (hermite_functions(state.n_max, centers) ** 2)
     return HistogramOverlay(edges=edges, density=density, centers=centers, model=model)
-
-
-def build_tomography_report(
-    quads: np.ndarray,
-    mle: MleResult,
-    *,
-    bootstrap: BootstrapResult,
-    adc_saturated_fraction: float | None,
-) -> TomographyReport:
-    """Derived quantities of the point estimate ``mle`` fitted to ``quads``,
-    with the error bar of ``bootstrap`` and the frames' ADC saturation."""
-    return TomographyReport(
-        mle=mle,
-        purity=float(mle.state.c[1]),
-        purity_err=bootstrap.std,
-        wigner_origin=wigner_origin(mle.state),
-        wigner_origin_err=bootstrap.wigner_origin_std,
-        histogram=histogram_with_overlay(quads, mle.state),
-        bootstrap_failures=bootstrap.failures,
-        adc_saturated_fraction=adc_saturated_fraction,
-    )

@@ -83,7 +83,7 @@ def _full_scale_frames():
 @lru_cache(maxsize=1)
 def _full_scale_estimate():
     """The sweep's estimate of the full-scale frame set, fitted once for
-    criteria 2 and 6: tomography report, PCA result and quadratures."""
+    criteria 2 and 6."""
     return estimate_frames(_full_scale_frames(), n_max=5, bootstrap_resamples=40)
 
 
@@ -120,8 +120,8 @@ def criterion_wigner_anchors() -> tuple[bool, str]:
 
 def criterion_tomography_round_trip() -> tuple[bool, str]:
     """Full-scale synthesis -> PCA -> MLE recovers p and the mode."""
-    report, pca, _ = _full_scale_estimate()
-    overlap = overlap_sq(pca.mode, _release_base().envelope)
+    report = _full_scale_estimate()
+    overlap = overlap_sq(report.pca.mode, _release_base().envelope)
     c1 = report.purity
     ok = abs(c1 - _STOCK_PURITY) <= 0.01 and overlap >= 0.99
     details = (
@@ -134,8 +134,7 @@ def criterion_tomography_round_trip() -> tuple[bool, str]:
 def criterion_cavity_physics() -> tuple[bool, str]:
     """Lifetime, pulse width, under-damped overshoot, shape invariance."""
     params = CavityParams()
-    life = storage_lifetime(params, ShutterSchedule(t_release_ns=500.0))
-    tau_us = life.tau_ns / 1000.0
+    tau_us = storage_lifetime(params, ShutterSchedule(t_release_ns=500.0)) / 1000.0
 
     base = _release_base()
     fwhm = base.metrics["fwhm_ns"]
@@ -287,8 +286,7 @@ def criterion_loss_and_correlations() -> tuple[bool, str]:
     mc_invariant = bool(np.all(np.abs(full.g2 - thinned.g2) <= bands))
     antibunched = full.g2[0] <= 3.0 * full.err[0]
 
-    report, _, _ = _full_scale_estimate()
-    boot_std = report.purity_err
+    boot_std = _full_scale_estimate().bootstrap.std
     boot_ok = 0.0025 <= boot_std <= 0.01
 
     ok = (

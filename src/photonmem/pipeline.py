@@ -28,11 +28,10 @@ from .estimation import (
     MLE_KKT_TOL,
     DecayFit,
     MleResult,
-    PcaResult,
     TomographyReport,
     bootstrap_purity,
-    build_tomography_report,
     fit_exponential_decay,
+    histogram_with_overlay,
     matched_window_pca,
     mle_photon_distribution,
 )
@@ -51,8 +50,6 @@ class ConditionRecord:
     t_release_ns: float
     configured_purity: float
     release: ReleaseResult | None = None
-    pca: PcaResult | None = None
-    quadratures: np.ndarray | None = None
     tomography: TomographyReport | None = None
     #: point fit of the time-shifted reanalysis
     shifted_mle: MleResult | None = None
@@ -92,7 +89,7 @@ def estimate_frames(
     *,
     n_max: int,
     bootstrap_resamples: int,
-) -> tuple[TomographyReport, PcaResult, np.ndarray]:
+) -> TomographyReport:
     """PCA mode + quadrature extraction + MLE + bootstrap for one frame set.
 
     This is the single estimation path used in-process by :func:`run_sweep`
@@ -110,21 +107,18 @@ def estimate_frames(
         n_max=n_max,
         master_seed=fs.master_seed,
     )
-    report = build_tomography_report(
-        quads, mle, bootstrap=boot, adc_saturated_fraction=fs.adc_saturated_fraction
-    )
-    return report, pca, quads
+    return TomographyReport(pca, quads, mle, boot, fs.adc_saturated_fraction)
 
 
 def _target_purities(cfg: ExperimentConfig) -> tuple[list[float], dict]:
     if cfg.purity_model == "explicit":
         return list(cfg.purities), {}
-    lifetime = storage_lifetime(cfg.cavity, cfg.schedule(cfg.release_times_ns[0]))
+    tau_ns = storage_lifetime(cfg.cavity, cfg.schedule(cfg.release_times_ns[0]))
     p = [
-        min(1.0, cfg.release_purity_p0 * float(np.exp(-t / lifetime.tau_ns)))
+        min(1.0, cfg.release_purity_p0 * float(np.exp(-t / tau_ns)))
         for t in cfg.release_times_ns
     ]
-    return p, {"simulated_lifetime_ns": lifetime.tau_ns}
+    return p, {"simulated_lifetime_ns": tau_ns}
 
 
 @single_blas_thread()
@@ -156,13 +150,13 @@ def run_sweep(cfg: ExperimentConfig, *, threads: int | None = None) -> SweepRepo
                 adc=cfg.adc,
                 threads=threads,
             )
-            tomo, pca, quads = estimate_frames(
+            tomo = estimate_frames(
                 fs=frames,
                 n_max=cfg.n_max,
                 bootstrap_resamples=cfg.bootstrap_resamples,
             )
             if k == 0:
-                base_mode = _clip_base_mode(pca.mode, t_release)
+                base_mode = _clip_base_mode(tomo.pca.mode, t_release)
             shifted, shifted_error = None, None
             if base_mode is None:
                 # shifting condition k's own mode by t_k - t_0 would move it
@@ -183,8 +177,6 @@ def run_sweep(cfg: ExperimentConfig, *, threads: int | None = None) -> SweepRepo
                 t_release_ns=t_release,
                 configured_purity=purities[k],
                 release=release,
-                pca=pca,
-                quadratures=quads,
                 tomography=tomo,
                 shifted_mle=shifted,
                 shifted_error=shifted_error,
@@ -279,10 +271,10 @@ def condition_lines(report: SweepReport) -> list[str]:
             shifted = c.shifted_error or (
                 f"{c.shifted_purity:.4f}" if c.shifted_mle.converged else unconverged_reason(c.shifted_mle)
             )
+            w_err = t.bootstrap.wigner_origin_std
             status = (
-                f"purity {_pm(t.purity, t.purity_err, '.4f')}, shifted {shifted}, "
-                f"W(0,0) = {t.wigner_origin:+.4f} +- {t.wigner_origin_err:.4f} "
-                f"({t.wigner_origin / t.wigner_origin_err:+.1f} sigma)"
+                f"purity {_pm(t.purity, t.bootstrap.std, '.4f')}, shifted {shifted}, "
+                f"W(0,0) = {t.wigner_origin:+.4f} +- {w_err:.4f} ({t.wigner_origin / w_err:+.1f} sigma)"
             )
         lines.append(f"storage {c.storage_time_ns:6.1f} ns: {status}")
     return lines
@@ -357,7 +349,7 @@ def release_files(release: ReleaseResult) -> dict[str, str]:
 def tomography_files(report: TomographyReport) -> dict[str, str]:
     """Histogram with the fitted overlay, Wigner cross-section through the
     origin, and photon-number distribution of one tomography report."""
-    hist = report.histogram
+    hist = histogram_with_overlay(report.quadratures, report.mle.state)
     section = wigner_section(report.mle.state)
     return {
         "histogram.csv": _csv_text(
@@ -370,7 +362,7 @@ def tomography_files(report: TomographyReport) -> dict[str, str]:
     }
 
 
-def tomography_fields(report: TomographyReport, pca: PcaResult) -> dict:
+def tomography_fields(report: TomographyReport) -> dict:
     """The estimate and its health numbers, shared by ``tomography.json`` and
     each ``report.json`` condition entry.
 
@@ -382,14 +374,14 @@ def tomography_fields(report: TomographyReport, pca: PcaResult) -> dict:
         "photon_number_distribution": [float(v) for v in report.mle.state.c],
         "loglik": report.mle.loglik,
         "purity": report.purity if ok else None,
-        "purity_err": report.purity_err if ok else None,
+        "purity_err": report.bootstrap.std if ok else None,
         "wigner_origin": report.wigner_origin if ok else None,
-        "wigner_origin_err": report.wigner_origin_err if ok else None,
-        "pca_eigenvalue": pca.eigenvalue,
+        "wigner_origin_err": report.bootstrap.wigner_origin_std if ok else None,
+        "pca_eigenvalue": report.pca.eigenvalue,
         "mle_converged": report.mle.converged,
         "mle_kkt_residual": report.mle.kkt_residual,
         "mle_n_evals": report.mle.n_evals,
-        "bootstrap_failures": report.bootstrap_failures,
+        "bootstrap_failures": report.bootstrap.failures,
         "adc_saturated_fraction": report.adc_saturated_fraction,
     }
 
@@ -418,7 +410,7 @@ def report_as_dict(report: SweepReport) -> dict:
         }
         if c.tomography is not None:
             shifted = c.shifted_mle
-            entry.update(tomography_fields(c.tomography, c.pca))
+            entry.update(tomography_fields(c.tomography))
             entry.update(
                 {
                     "shifted_purity": c.shifted_purity,
@@ -454,13 +446,12 @@ def emit_figure_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
         files: dict[str, str] = {}
         if c.release is not None:
             files.update(release_files(c.release))
-        if c.quadratures is not None:
+        if c.tomography is not None:
             # one f-string per row: _csv_text's lists cost twice as much on
             # a file of one row per frame
             files["quadratures.csv"] = "index,x\r\n" + "".join(
-                f"{i},{x:.12g}\r\n" for i, x in enumerate(c.quadratures.tolist())
+                f"{i},{x:.12g}\r\n" for i, x in enumerate(c.tomography.quadratures.tolist())
             )
-        if c.tomography is not None:
             files.update(tomography_files(c.tomography))
         written += write_files(Path(out_dir) / f"condition_{int(round(c.storage_time_ns))}ns", files)
 
@@ -484,7 +475,7 @@ def emit_figure_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
             [
                 f"{c.t_release_ns:.12g}",
                 f"{t.purity:.12g}" if t else "",
-                f"{t.purity_err:.12g}" if t else "",
+                f"{t.bootstrap.std:.12g}" if t else "",
                 f"{c.shifted_purity:.12g}" if c.shifted_purity is not None else "",
             ]
         )

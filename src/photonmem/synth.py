@@ -399,8 +399,11 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
     little-endian ADC codes iff the ADC flag is set and float32 otherwise.
 
     The file is written under a temporary name and renamed over ``path``, so
-    a failed write leaves an earlier file intact and removes the temporary one."""
+    a failed write leaves an earlier file intact and removes the temporary one.
+    A seed outside [0, 2**64) raises ``ValueError`` before anything is written."""
     adc = fs.adc
+    if not 0 <= fs.master_seed < 2**64:
+        raise ValueError(f"master seed {fs.master_seed} does not fit the header's 64 bits")
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -411,7 +414,7 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
         1 if adc else 0,
         adc.bits if adc else 0,
         adc.full_scale if adc else 0.0,
-        fs.master_seed & 0xFFFFFFFFFFFFFFFF,
+        fs.master_seed,
     )
     tmp = Path(f"{path}.tmp")
     try:

@@ -31,7 +31,7 @@ from photonmem.pipeline import (
     run_sweep,
 )
 from photonmem.fock import FockDiagonalState
-from photonmem.synth import AdcSpec, ImperfectionConfig, load_frames, synth_condition
+from photonmem.synth import AdcSpec, ImperfectionConfig, extract_quadratures, load_frames, synth_condition
 
 from conftest import run_fresh_python
 
@@ -91,14 +91,16 @@ _unit = st.floats(0.0, 1.0, allow_nan=False)
 
 @st.composite
 def valid_configs(draw):
-    # every release must sit on the dt_int grid strictly inside a window of
-    # whole nanoseconds, and dt_int must divide 1 ns
-    dt = 1.0 / draw(st.integers(1, 20))
-    start = float(draw(st.integers(-10**4, 10**4)))
-    steps = sorted(draw(st.lists(st.integers(1, 10**5), min_size=1, max_size=4, unique=True)))
-    delay_steps = draw(st.integers(-10**5, steps[0]))
-    times = [start + (s - delay_steps) * dt for s in steps]
-    end = start + np.ceil(steps[-1] * dt) + draw(st.integers(1, 1000))
+    # storage times are whole ns; every release must sit on the dt_int grid
+    # strictly inside a window of whole nanoseconds, and dt_int must divide 1 ns
+    per_ns = draw(st.integers(1, 20))
+    dt = 1.0 / per_ns
+    start = draw(st.integers(-10**4, 10**4))
+    times = sorted(draw(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=4, unique=True)))
+    # the first release, times[0] + delay_steps * dt, lies after start
+    first = (start - times[0]) * per_ns + 1
+    delay_steps = draw(st.integers(first, first + 10**5))
+    end = start + np.ceil(times[-1] - start + delay_steps * dt) + draw(st.integers(1, 1000))
     model = draw(st.sampled_from(["explicit", "lifetime"]))
     n_purities = len(times) if model == "explicit" else draw(st.integers(0, 4))
     imperfections = ImperfectionConfig(
@@ -113,21 +115,21 @@ def valid_configs(draw):
     cavity = CavityParams(*draw(st.tuples(length, loss, length, loss, loss, loss)))
     return ExperimentConfig(
         cavity=cavity,
-        storage_times_ns=tuple(times),
+        storage_times_ns=tuple(float(t) for t in times),
         intrinsic_delay_ns=delay_steps * dt,
         frames_per_condition=draw(st.integers(MIN_MLE_SAMPLES, 10**6)),
         purity_model=model,
         purities=tuple(draw(st.lists(_unit, min_size=n_purities, max_size=n_purities))),
         release_purity_p0=draw(st.floats(1e-6, 1.0)),
         delta_closed_rad_s=draw(_finite),
-        window_start_ns=start,
+        window_start_ns=float(start),
         window_end_ns=float(end),
         dt_int_ns=dt,
         imperfections=imperfections,
         adc=adc,
         n_max=draw(st.integers(1, MAX_N_MAX)),
         bootstrap_resamples=draw(st.integers(MIN_BOOTSTRAP_RESAMPLES, 1000)),
-        master_seed=draw(st.integers(0, 2**63 - 1)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
     )
 
 
@@ -263,10 +265,19 @@ class TestConfig:
             ({"dt_int_ns": 0.3}, "divide the 1 ns output grid"),
             ({"intrinsic_delay_ns": 150.05}, "multiple of dt_int"),
             ({"purities": (0.582, 0.546, -0.1, 0.497)}, r"\[sweep\] purities must lie in \[0, 1\]"),
+            # used to fail the 0.4 ns condition at its shifted reanalysis,
+            # after its raw estimate had succeeded
+            (
+                {"storage_times_ns": (0.0, 0.4), "purities": (0.582, 0.546)},
+                r"\[sweep\] storage_times_ns must be whole numbers of ns, got \(0.0, 0.4\)",
+            ),
+            # within the tolerance of one whole ns: both conditions used to
+            # write condition_0ns
+            ({"storage_times_ns": (0.0, 5e-8), "purities": (0.582, 0.546)}, "strictly increasing"),
         ],
         ids=[
             "few-resamples", "n_max-0", "n_max-30", "release-after-end", "release-before-start", "dt-grid", "off-grid",
-            "negative-purity",
+            "negative-purity", "fractional-storage", "storage-same-ns",
         ],
     )
     def test_rejects_configs_that_fail_later(self, fields, message):
@@ -292,7 +303,7 @@ class TestRunSweep:
 
     def test_purity_monotonicity(self, smoke_report):
         purities = [c.tomography.purity for c in smoke_report.conditions]
-        errs = [c.tomography.purity_err for c in smoke_report.conditions]
+        errs = [c.tomography.bootstrap.std for c in smoke_report.conditions]
         assert purities[1] <= purities[0] + 3.0 * max(errs)
 
     def test_decay_fits_present(self, smoke_report):
@@ -387,13 +398,13 @@ class TestRunSweep:
         kw = dict(t0=0.0, n_samples=1000)
         adc = AdcSpec(8, 1.5 * np.sqrt(0.5))
         fs = synth_condition(state, base_release.envelope, MIN_MLE_SAMPLES, 5, adc=adc, **kw)
-        report, _, _ = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
+        report = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
         rails = ((-128 + 0.5) * adc.step, (127 + 0.5) * adc.step)
         expected = float(np.isin(fs.frames, np.float32(rails)).mean())
         assert report.adc_saturated_fraction == expected
         assert 0.02 < expected < 0.5
         raw = synth_condition(state, base_release.envelope, MIN_MLE_SAMPLES, 5, **kw)
-        report, _, _ = estimate_frames(raw, n_max=5, bootstrap_resamples=20)
+        report = estimate_frames(raw, n_max=5, bootstrap_resamples=20)
         assert report.adc_saturated_fraction is None
 
     def test_pipeline_never_decodes_codes(self, monkeypatch, base_release):
@@ -407,8 +418,8 @@ class TestRunSweep:
             raise AssertionError("ADC codes decoded")
 
         monkeypatch.setattr(AdcSpec, "decode", fail)
-        report, _, _ = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
-        assert report.purity_err > 0
+        report = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
+        assert report.bootstrap.std > 0
         sweep = run_sweep(ExperimentConfig(frames_per_condition=3000, master_seed=7, bootstrap_resamples=20))
         assert not sweep.failed, [c.error for c in sweep.conditions]
 
@@ -666,6 +677,12 @@ class TestCli:
             (["sweep", "--seed", "-1"], "master_seed ([run] master_seed, --seed) must be >= 0, got -1"),
             (["synth", "--seed", "-1"], "must be >= 0, got -1"),
             (["synth", "--config", "{negative_seed}"], "must be >= 0, got -1"),
+            # the frame header used to keep the seed's low 64 bits: this
+            # file said seed 7, whose frames differ
+            (["synth", "--seed", str(2**64 + 7)], f"must be < 2**64, got {2**64 + 7}"),
+            (["sweep", "--config", "{big_seed}"], f"must be < 2**64, got {2**64}"),
+            # used to run, record the 0.4 ns condition as failed and exit 1
+            (["sweep", "--config", "{fractional}"], "[sweep] storage_times_ns must be whole numbers of ns"),
             # used to run every stage, record the 100 ns condition as
             # failed, fit both decays on the other three points and exit 1
             (["sweep", "--config", "{purity}"], "[sweep] purities must lie in [0, 1], got (0.582, 1.5, 0.531, 0.497)"),
@@ -705,6 +722,9 @@ class TestCli:
             "sweep-negative-seed",
             "synth-negative-seed",
             "config-negative-seed",
+            "synth-seed-over-64-bits",
+            "config-seed-over-64-bits",
+            "sweep-fractional-storage",
             "sweep-purity-range",
             "synth-noise-nan",
             "synth-noise-inf",
@@ -725,6 +745,8 @@ class TestCli:
             "few": "[sweep]\nframes_per_condition = 200\n[estimation]\nbootstrap_resamples = 5\n",
             "short": "[sweep]\nframes_per_condition = 200\n[schedule]\nwindow_end_ns = 100.0\n",
             "negative_seed": "[run]\nmaster_seed = -1\n",
+            "big_seed": f"[run]\nmaster_seed = {2**64}\n",
+            "fractional": "[sweep]\nstorage_times_ns = 0, 0.4\npurities = 0.582, 0.546\n",
             "purity": "[sweep]\npurities = 0.582, 1.5, 0.531, 0.497\nframes_per_condition = 1200\n",
             "noise_nan": "[imperfections]\nelectronic_noise_std = nan\n",
             "noise_inf": "[imperfections]\nelectronic_noise_std = inf\n",
@@ -797,16 +819,17 @@ class TestCli:
 
         # the file-mediated result equals the in-process pipeline exactly
         fs = load_frames(synth_dir / "frames.bin")
-        report, pca, _ = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
+        report = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
+        assert report.quadratures.tobytes() == extract_quadratures(fs, report.pca.mode).tobytes()
         payload = json.loads((est_dir / "tomography.json").read_text())
         assert payload["purity"] == report.purity
-        assert payload["purity_err"] == report.purity_err
-        assert payload["pca_eigenvalue"] == pca.eigenvalue
+        assert payload["purity_err"] == report.bootstrap.std
+        assert payload["pca_eigenvalue"] == report.pca.eigenvalue
         assert payload["photon_number_distribution"] == [float(v) for v in report.mle.state.c]
         assert payload["mle_converged"] is True
         assert payload["mle_kkt_residual"] == report.mle.kkt_residual
         assert payload["mle_n_evals"] == report.mle.n_evals
-        assert payload["bootstrap_failures"] == report.bootstrap_failures == 0
+        assert payload["bootstrap_failures"] == report.bootstrap.failures == 0
         assert payload["adc_saturated_fraction"] == report.adc_saturated_fraction == 0.0
 
         # a rerun writes the same bytes
@@ -926,4 +949,4 @@ class TestEstimateFramesWindowing:
         # the per-condition PCA window tracks the pulse, so the estimated
         # mode support starts near the release time for every condition
         for cond, t_rel in zip(smoke_report.conditions, (150.0, 250.0)):
-            assert cond.pca.mode.t0 == pytest.approx(t_rel - 50.0, abs=30.0)
+            assert cond.tomography.pca.mode.t0 == pytest.approx(t_rel - 50.0, abs=30.0)

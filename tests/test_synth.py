@@ -418,6 +418,15 @@ class TestFrameIo:
         assert back.master_seed == fs.master_seed
         assert back.adc == fs.adc
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 7])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, seed):
+        # the header used to keep the low 64 bits, so 2**64 + 7 read back as 7
+        fs = FrameSet(np.zeros((2, 4), np.float32), 0.0, 1.0, None, seed)
+        path = tmp_path / "frames.bin"
+        with pytest.raises(ValueError, match="64 bits"):
+            save_frames(fs, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 60)
