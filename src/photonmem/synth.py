@@ -242,6 +242,35 @@ def _mode_indices(psi: ModeFunction, t0: float, n_samples: int, dt: float) -> sl
     return slice(i0, i1)
 
 
+def _gaussian_rows(rng: np.random.Generator, rows: np.ndarray, sigma: float) -> None:
+    """Fill the float64 ``rows`` (r x N) with N(0, sigma^2) samples by a
+    Box-Muller transform of ``r * ceil(N/2)`` raw 64-bit words, drawn row
+    after row.
+
+    Word ``w`` of a row gives the pair ``rad cos(theta)`` to column ``j`` and
+    ``rad sin(theta)`` to column ``j + ceil(N/2)``; an odd N drops the last
+    sine.  Its top 40 bits give the radius ``sigma sqrt(-2 ln u)`` with
+    ``u = ((w >> 24) + 1/2) 2^-40`` in float64, so no sample exceeds
+    ``sqrt(82 ln 2) sigma = 7.54 sigma``; its low 24 bits give the float32
+    angle ``theta = float32(w & 0xFFFFFF) * float32(2 pi / 2^24)``, as
+    float64 sines would cost several times the rest of the draw.
+    """
+    n_rows, n = rows.shape
+    half = (n + 1) // 2
+    words = rng.bit_generator.random_raw(n_rows * half).reshape(n_rows, half)
+    theta = (words & 0xFFFFFF).astype(np.float32)
+    theta *= np.float32(2.0 * math.pi / 2**24)
+    np.right_shift(words, 24, out=words)
+    rad = words.astype(np.float64)
+    rad += 0.5
+    rad *= 2.0**-40
+    np.log(rad, out=rad)
+    rad *= -2.0 * sigma**2
+    np.sqrt(rad, out=rad)
+    np.multiply(rad, np.cos(theta), out=rows[:, :half])
+    np.multiply(rad[:, : n - half], np.sin(theta[:, : n - half]), out=rows[:, half:])
+
+
 def synth_condition(
     state: FockDiagonalState,
     psi: ModeFunction,
@@ -266,20 +295,25 @@ def synth_condition(
        CDF of its photon number (``n = 0`` included);
     3. ``FRAME_BLOCK`` electronic-noise normals along psi, only if
        ``sigma_e > 0``;
-    4. the block's float32 standard normals, row after row, scaled by
-       ``float32(sqrt(1/2 + sigma_e^2))``.
+    4. ``ceil(n_samples / 2)`` raw words per frame, row after row, each the
+       Box-Muller pair of two ``N(0, 1/2 + sigma_e^2)`` samples (see
+       :func:`_gaussian_rows`).
 
     The electronic noise is folded into the Gaussian draw: along psi the
     frame carries ``x_psi + sigma_e * zeta``, orthogonal to it the isotropic
     noise, which is the distribution of the frame in the module docstring.
-    The mode swap is taken in float64 and rounded once to float32, and ADC
-    codes are :meth:`AdcSpec.encode` of those float32 frames.  Each row
-    sub-block is drawn and finished while it is in cache; the draws do not
-    depend on the sub-block size.  A partial last block draws its uniforms
-    for the whole block and normals for its own rows only, so frame ``i``
-    depends only on ``(master_seed, i)``.  The blocks are filled on a pool
-    of ``threads`` threads (None: :func:`usable_cores`), at most one per
-    block; each writes only its own rows, so no byte depends on the count.
+    Each row is built in float64, the mode swapped in place, and rounded
+    once: to float32, or to the ADC codes :meth:`AdcSpec.encode` gives for
+    the float64 values.  Each row sub-block is drawn and finished while it
+    is in cache; the draws do not depend on the sub-block size.  A partial
+    last block draws its uniforms for the whole block and words for its own
+    rows only, so frame ``i`` depends only on ``(master_seed, i)``.  The
+    blocks are filled on a pool of ``threads`` threads (None:
+    :func:`usable_cores`), at most one per block; each writes only its own
+    rows, so no byte depends on the count.  The bytes do depend on numpy's
+    float32 ``sin``/``cos`` and float64 ``log``, which are SIMD code chosen
+    for the CPU: they repeat on one machine but are not promised across CPU
+    families.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -290,9 +324,14 @@ def synth_condition(
     cols = _mode_indices(eff_psi, t0, n_samples, 1.0)
     mode = eff_psi.samples
     n_cdf = np.cumsum(eff_state.c)
+    # the photon numbers a block can draw: those of nonzero weight, and
+    # n_max, where a uniform above the rounded sum of c lands; tabulated
+    # here, as two threads that miss the cache together would both build one
+    drawn = {*np.flatnonzero(eff_state.c).tolist(), eff_state.n_max}
+    tables = {k: _fock_inverse_cdf(k) for k in drawn}
     shift = np.sqrt(2.0) * np.real(imp.displacement) if imp.displacement is not None else 0.0
     noise = imp.electronic_noise_std
-    sigma = np.float32(np.sqrt(0.5 + noise**2))
+    sigma = math.sqrt(0.5 + noise**2)
 
     out = np.empty((n_frames, n_samples), dtype=adc.code_dtype if adc else np.float32)
 
@@ -305,23 +344,22 @@ def synth_condition(
         x = np.empty(m)
         for k in np.unique(n):
             sel = n == k
-            x[sel] = np.interp(u[sel], *_fock_inverse_cdf(int(k)))
+            x[sel] = np.interp(u[sel], *tables[int(k)])
         x += shift
         if noise > 0.0:
             x += noise * rng.standard_normal(FRAME_BLOCK)[:m]
-        g = np.empty((min(_SUB_BLOCK, m), n_samples), np.float32)
-        codes = np.empty(g.shape) if adc is not None else None
+        g = np.empty((min(_SUB_BLOCK, m), n_samples))
+        swap = np.empty((len(g), len(mode)))
         for s in range(0, m, _SUB_BLOCK):
             rows = g[: min(_SUB_BLOCK, m - s)]
-            rng.standard_normal(out=rows, dtype=np.float32)
-            rows *= sigma
-            # rank-1 swap along psi in float64; einsum keeps it off the
-            # threaded BLAS
-            band = rows[:, cols].astype(np.float64)
-            band += np.multiply.outer(x[s : s + len(rows)] - np.einsum("ij,j->i", band, mode), mode)
-            rows[:, cols] = band
+            _gaussian_rows(rng, rows, sigma)
+            # rank-1 swap along psi; einsum keeps it off the threaded BLAS
+            # and forms the outer product faster than np.multiply.outer
+            band = rows[:, cols]
+            coef = x[s : s + len(rows)] - np.einsum("ij,j->i", band, mode)
+            band += np.einsum("i,j->ij", coef, mode, out=swap[: len(rows)])
             if adc is not None:
-                rows = adc.encode(rows, out=codes[: len(rows)])
+                adc.encode(rows, out=rows)
             out[lo + s : lo + s + len(rows)] = rows
 
     starts = range(0, n_frames, FRAME_BLOCK)

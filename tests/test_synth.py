@@ -2,6 +2,8 @@ import errno
 import math
 import os
 import struct
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from photonmem.synth import (
     FrameSet,
     ImperfectionConfig,
     _fock_inverse_cdf,
+    _gaussian_rows,
     bin_frames,
     extract_quadratures,
     load_frames,
@@ -42,6 +45,12 @@ def mode():
 
 
 @pytest.fixture(scope="module")
+def narrow():
+    """A mode that fits an odd, 127-sample frame as well as a 128-sample one."""
+    return gaussian_mode(center=50.0, sigma=10.0, t0=0.0, n=100)
+
+
+@pytest.fixture(scope="module")
 def ortho(mode):
     """A mode orthogonal to ``mode`` on the same grid."""
     # antisymmetric partner about the pulse center is nearly orthogonal
@@ -61,7 +70,7 @@ class TestSynthFrame:
         assert np.all(np.abs(var - 0.5) < band + 0.01)
 
     def test_vacuum_column_is_normal(self, mode):
-        # one sample of every frame: float32 normals scaled by sqrt(1/2)
+        # one sample of every frame: a Box-Muller sine, scale sqrt(1/2)
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 20_000, 43, n_samples=128)
         assert kstest(fs.frames[:, 100], norm(scale=math.sqrt(0.5)).cdf).pvalue > 0.01
 
@@ -241,6 +250,73 @@ class TestSeeds:
         assert seeds.stream(*paths[0]).random(4).tobytes() == draws[0]  # a path repeats
 
 
+class TestGaussianDraw:
+    """The Box-Muller draw under every frame: one raw word per sample pair."""
+
+    #: largest radius, in units of sigma: the word whose top 40 bits are 0
+    RADIUS_CAP = math.sqrt(82.0 * math.log(2.0))
+
+    @pytest.fixture(scope="class")
+    def vacuum_noise(self, mode):
+        # 8192 frames x 128 samples: over 10^6 samples, i.i.d. N(0, 1/2 + 0.3^2)
+        # since a vacuum frame with electronic noise is isotropic
+        imp = ImperfectionConfig(electronic_noise_std=0.3)
+        fs = synth_condition(
+            FockDiagonalState.vacuum(), mode, 8 * FRAME_BLOCK, 51, n_samples=128, imperfections=imp
+        )
+        return fs.frames.astype(np.float64), math.sqrt(0.5 + 0.3**2)
+
+    def test_pooled_samples_are_normal(self, vacuum_noise):
+        frames, sigma = vacuum_noise
+        pooled = frames.ravel()
+        assert pooled.size >= 10**6
+        assert kstest(pooled, norm(scale=sigma).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("k", [3.0, 4.0])
+    def test_tail_fractions(self, vacuum_noise, k):
+        # counts beyond k sigma inside 4 binomial standard deviations
+        frames, sigma = vacuum_noise
+        n, p = frames.size, 2.0 * norm.sf(k)
+        count = np.count_nonzero(np.abs(frames) > k * sigma)
+        assert abs(count - n * p) < 4.0 * math.sqrt(n * p * (1.0 - p))
+
+    def test_partner_columns_uncorrelated(self, vacuum_noise):
+        # column j and j + N/2 share a word's radius: neither the samples
+        # nor their squares may correlate
+        frames, _ = vacuum_noise
+        m, half = frames.shape[0], frames.shape[1] // 2
+        for a, b in ((frames[:, :half], frames[:, half:]), (frames[:, :half] ** 2, frames[:, half:] ** 2)):
+            a, b = a - a.mean(axis=0), b - b.mean(axis=0)
+            corr = (a * b).sum(axis=0) / np.sqrt((a * a).sum(axis=0) * (b * b).sum(axis=0))
+            assert np.abs(corr).max() < 5.0 / math.sqrt(m)
+
+    @staticmethod
+    def words_rng(words):
+        """A stand-in generator whose raw words are ``words``."""
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words[:size]))
+
+    def test_word_bits_give_radius_and_angle(self):
+        # top 40 bits k: radius sigma sqrt(-2 ln((k + 1/2) 2^-40)); low 24
+        # bits a: angle a 2 pi 2^-24, cosine to column j, sine to j + 2
+        ks = np.array([0, 1, 2**39, 2**40 - 1], np.uint64)
+        angles = np.array([2**22, 0, 3 * 2**22, 2**23], np.uint64)  # pi/2, 0, 3 pi/2, pi
+        rows = np.empty((2, 3))  # odd: each row's second word drops its sine
+        _gaussian_rows(self.words_rng((ks << np.uint64(24)) | angles), rows, 0.5)
+        radius = 0.5 * np.sqrt(-2.0 * np.log((ks.astype(np.float64) + 0.5) * 2.0**-40))
+        assert radius[0] == pytest.approx(0.5 * self.RADIUS_CAP, rel=1e-15)
+        theta = angles.astype(np.float32) * np.float32(2.0 * math.pi / 2**24)
+        cos, sin = np.cos(theta, dtype=np.float64), np.sin(theta, dtype=np.float64)
+        np.testing.assert_allclose(rows[:, :2].ravel(), radius * cos, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(rows[:, 2], (radius * sin)[::2], rtol=1e-6, atol=1e-7)
+
+    def test_no_sample_exceeds_radius_cap(self):
+        # the largest radius (top 40 bits 0) at 65 536 angles around the circle
+        angles = np.arange(0, 2**24, 2**8, dtype=np.uint64)
+        rows = np.empty((1, 2 * angles.size))
+        _gaussian_rows(self.words_rng(angles), rows, 1.0)
+        assert np.abs(rows).max() <= self.RADIUS_CAP * (1.0 + 1e-15)
+
+
 class TestImperfections:
     def test_displacement_shifts_mode_quadrature(self, mode):
         alpha = 0.5 + 0.3j
@@ -338,6 +414,19 @@ class TestDeterminism:
             monkeypatch.setattr(synth, "_SUB_BLOCK", rows)
             assert synth_condition(state, mode, 2049, 44, **kw).data.tobytes() == ref
 
+    def test_odd_sample_count(self, monkeypatch, narrow):
+        # 127 samples: each row's last word drops its sine; a shorter run is
+        # still a prefix, and no sub-block size or thread count moves a byte
+        state = FockDiagonalState.two_level(0.5)
+        imp = ImperfectionConfig(displacement=0.2, detuning=(2e7, 0.3), electronic_noise_std=0.1)
+        kw = dict(n_samples=127, imperfections=imp, adc=AdcSpec())
+        ref = synth_condition(state, narrow, 2049, 45, threads=1, **kw).data
+        short = synth_condition(state, narrow, 1500, 45, **kw).data
+        assert short.tobytes() == ref[:1500].tobytes()
+        for rows in (1, 7, FRAME_BLOCK):
+            monkeypatch.setattr(synth, "_SUB_BLOCK", rows)
+            assert synth_condition(state, narrow, 2049, 45, threads=3, **kw).data.tobytes() == ref.tobytes()
+
     def test_zero_frames_rejected(self, mode):
         with pytest.raises(ValueError):
             synth_condition(FockDiagonalState.vacuum(), mode, 0, 23, n_samples=128)
@@ -355,6 +444,21 @@ class TestSynthThreads:
         monkeypatch.setattr(seeds, "stream", fail_block_1)
         with pytest.raises(ValueError, match="block 1 failed"):
             synth_condition(FockDiagonalState.vacuum(), mode, 3 * FRAME_BLOCK, 24, n_samples=128, threads=2)
+
+    def test_inverse_cdf_tables_built_once(self, monkeypatch, mode):
+        # a slow tabulation holds a first block's miss open while the second
+        # block starts: tables built on the pool would be built twice
+        calls, hermite_functions = [], synth.hermite_functions
+
+        def slow_hermite(n_max, x):
+            calls.append(n_max)
+            time.sleep(0.05)
+            return hermite_functions(n_max, x)
+
+        monkeypatch.setattr(synth, "hermite_functions", slow_hermite)
+        _fock_inverse_cdf.cache_clear()
+        synth_condition(FockDiagonalState.two_level(0.5), mode, 3 * FRAME_BLOCK, 25, n_samples=128, threads=2)
+        assert sorted(calls) == [0, 1]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
     def test_usable_cores_follow_affinity(self):
