@@ -12,12 +12,7 @@ Usage:
 import argparse
 import sys
 
-import numpy as np
-
-from photonmem import CavityParams, FockDiagonalState, ShutterSchedule, simulate_release
-from photonmem.estimation import mle_photon_distribution
-from photonmem.modes import ModeFunction, clip_and_renormalize, orthonormalize
-from photonmem.synth import extract_quadratures, synth_condition
+from photonmem.gate import mode_mismatch_purities
 
 
 def main() -> int:
@@ -27,24 +22,11 @@ def main() -> int:
     ap.add_argument("--purity", type=float, default=0.582)
     args = ap.parse_args()
 
-    release = simulate_release(CavityParams(), ShutterSchedule(t_release_ns=150.0))
-    psi = clip_and_renormalize(release.envelope, (140.0, 267.0))
-    fs = synth_condition(
-        FockDiagonalState.two_level(args.purity), psi, args.frames, args.seed,
-        t0=psi.t0, n_samples=psi.n_samples,
-    )
-
-    flat = np.where((psi.times >= 160.0) & (psi.times < 240.0), 1.0, 0.0)
-    partner = ModeFunction(flat / np.sqrt(flat.sum()), psi.t0, psi.dt)
-    _, partner = orthonormalize([psi, partner])
-
+    overlaps = (1.0, 0.95, 0.9, 0.75, 0.5, 0.25)
+    purities = mode_mismatch_purities(args.purity, args.frames, args.seed, overlaps)
     worst = 0.0
     print("overlap^2   recovered c1   p * overlap^2")
-    for ov in (1.0, 0.95, 0.9, 0.75, 0.5, 0.25):
-        mixed = ModeFunction(
-            np.sqrt(ov) * psi.samples + np.sqrt(1.0 - ov) * partner.samples, psi.t0, psi.dt
-        )
-        c1 = float(mle_photon_distribution(extract_quadratures(fs, mixed), 5).state.c[1])
+    for ov, c1 in zip(overlaps, purities):
         target = args.purity * ov
         worst = max(worst, abs(c1 - target))
         print(f"  {ov:5.2f}       {c1:.4f}         {target:.4f}")

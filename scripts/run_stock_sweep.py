@@ -70,7 +70,6 @@ def main() -> int:
             "cpu_s": round(cpu, 3),
             "max_rss_mb": round(rss_mb, 1),
             "nproc": threads,
-            "n_workers": threads,
             "python": platform.python_version(),
             "numpy": np.__version__,
         }

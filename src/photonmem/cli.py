@@ -60,13 +60,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="config file (INI); defaults are built in")
-    common.add_argument("--seed", type=int, default=None, help="override the master seed")
     common.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    # only the commands that synthesise frames take a seed; estimate reads
+    # its seed from the frame file
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="override the master seed")
 
     p = sub.add_parser("simulate", parents=[common], help="run the cavity release simulation")
     p.add_argument("--release", type=float, default=150.0, help="shutter opening time (ns)")
 
-    p = sub.add_parser("synth", parents=[common], help="generate synthetic homodyne frames")
+    p = sub.add_parser("synth", parents=[seeded], help="generate synthetic homodyne frames")
     # dest n_frames: a frame file has no MLE sample floor, so this count
     # does not go through the config's frames_per_condition
     p.add_argument("--frames", dest="n_frames", type=_positive_int, default=None, help="number of frames")
@@ -80,10 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[common], help="estimate a state from a frame file")
     p.add_argument("frames_file", type=Path, help="binary frame file written by 'synth'")
 
-    p = sub.add_parser("sweep", parents=[common], help="run the full storage-time sweep")
+    p = sub.add_parser("sweep", parents=[seeded], help="run the full storage-time sweep")
     p.add_argument("--frames", type=int, default=None, help="override frames per condition")
 
-    p = sub.add_parser("gate", parents=[common], help="run the acceptance criteria")
+    p = sub.add_parser("gate", help="run the acceptance criteria")
+    p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     p.add_argument(
         "--criteria",
         type=int,
@@ -100,7 +104,7 @@ def _prepare(args) -> ExperimentConfig:
     """The config with the flags applied; also builds the command's inputs
     from its flags onto ``args``, so that a bad flag fails before any stage
     runs."""
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "frames", None) is not None:

@@ -88,22 +88,12 @@ class AdcSpec:
         return ((k + 0.5) * self.step).astype(np.float32)
 
     def encode(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Saturating codes floor(x / step), the quotient taken in float64.
-
-        The codes come back in a float32 input's dtype (else float64), or
-        in ``out``, which may be the input itself: a code is an integer of
-        magnitude at most 2^15, exact in either.  A float64 ``out`` takes
-        every step in place.
-        """
-        values = np.asarray(values)
-        if out is None:
-            out = np.empty(values.shape, np.float32 if values.dtype == np.float32 else np.float64)
-        k = out if out.dtype == np.float64 else np.empty(values.shape)
-        np.floor(np.divide(values, self.step, out=k, dtype=np.float64), out=k)
-        np.clip(k, *self.code_range, out=k)
-        if k is not out:
-            out[...] = k
-        return out
+        """Saturating codes floor(x / step) as float64, in a new array or in
+        the float64 ``out``, which may be ``values`` itself: a code is an
+        integer of magnitude at most 2^15, exact in float64."""
+        k = np.divide(values, self.step, out=out, dtype=np.float64)
+        np.floor(k, out=k)
+        return np.clip(k, *self.code_range, out=k)
 
     def decode(self, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """float32 levels of integer codes, through :attr:`levels`."""
@@ -151,7 +141,10 @@ class ImperfectionConfig:
 
 @dataclass(frozen=True)
 class FrameSet:
-    """M x N frames (ADC codes iff ``adc`` is set, else float32) plus grid/ADC/seed metadata."""
+    """M x N frames (ADC codes iff ``adc`` is set, else float32) plus grid/ADC/seed metadata.
+
+    With an ADC, ``data`` must be an integer array of codes in its range;
+    without one, it is converted to float32 and must be finite."""
 
     data: np.ndarray
     t0: float
@@ -165,24 +158,20 @@ class FrameSet:
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         adc, arr = self.adc, np.asarray(self.data)
-        is_codes = adc is not None and arr.dtype.kind in "iu"
-        arr = arr if is_codes else np.ascontiguousarray(arr, dtype=np.float32)
+        if adc is not None and arr.dtype.kind not in "iu":
+            raise ValueError(f"frames with an ADC must be integer codes, got {arr.dtype}")
+        arr = arr if adc else np.ascontiguousarray(arr, dtype=np.float32)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("frames must be a non-empty M x N matrix")
-        codes = np.empty(arr.shape, adc.code_dtype) if adc and not is_codes else arr
         # block by block: whole-matrix checks make M x N temporaries
         for lo in range(0, arr.shape[0], FRAME_BLOCK):
             block = arr[lo : lo + FRAME_BLOCK]
-            if is_codes:
-                if block.min() < adc.code_range[0] or block.max() > adc.code_range[1]:
-                    raise ValueError(f"frame codes outside the {adc.bits}-bit ADC's range")
-            elif not np.isfinite(block).all():
-                raise ValueError("frames must be finite")
-            elif adc is not None:
-                adc.encode(block, out=codes[lo : lo + FRAME_BLOCK])
-                if not np.array_equal(adc.decode(codes[lo : lo + FRAME_BLOCK]), block):
-                    raise ValueError("frames are off the ADC's levels")
-        data = np.ascontiguousarray(codes, dtype=adc.code_dtype if adc else None)
+            if adc is None:
+                if not np.isfinite(block).all():
+                    raise ValueError("frames must be finite")
+            elif block.min() < adc.code_range[0] or block.max() > adc.code_range[1]:
+                raise ValueError(f"frame codes outside the {adc.bits}-bit ADC's range")
+        data = np.ascontiguousarray(arr, dtype=adc.code_dtype if adc else None)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -466,10 +455,12 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
 
 
 def load_frames(path: str | Path) -> FrameSet:
-    """Read a file written by :func:`save_frames`, or a float32 version-1 file.
+    """Read a file written by :func:`save_frames`.
 
-    The size the header implies must equal the file size, so a truncated
-    file, trailing bytes or a corrupt header raise (naming the file) first.
+    Only version 2 is read; any other version, such as the float32 version
+    1, raises ``ValueError``.  The size the header implies must equal the
+    file size, so a truncated file, trailing bytes or a corrupt header
+    raise (naming the file) first.
     """
     try:
         with open(path, "rb") as fh:
@@ -479,12 +470,12 @@ def load_frames(path: str | Path) -> FrameSet:
             magic, version, m, n, t0, dt, adc_flag, bits, full_scale, seed = _HEADER.unpack(raw)
             if magic != _MAGIC:
                 raise ValueError(f"not a frame file (bad magic {magic!r})")
-            if version not in (1, _VERSION):
+            if version != _VERSION:
                 raise ValueError(f"unsupported version {version}")
             if adc_flag not in (0, 1):
                 raise ValueError(f"ADC flag {adc_flag} is neither 0 nor 1")
             adc = AdcSpec(bits, full_scale) if adc_flag else None
-            dtype = np.dtype(adc.code_dtype if adc and version == _VERSION else "<f4")
+            dtype = np.dtype(adc.code_dtype if adc else "<f4")
             expected = _HEADER.size + dtype.itemsize * m * n
             size = os.fstat(fh.fileno()).st_size
             if size < expected:

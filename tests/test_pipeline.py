@@ -702,6 +702,11 @@ class TestCli:
             (["simulate", "--config", "{window_end_inf}"], "window_end_ns inf, dt_int_ns 0.1: t_end_ns must be finite"),
             (["sweep", "--config", "{window_start_inf}"], "t_start_ns must be finite, got -inf"),
             (["sweep", "--config", "{workers}"], "unknown section or key: [run] n_workers"),
+            # flags that were accepted and changed no output byte: estimate
+            # reads its seed from the frame file
+            (["estimate", "frames.bin", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["simulate", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["gate", "--config", "x.cfg"], "unrecognized arguments: --config x.cfg"),
         ],
         ids=[
             "unknown-key",
@@ -737,6 +742,9 @@ class TestCli:
             "simulate-window-end-inf",
             "sweep-window-start-inf",
             "sweep-worker-count-key",
+            "estimate-seed",
+            "simulate-seed",
+            "gate-config",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, argv, message):
@@ -852,12 +860,12 @@ class TestCli:
             runs = [
                 ("import", None),
                 ("simulate", ["simulate", "--out", out + "/sim"]),
-                ("synth", ["synth", "--frames", "1024", "--out", out + "/synth"]),
+                ("synth", ["synth", "--frames", "1024", "--seed", "7", "--out", out + "/synth"]),
                 ("estimate", ["estimate", out + "/synth/frames.bin", "--out", out + "/est"]),
             ]
             seen = {}
             for name, argv in runs:
-                status = 0 if argv is None else cli_entry(argv + ["--seed", "7"])
+                status = 0 if argv is None else cli_entry(argv)
                 seen[name] = [status, [m for m in SCIPY if "scipy." + m in sys.modules]]
             print(json.dumps(seen))
             """
@@ -932,9 +940,9 @@ class TestCli:
         # release files are byte-identical, and every tomography.json field
         # but the frame count is also a report.json condition field
         sim_dir, synth_dir, est_dir = tmp_path / "sim", tmp_path / "synth", tmp_path / "est"
-        common = ["--config", str(cfg_path), "--seed", "7"]
+        common = ["--config", str(cfg_path)]
         assert cli_entry(["simulate", *common, "--out", str(sim_dir)]) == 0
-        assert cli_entry(["synth", *common, "--out", str(synth_dir)]) == 0
+        assert cli_entry(["synth", *common, "--seed", "7", "--out", str(synth_dir)]) == 0
         assert cli_entry(["estimate", str(synth_dir / "frames.bin"), *common, "--out", str(est_dir)]) == 0
         capsys.readouterr()
         for name in ("envelope.csv", "release_metrics.json"):
