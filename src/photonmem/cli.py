@@ -37,7 +37,7 @@ from .pipeline import (
     tomography_files,
     write_files,
 )
-from .synth import AdcSpec, load_frames, save_frames, synth_condition
+from .synth import AdcSpec, load_frames, synth_to_file
 
 
 def _positive_int(text: str) -> int:
@@ -130,7 +130,9 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 def _cmd_synth(args, cfg: ExperimentConfig) -> int:
     release = simulate_release(cfg.cavity, args.schedule)
     n_frames = cfg.frames_per_condition if args.n_frames is None else args.n_frames
-    fs = synth_condition(
+    path = args.out / "frames.bin"
+    synth_to_file(
+        path,
         args.state,
         release.envelope,
         n_frames,
@@ -140,10 +142,7 @@ def _cmd_synth(args, cfg: ExperimentConfig) -> int:
         imperfections=cfg.imperfections,
         adc=args.adc,
     )
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "frames.bin"
-    save_frames(fs, path)
-    print(f"wrote {fs.n_frames} x {fs.n_samples} frames to {path}")
+    print(f"wrote {n_frames} x {cfg.n_samples} frames to {path}")
     return 0
 
 

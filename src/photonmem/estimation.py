@@ -237,8 +237,14 @@ def _objective(
 def _kkt_residual(c: np.ndarray, pdf_matrix: np.ndarray, w: np.ndarray) -> float:
     """Worst violation of the optimality conditions of :func:`_objective`
     on ``c >= 0``: ``max |grad|`` where ``c_n > 0`` and ``max(-grad, 0)``
-    where ``c_n = 0``."""
-    _, grad, _ = _objective(c, pdf_matrix, w)
+    where ``c_n = 0``.  Columns of zero weight add exact zeros to the
+    gradient; they are left out, as :func:`_fit_weighted` leaves them out."""
+    keep = np.flatnonzero(w > 0)
+    return _kkt_of_gradient(c, _objective(c, pdf_matrix.take(keep, axis=1), w.take(keep))[1])
+
+
+def _kkt_of_gradient(c: np.ndarray, grad: np.ndarray) -> float:
+    """:func:`_kkt_residual` from the gradient of :func:`_objective` at ``c``."""
     support = c > 0
     return float(max(
         np.max(np.abs(grad[support]), initial=0.0),
@@ -253,9 +259,10 @@ def _fit_weighted(
     active-set Newton method (Lawson & Hanson, *Solving Least Squares
     Problems*, 1974).
 
-    Returns the minimizer, the objective evaluation count and the KKT
-    residual on the full data.  The log term is homogeneous of degree 1 and
-    ``sum w = 1``, so the minimizer already satisfies ``sum c = 1``.
+    Returns the minimizer, the objective evaluation count and its KKT
+    residual (:func:`_kkt_residual`), taken from the last gradient.  The
+    log term is homogeneous of degree 1 and ``sum w = 1``, so the minimizer
+    already satisfies ``sum c = 1``.
 
     Only the columns with ``w_j > 0`` enter the fit.  The free set starts as
     the support of ``c0``.  Each iteration takes a Newton step on the free
@@ -319,7 +326,7 @@ def _fit_weighted(
             break
         c, f, grad, mix = trial, f_new, grad_new, mix_new
         free = c > 0
-    return c, n_evals, _kkt_residual(c, pdf_matrix, w)
+    return c, n_evals, _kkt_of_gradient(c, grad)
 
 
 def _checked_samples(samples: np.ndarray, n_max: int) -> np.ndarray:

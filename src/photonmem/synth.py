@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Callable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -139,6 +143,16 @@ class ImperfectionConfig:
             object.__setattr__(self, "detuning", None)
 
 
+def _check_block(block: np.ndarray, adc: AdcSpec | None) -> None:
+    """Raise ``ValueError`` unless ``block`` holds codes in the ADC's range,
+    or finite values without an ADC."""
+    if adc is None:
+        if not np.isfinite(block).all():
+            raise ValueError("frames must be finite")
+    elif block.min() < adc.code_range[0] or block.max() > adc.code_range[1]:
+        raise ValueError(f"frame codes outside the {adc.bits}-bit ADC's range")
+
+
 @dataclass(frozen=True)
 class FrameSet:
     """M x N frames (ADC codes iff ``adc`` is set, else float32) plus grid/ADC/seed metadata.
@@ -165,12 +179,7 @@ class FrameSet:
             raise ValueError("frames must be a non-empty M x N matrix")
         # block by block: whole-matrix checks make M x N temporaries
         for lo in range(0, arr.shape[0], FRAME_BLOCK):
-            block = arr[lo : lo + FRAME_BLOCK]
-            if adc is None:
-                if not np.isfinite(block).all():
-                    raise ValueError("frames must be finite")
-            elif block.min() < adc.code_range[0] or block.max() > adc.code_range[1]:
-                raise ValueError(f"frame codes outside the {adc.bits}-bit ADC's range")
+            _check_block(arr[lo : lo + FRAME_BLOCK], adc)
         data = np.ascontiguousarray(arr, dtype=adc.code_dtype if adc else None)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -260,6 +269,76 @@ def _gaussian_rows(rng: np.random.Generator, rows: np.ndarray, sigma: float) -> 
     np.multiply(rad[:, : n - half], np.sin(theta[:, : n - half]), out=rows[:, half:])
 
 
+def _block_filler(
+    state: FockDiagonalState,
+    psi: ModeFunction,
+    n_frames: int,
+    master_seed: int,
+    *,
+    t0: float,
+    n_samples: int,
+    imperfections: ImperfectionConfig | None,
+    adc: AdcSpec | None,
+) -> Callable[[int, np.ndarray], None]:
+    """Check the arguments of :func:`synth_condition`, make its set-up once
+    and return ``fill(lo, dest)``, which writes the block of frames from
+    ``lo`` (a multiple of ``FRAME_BLOCK``) into ``dest``, an array of that
+    block's rows in the frame dtype.  ``fill`` may run on several threads
+    at once."""
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    imp = imperfections or ImperfectionConfig()
+    eff_psi, eta = detuned_effective_mode(psi, *imp.detuning) if imp.detuning else (psi, 1.0)
+    eta *= imp.extra_loss
+    eff_state = apply_loss(state, eta) if eta < 1.0 else state
+    cols = _mode_indices(eff_psi, t0, n_samples, 1.0)
+    mode = eff_psi.samples
+    n_cdf = np.cumsum(eff_state.c)
+    # the photon numbers a block can draw: those of nonzero weight, and
+    # n_max, where a uniform above the rounded sum of c lands; tabulated
+    # here, as two threads that miss the cache together would both build one
+    drawn = {*np.flatnonzero(eff_state.c).tolist(), eff_state.n_max}
+    tables = {k: _fock_inverse_cdf(k) for k in drawn}
+    shift = np.sqrt(2.0) * np.real(imp.displacement) if imp.displacement is not None else 0.0
+    noise = imp.electronic_noise_std
+    sigma = math.sqrt(0.5 + noise**2)
+
+    def fill(lo: int, dest: np.ndarray) -> None:
+        m = min(FRAME_BLOCK, n_frames - lo)
+        rng = seeds.stream(master_seed, seeds.DOMAIN_FRAME, lo // FRAME_BLOCK)
+        n = np.searchsorted(n_cdf, rng.random(FRAME_BLOCK)[:m], side="right")
+        n = np.minimum(n, eff_state.n_max)
+        u = rng.random(FRAME_BLOCK)[:m]
+        x = np.empty(m)
+        for k in np.unique(n):
+            sel = n == k
+            x[sel] = np.interp(u[sel], *tables[int(k)])
+        x += shift
+        if noise > 0.0:
+            x += noise * rng.standard_normal(FRAME_BLOCK)[:m]
+        g = np.empty((min(_SUB_BLOCK, m), n_samples))
+        swap = np.empty((len(g), len(mode)))
+        for s in range(0, m, _SUB_BLOCK):
+            rows = g[: min(_SUB_BLOCK, m - s)]
+            _gaussian_rows(rng, rows, sigma)
+            # rank-1 swap along psi; einsum keeps it off the threaded BLAS
+            # and forms the outer product faster than np.multiply.outer
+            band = rows[:, cols]
+            coef = x[s : s + len(rows)] - np.einsum("ij,j->i", band, mode)
+            band += np.einsum("i,j->ij", coef, mode, out=swap[: len(rows)])
+            if adc is not None:
+                adc.encode(rows, out=rows)
+            dest[s : s + len(rows)] = rows
+
+    return fill
+
+
+def _pool_size(threads: int | None, n_frames: int) -> int:
+    """Threads for ``n_frames`` frames: ``threads`` (None:
+    :func:`usable_cores`), at most one per block."""
+    return min(usable_cores() if threads is None else threads, -(-n_frames // FRAME_BLOCK))
+
+
 def synth_condition(
     state: FockDiagonalState,
     psi: ModeFunction,
@@ -304,58 +383,66 @@ def synth_condition(
     for the CPU: they repeat on one machine but are not promised across CPU
     families.
     """
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    imp = imperfections or ImperfectionConfig()
-    eff_psi, eta = detuned_effective_mode(psi, *imp.detuning) if imp.detuning else (psi, 1.0)
-    eta *= imp.extra_loss
-    eff_state = apply_loss(state, eta) if eta < 1.0 else state
-    cols = _mode_indices(eff_psi, t0, n_samples, 1.0)
-    mode = eff_psi.samples
-    n_cdf = np.cumsum(eff_state.c)
-    # the photon numbers a block can draw: those of nonzero weight, and
-    # n_max, where a uniform above the rounded sum of c lands; tabulated
-    # here, as two threads that miss the cache together would both build one
-    drawn = {*np.flatnonzero(eff_state.c).tolist(), eff_state.n_max}
-    tables = {k: _fock_inverse_cdf(k) for k in drawn}
-    shift = np.sqrt(2.0) * np.real(imp.displacement) if imp.displacement is not None else 0.0
-    noise = imp.electronic_noise_std
-    sigma = math.sqrt(0.5 + noise**2)
-
+    fill = _block_filler(
+        state, psi, n_frames, master_seed, t0=t0, n_samples=n_samples, imperfections=imperfections, adc=adc
+    )
     out = np.empty((n_frames, n_samples), dtype=adc.code_dtype if adc else np.float32)
-
-    def fill(lo: int) -> None:
-        m = min(FRAME_BLOCK, n_frames - lo)
-        rng = seeds.stream(master_seed, seeds.DOMAIN_FRAME, lo // FRAME_BLOCK)
-        n = np.searchsorted(n_cdf, rng.random(FRAME_BLOCK)[:m], side="right")
-        n = np.minimum(n, eff_state.n_max)
-        u = rng.random(FRAME_BLOCK)[:m]
-        x = np.empty(m)
-        for k in np.unique(n):
-            sel = n == k
-            x[sel] = np.interp(u[sel], *tables[int(k)])
-        x += shift
-        if noise > 0.0:
-            x += noise * rng.standard_normal(FRAME_BLOCK)[:m]
-        g = np.empty((min(_SUB_BLOCK, m), n_samples))
-        swap = np.empty((len(g), len(mode)))
-        for s in range(0, m, _SUB_BLOCK):
-            rows = g[: min(_SUB_BLOCK, m - s)]
-            _gaussian_rows(rng, rows, sigma)
-            # rank-1 swap along psi; einsum keeps it off the threaded BLAS
-            # and forms the outer product faster than np.multiply.outer
-            band = rows[:, cols]
-            coef = x[s : s + len(rows)] - np.einsum("ij,j->i", band, mode)
-            band += np.einsum("i,j->ij", coef, mode, out=swap[: len(rows)])
-            if adc is not None:
-                adc.encode(rows, out=rows)
-            out[lo + s : lo + s + len(rows)] = rows
-
-    starts = range(0, n_frames, FRAME_BLOCK)
-    threads = usable_cores() if threads is None else threads
-    with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-        list(pool.map(fill, starts))
+    with ThreadPoolExecutor(max_workers=_pool_size(threads, n_frames)) as pool:
+        list(pool.map(lambda lo: fill(lo, out[lo : lo + FRAME_BLOCK]), range(0, n_frames, FRAME_BLOCK)))
     return FrameSet(out, t0=t0, dt=1.0, adc=adc, master_seed=master_seed)
+
+
+def synth_to_file(
+    path: str | Path,
+    state: FockDiagonalState,
+    psi: ModeFunction,
+    n_frames: int,
+    master_seed: int,
+    *,
+    t0: float = 0.0,
+    n_samples: int = 1000,
+    imperfections: ImperfectionConfig | None = None,
+    adc: AdcSpec | None = None,
+) -> None:
+    """Write the frames :func:`synth_condition` returns for these arguments
+    to ``path``, byte for byte as :func:`save_frames` writes them, without
+    holding the frame matrix.
+
+    The header goes first; each block is filled on a pool of
+    :func:`usable_cores` threads into an array of its own, checked as
+    :class:`FrameSet` checks its data, and written in row order.  At most
+    two blocks per thread are in flight, so memory stays near
+    ``2 * threads`` blocks whatever ``n_frames`` is.  A failed
+    block or write cancels the blocks not yet started and, as in
+    :func:`save_frames`, keeps an earlier file and removes the temporary
+    one.
+    """
+    fill = _block_filler(
+        state, psi, n_frames, master_seed, t0=t0, n_samples=n_samples, imperfections=imperfections, adc=adc
+    )
+    dtype = _file_dtype(adc)
+
+    def block(lo: int) -> np.ndarray:
+        rows = np.empty((min(FRAME_BLOCK, n_frames - lo), n_samples), dtype)
+        fill(lo, rows)
+        _check_block(rows, adc)
+        return rows
+
+    def write_blocks(fh) -> None:
+        workers = _pool_size(None, n_frames)
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            window: deque[Future] = deque()
+            for lo in range(0, n_frames, FRAME_BLOCK):
+                if len(window) == 2 * workers:
+                    fh.write(window.popleft().result())
+                window.append(pool.submit(block, lo))
+            while window:
+                fh.write(window.popleft().result())
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    _write_frame_file(path, n_frames, n_samples, t0, 1.0, adc, master_seed, write_blocks)
 
 
 def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None = None) -> FrameSet:
@@ -421,37 +508,80 @@ def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
     return quads
 
 
-def save_frames(fs: FrameSet, path: str | Path) -> None:
-    """Write the frame format (version 2): fixed header + row-major data, as
-    little-endian ADC codes iff the ADC flag is set and float32 otherwise.
+def _file_dtype(adc: AdcSpec | None) -> np.dtype:
+    """Little-endian sample type of the frame format: ADC codes, or float32."""
+    return adc.code_dtype if adc else np.dtype("<f4")
 
-    The file is written under a temporary name and renamed over ``path``, so
-    a failed write leaves an earlier file intact and removes the temporary one.
-    A seed outside [0, 2**64) raises ``ValueError`` before anything is written."""
-    adc = fs.adc
-    if not 0 <= fs.master_seed < 2**64:
-        raise ValueError(f"master seed {fs.master_seed} does not fit the header's 64 bits")
+
+def _write_frame_file(
+    path: str | Path,
+    n_frames: int,
+    n_samples: int,
+    t0: float,
+    dt: float,
+    adc: AdcSpec | None,
+    master_seed: int,
+    write_data: Callable[[BinaryIO], None],
+) -> None:
+    """Write the frame format's header for this geometry and then
+    ``write_data(fh)``, which writes the ``n_frames x n_samples`` samples in
+    :func:`_file_dtype`, under ``<path>.tmp``, and rename it over ``path``.
+
+    A seed outside [0, 2**64) raises ``ValueError``, and a file that the
+    free space of its directory (or of the nearest existing ancestor)
+    cannot hold raises ``OSError``, both before any directory or file is
+    made.  Then the missing directories are made; any exception after that
+    removes the temporary file and leaves an earlier ``path`` intact."""
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master seed {master_seed} does not fit the header's 64 bits")
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
-        fs.n_frames,
-        fs.n_samples,
-        fs.t0,
-        fs.dt,
+        n_frames,
+        n_samples,
+        t0,
+        dt,
         1 if adc else 0,
         adc.bits if adc else 0,
         adc.full_scale if adc else 0.0,
-        fs.master_seed,
+        master_seed,
     )
+    path = Path(path)
+    need = len(header) + n_frames * n_samples * _file_dtype(adc).itemsize
+    existing = next(d for d in (path.parent, *path.parent.parents) if d.exists())
+    free = shutil.disk_usage(existing).free
+    if need > free:
+        raise OSError(f"{path.name} needs {need} bytes, {free} free in {path.parent}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            fs.data.astype(adc.code_dtype if adc else "<f4", copy=False).tofile(fh)
+            write_data(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_frames(fs: FrameSet, path: str | Path) -> None:
+    """Write the frame format (version 2): fixed header + row-major data, as
+    little-endian ADC codes iff the ADC flag is set and float32 otherwise.
+
+    The file is written by :func:`_write_frame_file`: under a temporary
+    name, renamed over ``path``, and refused before anything is written when
+    the seed does not fit the header or the directory has no room for it."""
+    dtype = _file_dtype(fs.adc)
+    _write_frame_file(
+        path,
+        fs.n_frames,
+        fs.n_samples,
+        fs.t0,
+        fs.dt,
+        fs.adc,
+        fs.master_seed,
+        lambda fh: fs.data.astype(dtype, copy=False).tofile(fh),
+    )
 
 
 def load_frames(path: str | Path) -> FrameSet:
@@ -475,7 +605,7 @@ def load_frames(path: str | Path) -> FrameSet:
             if adc_flag not in (0, 1):
                 raise ValueError(f"ADC flag {adc_flag} is neither 0 nor 1")
             adc = AdcSpec(bits, full_scale) if adc_flag else None
-            dtype = np.dtype(adc.code_dtype if adc else "<f4")
+            dtype = _file_dtype(adc)
             expected = _HEADER.size + dtype.itemsize * m * n
             size = os.fstat(fh.fileno()).st_size
             if size < expected:

@@ -14,7 +14,9 @@ from photonmem.errors import (
 from photonmem.estimation import (
     MLE_KKT_TOL,
     _fit_weighted,
+    _kkt_of_gradient,
     _kkt_residual,
+    _objective,
     autocovariance,
     bootstrap_purity,
     fit_exponential_decay,
@@ -218,6 +220,30 @@ class TestMle:
         boot = bootstrap_purity(samples, point, 40, n_max=5, master_seed=4)
         assert boot.std > 0.0
         assert boot.failures == 0
+
+    def test_residual_comes_from_the_last_gradient(self, monkeypatch):
+        # the fit reports the residual of the gradient it already holds: a
+        # point fit evaluates the objective n_evals times, not once more,
+        # and its residual is the whole-data one bit for bit; a refit's
+        # gradient leaves out zero-weight columns, which moves only rounding
+        samples = sample_mixture(FockDiagonalState(np.array([0.418, 0.582])), 5_000, 63)
+        pdf = hermite_functions(5, samples) ** 2
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _objective(*args)
+
+        monkeypatch.setattr(estimation, "_objective", counted)
+        w = np.full(samples.size, 1.0 / samples.size)
+        c, n_evals, kkt = _fit_weighted(pdf, w, np.full(6, 1.0 / 6.0))
+        assert len(calls) == n_evals
+        assert kkt == _kkt_residual(c, pdf, w) == _kkt_of_gradient(c, _objective(c, pdf, w)[1])
+        w = self._resample_weights(samples.size, 63, 0)
+        assert np.count_nonzero(w == 0) > 1000
+        c, _, kkt = _fit_weighted(pdf, w, c)
+        assert kkt == _kkt_residual(c, pdf, w) <= MLE_KKT_TOL
+        assert abs(kkt - _kkt_of_gradient(c, _objective(c, pdf, w)[1])) <= 1e-12
 
     @pytest.mark.parametrize(
         "state, n_max, n",

@@ -2,6 +2,8 @@ import errno
 import math
 import os
 import struct
+import sys
+import textwrap
 import time
 from types import SimpleNamespace
 
@@ -28,9 +30,10 @@ from photonmem.synth import (
     load_frames,
     save_frames,
     synth_condition,
+    synth_to_file,
 )
 
-from conftest import boxcar, gaussian_mode
+from conftest import boxcar, gaussian_mode, run_fresh_python
 
 
 def p1_cdf(x):
@@ -651,6 +654,115 @@ class TestFrameIo:
         saved.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="truncated data section"):
             load_frames(saved)
+
+
+class TestSynthToFile:
+    """The streamed frame file: the bytes of ``save_frames(synth_condition(...))``
+    without the frame matrix in memory."""
+
+    STATE = FockDiagonalState.two_level(0.5)
+    ALL_IMPERFECTIONS = ImperfectionConfig(
+        displacement=0.2, detuning=(2e7, 0.3), extra_loss=0.9, electronic_noise_std=0.1
+    )
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("adc", [AdcSpec(), AdcSpec(12), None], ids=["8-bit", "12-bit", "no-adc"])
+    def test_bytes_match_save_frames(self, monkeypatch, tmp_path, mode, adc, threads):
+        # 999 samples: each row's last Box-Muller word drops its sine;
+        # 2 FRAME_BLOCK + 1 frames: two full blocks and a one-row block
+        kw = dict(t0=0.0, n_samples=999, imperfections=self.ALL_IMPERFECTIONS, adc=adc)
+        n_frames = 2 * FRAME_BLOCK + 1
+        fs = synth_condition(self.STATE, mode, n_frames, 46, threads=threads, **kw)
+        save_frames(fs, tmp_path / "in-memory.bin")
+        monkeypatch.setattr(synth, "usable_cores", lambda: threads)
+        synth_to_file(tmp_path / "frames.bin", self.STATE, mode, n_frames, 46, **kw)
+        assert (tmp_path / "frames.bin").read_bytes() == (tmp_path / "in-memory.bin").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.bin", "in-memory.bin"]
+
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [("block", ValueError, "block 1 failed"), ("disk-full", OSError, "No space left")],
+        ids=["block", "disk-full"],
+    )
+    def test_failure_keeps_earlier_file(self, monkeypatch, tmp_path, mode, fault, error, message):
+        path = tmp_path / "frames.bin"
+        synth_to_file(path, self.STATE, mode, 20, 47, n_samples=128)
+        before = path.read_bytes()
+        blocks, stream = [], seeds.stream
+
+        def counted_stream(seed, domain, index):
+            blocks.append(index)
+            if fault == "block" and index == 1:
+                raise ValueError("block 1 failed")
+            return stream(seed, domain, index)
+
+        class FillsUp:
+            """A file whose third data write finds the disk full half way."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:  # the header, then blocks 0, 1 and 2
+                    self.fh.write(bytes(data)[: len(data) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(seeds, "stream", counted_stream)
+        monkeypatch.setattr(synth, "usable_cores", lambda: 1)
+        if fault == "disk-full":
+            monkeypatch.setattr(synth, "open", lambda *a: FillsUp(open(*a)), raising=False)
+        with pytest.raises(error, match=message):
+            synth_to_file(path, self.STATE, mode, 20 * FRAME_BLOCK, 48, n_samples=128)
+        assert path.read_bytes() == before
+        assert not path.with_name("frames.bin.tmp").exists()
+        # at most two blocks in flight on one thread: of the 20 blocks, none
+        # after the one being written when the fault hit has started
+        assert max(blocks) <= 3
+
+    def test_file_that_cannot_fit_refused_before_synthesis(self, monkeypatch, tmp_path, capsys):
+        # 10^11 frames: the in-memory path raised a traceback allocating
+        # the matrix, and a streamed one would write until the disk filled
+        free, blocks = 10**9, []
+        monkeypatch.setattr(synth.shutil, "disk_usage", lambda path: SimpleNamespace(free=free))
+        monkeypatch.setattr(seeds, "stream", lambda *args: blocks.append(args))
+        out = tmp_path / "out" / "new"
+        assert cli_entry(["synth", "--frames", "100000000000", "--out", str(out)]) == 1
+        need = 58 + 10**11 * 1000
+        assert capsys.readouterr().err == f"error: frames.bin needs {need} bytes, {free} free in {out}\n"
+        assert list(tmp_path.iterdir()) == []
+        assert blocks == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+    def test_peak_rss_does_not_grow_with_frames(self, tmp_path):
+        # each size in a fresh interpreter, 8-bit codes of 1000 samples:
+        # 32 768 frames are 30 MiB more data than 2 048, which the in-memory
+        # path held whole; on one CPU both sizes fill the same window of two
+        # blocks, which more threads would widen for the larger size only
+        code = textwrap.dedent(
+            """
+            import os, resource, sys
+            from photonmem.cli import cli_entry
+
+            os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+            assert cli_entry(["synth", "--frames", sys.argv[1], "--out", sys.argv[2]]) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        peak = {}
+        for n in (2048, 32768):
+            run = run_fresh_python(code, str(n), str(tmp_path / str(n)))
+            assert run.returncode == 0, run.stderr
+            assert (tmp_path / str(n) / "frames.bin").stat().st_size == 58 + n * 1000
+            peak[n] = int(run.stdout.splitlines()[-1]) / 1024
+        assert peak[32768] - peak[2048] < 8.0, peak
 
 
 class TestBinFrames:
