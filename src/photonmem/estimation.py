@@ -15,8 +15,8 @@ from .errors import (
     UnstableEstimateError,
 )
 from .fock import DEFAULT_N_MAX, FockDiagonalState, hermite_functions, wigner_origin
-from .modes import ModeFunction
-from .synth import FRAME_BLOCK, FrameSet, bin_frames
+from .modes import GRID_TOL, ModeFunction
+from .synth import FRAME_BLOCK, FrameSet
 
 MIN_MLE_SAMPLES = 1000
 #: the MLE's Fock cutoff range is [1, MAX_N_MAX]
@@ -108,24 +108,49 @@ class DecayFit:
     tau_err: float | None = None
 
 
-def autocovariance(fs: FrameSet) -> np.ndarray:
-    """Sample second-moment matrix of the frames after mean subtraction.
+def autocovariance(fs: FrameSet, *, b: int = 1, cols: slice = slice(None)) -> np.ndarray:
+    """Covariance (normalization 1/M) of the frames' columns ``cols``,
+    binned to sums of ``b`` samples over sqrt(b): an isometry onto the
+    coarse subspace, so vacuum bins stay at variance 1/2.  A partial last
+    bin is dropped.  Centring keeps coherent contamination (e.g. scattered
+    LO light) out of the mode estimate.
 
-    Mean subtraction keeps coherent contamination (e.g. scattered LO light)
-    out of the mode estimate.  Normalization is 1/M.  The matrix is the
-    running sum, in block order, of the centred float64 Gram matrices of the
-    fixed ``FRAME_BLOCK`` row blocks.  ADC codes enter at their exact levels,
-    in code units scaled by step².
+    One uncentred pass over the ``FRAME_BLOCK`` row blocks: each block's
+    bin sums (exact integers for ADC codes, float64 for float32 frames) are
+    cast to float64 and add their column sums to ``total`` and their Gram
+    matrix to ``v``; the result is ``(v - total total^T / M) / (M b)``,
+    times step² with an ADC.  For codes every product and partial sum is
+    an integer below 2^53 (8-bit codes: while ``M b² < 2^39``), so ``v``
+    and ``total`` are exact, the result does not depend on the row order,
+    and the code offset of 1/2 step drops out with the mean.  For float32
+    frames the cancellation costs ~eps64 (mean/σ)² of σ², less than the
+    ~eps32 |mean|/σ the float32 input itself carries while
+    |mean|/σ < eps32/eps64 ≈ 5·10^8.
     """
-    m, n = fs.data.shape
+    if b < 1:
+        raise ValueError(f"bin size must be a positive whole number of samples, got {b}")
+    seg = fs.data[:, cols]
+    m, n = seg.shape[0], seg.shape[1] // b
     if m < 2:
         raise InsufficientDataError("need at least 2 frames for an auto-covariance")
-    mean = fs.data.mean(axis=0, dtype=np.float64)
-    v, gram = np.zeros((n, n)), np.empty((n, n))
+    if n < 2:
+        raise ValueError("window too short for the requested binning")
+    seg = seg[:, : n * b]
+    # codes sum exactly in the narrowest integer type that holds b of them
+    acc_type = np.min_scalar_type(-(b << (fs.adc.bits - 1))) if fs.adc else np.float64
+    v, gram, total = np.zeros((n, n)), np.empty((n, n)), np.zeros(n)
     for lo in range(0, m, FRAME_BLOCK):
-        x = fs.data[lo : lo + FRAME_BLOCK] - mean
+        # b strided column passes: a reduction over a short last axis
+        # (reshape + sum(axis=2)) is several times slower
+        rows = seg[lo : lo + FRAME_BLOCK]
+        acc = rows[:, 0::b].astype(acc_type)
+        for k in range(1, b):
+            acc += rows[:, k::b]
+        x = acc.astype(np.float64, copy=False)
+        total += x.sum(axis=0)
         v += np.matmul(x.T, x, out=gram)
-    v /= m
+    v -= np.outer(total, total / m)
+    v /= m * b
     v *= fs.adc.step**2 if fs.adc else 1.0
     return (v + v.T) / 2.0
 
@@ -155,22 +180,28 @@ def pca_leading_mode(v: np.ndarray, *, t0: float = 0.0, dt: float = 1.0) -> PcaR
 
 
 def pca_from_frames(
-    fs: FrameSet, *, window: tuple[float, float] | None = None, bin_ns: float | None = None
+    fs: FrameSet, *, window: tuple[float, float] | None = None, bin_size: int = 1
 ) -> PcaResult:
-    """Auto-covariance + leading mode, optionally on a windowed/binned grid.
+    """Auto-covariance + leading mode on the frames' half-open time
+    ``window`` ``[lo, hi)`` (the whole frame without one), binned to
+    ``bin_size`` samples (see :func:`autocovariance`).
 
-    With restriction, the eigenproblem runs in the coarse space but the
-    returned mode is upsampled back to the frame grid (piecewise constant,
-    exactly norm preserving) so downstream extraction needs no changes.
+    The eigenproblem runs in the coarse space but the returned mode is
+    upsampled back to the frame grid (piecewise constant, exactly norm
+    preserving) so downstream extraction needs no changes.  Raises
+    ``ValueError`` for a bin size below 1 and a window of fewer than 2 bins.
     """
-    if window is None and bin_ns in (None, 1):
-        return pca_leading_mode(autocovariance(fs), t0=fs.t0, dt=fs.dt)
-    fsb = bin_frames(fs, (bin_ns or 1) * fs.dt, window)
-    coarse = pca_leading_mode(autocovariance(fsb), t0=fsb.t0, dt=fsb.dt)
-    b = int(round(fsb.dt / fs.dt))
-    fine = np.repeat(coarse.mode.samples, b) / np.sqrt(b)
+    i0, i1 = 0, fs.n_samples
+    if window is not None:
+        lo, hi = window
+        i0 = max(i0, int(np.ceil((lo - fs.t0) / fs.dt - GRID_TOL)))
+        i1 = min(i1, int(np.floor((hi - fs.t0) / fs.dt + GRID_TOL)))
+    # a window wholly before the frame has i1 < 0, which a slice would
+    # count from the end
+    coarse = pca_leading_mode(autocovariance(fs, b=bin_size, cols=slice(i0, max(i0, i1))))
+    fine = np.repeat(coarse.mode.samples, bin_size) / np.sqrt(bin_size)
     return PcaResult(
-        mode=ModeFunction(fine, fsb.t0, fs.dt),
+        mode=ModeFunction(fine, fs.t0 + i0 * fs.dt, fs.dt),
         eigenvalue=coarse.eigenvalue,
         spectrum=coarse.spectrum,
     )
@@ -190,14 +221,14 @@ def matched_window_pca(fs: FrameSet) -> PcaResult:
     matched window (4 ns bins) around it.  Deterministic given the frames."""
     if fs.n_samples < 4 * PCA_COARSE_BIN:
         return pca_from_frames(fs)
-    coarse = pca_from_frames(fs, bin_ns=PCA_COARSE_BIN)
+    coarse = pca_from_frames(fs, bin_size=PCA_COARSE_BIN)
     peak_t = float(coarse.mode.times[int(np.argmax(np.abs(coarse.mode.samples)))])
     lo = max(fs.t0, peak_t - PCA_WINDOW_BEFORE_PEAK_NS)
     hi = min(fs.t0 + fs.n_samples * fs.dt, peak_t + PCA_WINDOW_AFTER_PEAK_NS)
-    return pca_from_frames(fs, window=(lo, hi), bin_ns=PCA_BIN)
+    return pca_from_frames(fs, window=(lo, hi), bin_size=PCA_BIN)
 
 
-#: a fit whose KKT residual (see :func:`_kkt_residual`) is at most this
+#: a fit whose KKT residual (see :func:`_kkt_of_gradient`) is at most this
 #: counts as converged
 MLE_KKT_TOL = 1e-6
 #: :func:`_fit_weighted` stops at this KKT residual, well inside MLE_KKT_TOL
@@ -234,17 +265,10 @@ def _objective(
     return value, grad, mix
 
 
-def _kkt_residual(c: np.ndarray, pdf_matrix: np.ndarray, w: np.ndarray) -> float:
-    """Worst violation of the optimality conditions of :func:`_objective`
-    on ``c >= 0``: ``max |grad|`` where ``c_n > 0`` and ``max(-grad, 0)``
-    where ``c_n = 0``.  Columns of zero weight add exact zeros to the
-    gradient; they are left out, as :func:`_fit_weighted` leaves them out."""
-    keep = np.flatnonzero(w > 0)
-    return _kkt_of_gradient(c, _objective(c, pdf_matrix.take(keep, axis=1), w.take(keep))[1])
-
-
 def _kkt_of_gradient(c: np.ndarray, grad: np.ndarray) -> float:
-    """:func:`_kkt_residual` from the gradient of :func:`_objective` at ``c``."""
+    """Worst violation of the optimality conditions of :func:`_objective`
+    on ``c >= 0``, from its gradient ``grad`` at ``c``: ``max |grad|`` where
+    ``c_n > 0`` and ``max(-grad, 0)`` where ``c_n = 0``."""
     support = c > 0
     return float(max(
         np.max(np.abs(grad[support]), initial=0.0),
@@ -260,9 +284,10 @@ def _fit_weighted(
     Problems*, 1974).
 
     Returns the minimizer, the objective evaluation count and its KKT
-    residual (:func:`_kkt_residual`), taken from the last gradient.  The
-    log term is homogeneous of degree 1 and ``sum w = 1``, so the minimizer
-    already satisfies ``sum c = 1``.
+    residual (:func:`_kkt_of_gradient`), taken from the last gradient,
+    which leaves out the columns of zero weight.  The log term is
+    homogeneous of degree 1 and ``sum w = 1``, so the minimizer already
+    satisfies ``sum c = 1``.
 
     Only the columns with ``w_j > 0`` enter the fit.  The free set starts as
     the support of ``c0``.  Each iteration takes a Newton step on the free

@@ -445,53 +445,6 @@ def synth_to_file(
     _write_frame_file(path, n_frames, n_samples, t0, 1.0, adc, master_seed, write_blocks)
 
 
-def bin_frames(fs: FrameSet, bin_ns: float, window: tuple[float, float] | None = None) -> FrameSet:
-    """Coarse-grain frames in time: boxcar sums normalized by sqrt(bin size).
-
-    The normalization makes binning an isometry onto the coarse subspace, so
-    vacuum bins stay at variance 1/2 and mode quadratures are preserved up to
-    the (small) energy the mode carries beyond the coarse resolution.  The
-    window is half-open ``[lo, hi)`` on the frame grid; ADC metadata is
-    dropped since binned samples no longer sit on quantizer levels.  Bin
-    ``j`` is the float32 sum of its ``b`` samples taken in order, divided by
-    ``float32(sqrt(b))``, or from ADC codes ``float32((S + b/2) step /
-    sqrt(b))`` with ``S`` their exact integer sum; the sums run over
-    ``FRAME_BLOCK`` row blocks.
-    """
-    per_bin = bin_ns / fs.dt
-    if abs(per_bin - round(per_bin)) > GRID_TOL or per_bin < 1:
-        raise ValueError(f"bin size {bin_ns} ns must be a positive multiple of dt = {fs.dt} ns")
-    b = int(round(per_bin))
-    if window is None:
-        i0, i1 = 0, fs.n_samples
-    else:
-        lo, hi = window
-        i0 = int(np.ceil((lo - fs.t0) / fs.dt - GRID_TOL))
-        i1 = int(np.floor((hi - fs.t0) / fs.dt + GRID_TOL))
-        i0, i1 = max(0, i0), min(fs.n_samples, i1)
-    n_bins = (i1 - i0) // b
-    if n_bins < 2:
-        raise ValueError("window too short for the requested binning")
-    seg = fs.data[:, i0 : i0 + n_bins * b]
-    binned = np.empty((fs.n_frames, n_bins), dtype=np.float32)
-    # codes sum exactly in the narrowest integer type that holds b of them
-    acc_type = np.min_scalar_type(-(b << (fs.adc.bits - 1))) if fs.adc else np.float32
-    for lo in range(0, fs.n_frames, FRAME_BLOCK):
-        # b strided column passes: a reduction over a short last axis
-        # (reshape + sum(axis=2)) is several times slower
-        rows, out = seg[lo : lo + FRAME_BLOCK], binned[lo : lo + FRAME_BLOCK]
-        acc = rows[:, 0::b].astype(acc_type)
-        for k in range(1, b):
-            acc += rows[:, k::b]
-        if fs.adc:
-            np.multiply(np.add(acc, b / 2, dtype=np.float64), fs.adc.step / np.sqrt(b), out=out)
-        else:
-            np.divide(acc, np.float32(np.sqrt(b)), out=out)
-    return FrameSet(
-        binned, t0=fs.t0 + i0 * fs.dt, dt=b * fs.dt, adc=None, master_seed=fs.master_seed
-    )
-
-
 def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
     """Mode quadrature of every frame in the set (float64).
 

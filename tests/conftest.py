@@ -8,6 +8,7 @@ import pytest
 
 import photonmem
 from photonmem import CavityParams, ShutterSchedule, simulate_release
+from photonmem.estimation import _kkt_of_gradient, _objective
 from photonmem.modes import ModeFunction, normalized_mode
 
 
@@ -39,3 +40,13 @@ def run_fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
+def kkt_residual(c: np.ndarray, pdf_matrix: np.ndarray, w: np.ndarray) -> float:
+    """Oracle for the KKT residual a fit reports: the worst violation of the
+    optimality conditions of ``estimation._objective`` on ``c >= 0``,
+    evaluated afresh at ``c``.  Columns of zero weight add exact zeros to the
+    gradient; they are left out, as ``estimation._fit_weighted`` leaves
+    them out."""
+    keep = np.flatnonzero(w > 0)
+    return _kkt_of_gradient(c, _objective(c, pdf_matrix.take(keep, axis=1), w.take(keep))[1])

@@ -15,7 +15,6 @@ from photonmem.estimation import (
     MLE_KKT_TOL,
     _fit_weighted,
     _kkt_of_gradient,
-    _kkt_residual,
     _objective,
     autocovariance,
     bootstrap_purity,
@@ -38,12 +37,17 @@ from photonmem.synth import (
     synth_condition,
 )
 
-from conftest import gaussian_mode
+from conftest import gaussian_mode, kkt_residual
 
 
 @pytest.fixture(scope="module")
 def mode64():
     return gaussian_mode(center=30.0, sigma=8.0, t0=0.0, n=64)
+
+
+@pytest.fixture(scope="module")
+def mode128():
+    return gaussian_mode(center=60.0, sigma=12.0, t0=0.0, n=128)
 
 
 def sample_mixture(state: FockDiagonalState, size: int, seed: int) -> np.ndarray:
@@ -102,6 +106,109 @@ class TestAutocovariance:
         v = autocovariance(fs)
         # mean subtraction removes the only component entirely
         assert np.max(np.abs(v)) < 1e-9
+
+
+class TestBinnedAutocovariance:
+    """``autocovariance(fs, b=b, cols=...)``: the covariance of sums of ``b``
+    samples over sqrt(b), taken in one uncentred pass."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("window", [None, (13.0, 101.0)], ids=["full", "window"])
+    @pytest.mark.parametrize(
+        "adc", [None, AdcSpec(8, 2.5), AdcSpec(16, 2.5)], ids=["float", "8-bit", "16-bit"]
+    )
+    def test_matches_float64_reference(self, mode128, b, window, adc):
+        # 2049 frames: two full row blocks and a partial third; full scale
+        # 2.5 clips, so the outermost codes are in use.  The uncentred sums
+        # of M products round within gamma_M sum_k |y_ki y_kj| of the exact
+        # value (Higham 2002, eq. 3.5), and the reference's centred ones
+        # within that of the centred bins; the column means here are
+        # ~sigma/sqrt(M), so both lie inside the bound of
+        # TestAutocovariance.test_matches_float64_reference, which leaves
+        # room for the final few roundings of either
+        fs = synth_condition(
+            FockDiagonalState.two_level(0.5), mode128, 2049, 42, n_samples=128, adc=adc
+        )
+        i0, i1 = (0, 128) if window is None else (13, 101)
+        n_bins = (i1 - i0) // b
+        # exact levels: the float32 frames, or code k's level (k + 1/2) step
+        x = fs.data.astype(np.float64) if adc is None else (fs.data + 0.5) * adc.step
+        x = x[:, i0 : i0 + n_bins * b]
+        y = x.reshape(-1, b).sum(axis=1).reshape(fs.n_frames, n_bins) / np.sqrt(b)
+        y -= y.mean(axis=0)
+        m = fs.n_frames
+        ref = (y.T @ y) / m
+        ref = (ref + ref.T) / 2.0
+        u = np.finfo(np.float64).eps / 2.0
+        gamma = m * u / (1.0 - m * u)
+        bound = 2.0 * gamma * (np.abs(y).T @ np.abs(y)) / m
+        v = autocovariance(fs, b=b, cols=slice(i0, i1))
+        assert v.shape == (n_bins, n_bins)
+        assert np.all(np.abs(v - ref) <= bound)
+
+    def test_codes_do_not_depend_on_row_order(self, mode128):
+        # 8-bit code sums and their products are exact integers in float64,
+        # so no reordering of the rows, and no blocking, moves a bit
+        fs = synth_condition(
+            FockDiagonalState.two_level(0.5), mode128, 2049, 43, n_samples=128, adc=AdcSpec()
+        )
+        perm = np.random.default_rng(43).permutation(fs.n_frames)
+        shuffled = FrameSet(fs.data[perm], fs.t0, fs.dt, fs.adc, fs.master_seed)
+        np.testing.assert_array_equal(autocovariance(shuffled), autocovariance(fs))
+        np.testing.assert_array_equal(
+            autocovariance(shuffled, b=8, cols=slice(13, 101)),
+            autocovariance(fs, b=8, cols=slice(13, 101)),
+        )
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_float_offset_of_100_sigma(self, mode128, b):
+        # a constant offset c = 100 sigma on every float32 sample.  In
+        # terms of the bin sums of b samples (the result is divided by b):
+        # the float32 sums x + c round by at most d = b half-ulps of
+        # max|x + c|, which moves a covariance entry by at most
+        # (s_i + s_j) d + d^2 <= 2 s d + d^2 (s_i the bins' standard
+        # deviations, s their maximum); the uncentred float64 sums of either
+        # set round within gamma_M (b c + max|S|)^2 per entry of G / M and of
+        # total total^T / M^2, which 4 gamma_M (b c + max|S|)^2 covers.  An
+        # all-float32 computation was off by 0.02 on these frames
+        fs = synth_condition(FockDiagonalState.two_level(0.5), mode128, 2049, 44, n_samples=128)
+        c = np.float32(100.0 * VACUUM_SIGMA)
+        moved = FrameSet(fs.data + c, fs.t0, fs.dt, None, fs.master_seed)
+        v0 = autocovariance(fs, b=b)
+        x_max = float(np.abs(fs.data).max()) * b
+        d = float(np.spacing(np.abs(moved.data).max())) / 2.0 * b
+        s = float(np.sqrt(np.diag(v0).max() * b))
+        m = fs.n_frames
+        gamma = m * np.finfo(np.float64).eps / 2.0 / (1.0 - m * np.finfo(np.float64).eps / 2.0)
+        bound = (2.0 * s * d + d**2 + 4.0 * gamma * (b * float(c) + x_max) ** 2) / b
+        assert np.max(np.abs(autocovariance(moved, b=b) - v0)) <= bound
+
+    def test_vacuum_variance_preserved(self, mode128):
+        fs = synth_condition(FockDiagonalState.vacuum(), mode128, 8_000, 27, n_samples=128)
+        var = np.diag(autocovariance(fs, b=4))
+        assert var.size == 32
+        assert np.all(np.abs(var - 0.5) < 0.05)
+
+    def test_extraction_commutes_with_binning(self, mode128):
+        # the upsampled mode on fine frames equals the coarse mode on the
+        # binned frames
+        fs = synth_condition(FockDiagonalState.two_level(0.6), mode128, 4_000, 28, n_samples=128)
+        pca = pca_from_frames(fs, bin_size=4)
+        assert pca.mode.t0 == fs.t0 and pca.mode.samples.size == 128
+        fine = extract_quadratures(fs, pca.mode)
+        binned = fs.data.astype(np.float64).reshape(-1, 4).sum(axis=1).reshape(fs.n_frames, -1) / 2.0
+        coarse = binned @ (pca.mode.samples.reshape(-1, 4).sum(axis=1) / 2.0)
+        np.testing.assert_allclose(fine, coarse, atol=1e-5)
+
+    def test_bad_bin_rejected(self, mode128):
+        fs = synth_condition(FockDiagonalState.vacuum(), mode128, 2, 29, n_samples=128)
+        for bin_size in (0, -4):
+            with pytest.raises(ValueError, match="bin size"):
+                pca_from_frames(fs, bin_size=bin_size)
+        # fewer than 2 bins: 7 samples of 4 ns, and a window before the frame
+        for window in ((10.0, 17.0), (-50.0, -10.0)):
+            with pytest.raises(ValueError, match="window too short"):
+                pca_from_frames(fs, window=window, bin_size=4)
 
 
 class TestPcaLeadingMode:
@@ -201,7 +308,7 @@ class TestMle:
         samples = sample_mixture(FockDiagonalState.two_level(0.582), 5_000, 53)
         pdf = hermite_functions(5, samples) ** 2
         w = np.full(samples.size, 1.0 / samples.size)
-        assert _kkt_residual(np.full(6, 1.0 / 6.0), pdf, w) > 1e-2
+        assert kkt_residual(np.full(6, 1.0 / 6.0), pdf, w) > 1e-2
 
     def test_abnormal_line_search_end_is_judged_by_kkt(self):
         # regression: on this bootstrap weight vector the former L-BFGS-B
@@ -216,7 +323,7 @@ class TestMle:
         w = np.bincount(idx, minlength=samples.size) / samples.size
         c, _, kkt = _fit_weighted(pdf, w, point.c)
         assert kkt <= MLE_KKT_TOL
-        assert kkt == _kkt_residual(c, pdf, w)
+        assert kkt == kkt_residual(c, pdf, w)
         boot = bootstrap_purity(samples, point, 40, n_max=5, master_seed=4)
         assert boot.std > 0.0
         assert boot.failures == 0
@@ -238,11 +345,11 @@ class TestMle:
         w = np.full(samples.size, 1.0 / samples.size)
         c, n_evals, kkt = _fit_weighted(pdf, w, np.full(6, 1.0 / 6.0))
         assert len(calls) == n_evals
-        assert kkt == _kkt_residual(c, pdf, w) == _kkt_of_gradient(c, _objective(c, pdf, w)[1])
+        assert kkt == kkt_residual(c, pdf, w) == _kkt_of_gradient(c, _objective(c, pdf, w)[1])
         w = self._resample_weights(samples.size, 63, 0)
         assert np.count_nonzero(w == 0) > 1000
         c, _, kkt = _fit_weighted(pdf, w, c)
-        assert kkt == _kkt_residual(c, pdf, w) <= MLE_KKT_TOL
+        assert kkt == kkt_residual(c, pdf, w) <= MLE_KKT_TOL
         assert abs(kkt - _kkt_of_gradient(c, _objective(c, pdf, w)[1])) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -493,8 +600,8 @@ class TestSplitHalfReproducibility:
         a = FrameSet(fs.frames[:half], fs.t0, fs.dt, fs.adc, fs.master_seed)
         b = FrameSet(fs.frames[half:], fs.t0, fs.dt, fs.adc, fs.master_seed)
         window = (102.0, 102.0 + 336.0)
-        mode_a = pca_from_frames(a, window=window, bin_ns=8).mode
-        mode_b = pca_from_frames(b, window=window, bin_ns=8).mode
+        mode_a = pca_from_frames(a, window=window, bin_size=8).mode
+        mode_b = pca_from_frames(b, window=window, bin_size=8).mode
         assert overlap_sq(mode_a, mode_b) >= 0.99
 
     def test_matched_window_pca_recovers_truth(self, base_release):

@@ -33,7 +33,7 @@ from photonmem.pipeline import (
 from photonmem.fock import FockDiagonalState
 from photonmem.synth import AdcSpec, ImperfectionConfig, extract_quadratures, load_frames, synth_condition
 
-from conftest import run_fresh_python
+from conftest import kkt_residual, run_fresh_python
 
 #: the stock config's canonical dump: every digest and report.json's
 #: config_text are built from these bytes
@@ -454,7 +454,7 @@ def _stop_early(monkeypatch, stopped: set[int]) -> None:
             count.append(None)
             if len(count) in stopped:
                 c = np.array(c0, dtype=float)
-                return c, 1, estimation._kkt_residual(c, pdf_matrix, w)
+                return c, 1, kkt_residual(c, pdf_matrix, w)
         return real(pdf_matrix, w, c0)
 
     monkeypatch.setattr(estimation, "_fit_weighted", fit)

@@ -25,7 +25,6 @@ from photonmem.synth import (
     ImperfectionConfig,
     _fock_inverse_cdf,
     _gaussian_rows,
-    bin_frames,
     extract_quadratures,
     load_frames,
     save_frames,
@@ -763,81 +762,3 @@ class TestSynthToFile:
             assert (tmp_path / str(n) / "frames.bin").stat().st_size == 58 + n * 1000
             peak[n] = int(run.stdout.splitlines()[-1]) / 1024
         assert peak[32768] - peak[2048] < 8.0, peak
-
-
-class TestBinFrames:
-    def test_vacuum_variance_preserved(self, mode):
-        fs = synth_condition(FockDiagonalState.vacuum(), mode, 8_000, 27, n_samples=128)
-        binned = bin_frames(fs, 4.0)
-        var = binned.frames.astype(float).var(axis=0)
-        assert np.all(np.abs(var - 0.5) < 0.05)
-
-    def test_extraction_commutes_with_binning(self, mode):
-        from photonmem.estimation import pca_from_frames
-
-        fs = synth_condition(FockDiagonalState.two_level(0.6), mode, 4_000, 28, n_samples=128)
-        pca = pca_from_frames(fs, bin_ns=4)
-        # the upsampled mode on fine frames equals the coarse mode on binned frames
-        fine = extract_quadratures(fs, pca.mode)
-        binned = bin_frames(fs, 4.0)
-        coarse_mode = normalized_mode(
-            pca.mode.samples.reshape(-1, 4).sum(axis=1) / 2.0, binned.t0, 4.0
-        )
-        coarse = extract_quadratures(binned, coarse_mode)
-        np.testing.assert_allclose(fine, coarse, atol=1e-5)
-
-    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
-    @pytest.mark.parametrize("window", [None, (13.0, 101.0)], ids=["full", "window"])
-    def test_strided_sum_contract(self, b, window):
-        # bin k is the in-order float32 sum of samples k*b .. k*b + b - 1,
-        # divided by float32(sqrt(b))
-        rng = np.random.default_rng(b)
-        fs = FrameSet(rng.normal(0.0, 3.0, (50, 128)), t0=2.0, dt=1.0, adc=None, master_seed=0)
-        i0, i1 = (0, 128) if window is None else (11, 99)
-        n_bins = (i1 - i0) // b
-        ref = np.zeros((50, n_bins), dtype=np.float32)
-        ref64 = np.zeros((50, n_bins))
-        for j in range(n_bins):
-            for k in range(b):
-                ref[:, j] += fs.frames[:, i0 + j * b + k]
-                ref64[:, j] += fs.frames[:, i0 + j * b + k]
-        ref /= np.float32(np.sqrt(b))
-        binned = bin_frames(fs, float(b), window)
-        assert binned.frames.dtype == np.float32
-        assert binned.t0 == fs.t0 + i0 and binned.dt == b
-        np.testing.assert_array_equal(binned.frames, ref)
-        # b additions, float32(sqrt(b)) and the division each round by at
-        # most one float32 ulp of a value bounded by b * max|x|
-        bound = (b + 2) * np.finfo(np.float32).eps * b * float(np.abs(fs.frames).max())
-        np.testing.assert_allclose(binned.frames, ref64 / np.sqrt(b), rtol=0, atol=bound)
-
-    @pytest.mark.parametrize("bits", [8, 16])
-    @pytest.mark.parametrize("b", [1, 3, 8])
-    @pytest.mark.parametrize("window", [None, (13.0, 101.0)], ids=["full", "window"])
-    def test_codes_bin_exactly(self, mode, bits, b, window):
-        # 2049 frames: two full row blocks and a partial third
-        fs = synth_condition(
-            FockDiagonalState.two_level(0.5), mode, 2049, 42, n_samples=128,
-            adc=AdcSpec(bits, 2.5),  # clips: the outermost codes are in use
-        )
-        binned = bin_frames(fs, float(b), window)
-        i0 = 0 if window is None else 13
-        n_bins = binned.n_samples
-        exact = (fs.data.astype(np.float64) + 0.5) * fs.adc.step
-        ref64 = np.zeros((2049, n_bins))
-        for j in range(n_bins):
-            for k in range(b):
-                ref64[:, j] += exact[:, i0 + j * b + k]
-        ref64 /= np.sqrt(b)
-        # one float32 rounding of the result, plus the float64 roundings of
-        # the reference's b additions
-        bound = (
-            np.finfo(np.float32).eps / 2 * np.abs(ref64)
-            + (b + 2) * np.finfo(np.float64).eps * b * np.abs(exact).max()
-        )
-        assert np.all(np.abs(binned.frames - ref64) <= bound)
-
-    def test_bad_bin_rejected(self, mode):
-        fs = synth_condition(FockDiagonalState.vacuum(), mode, 2, 29, n_samples=128)
-        with pytest.raises(ValueError):
-            bin_frames(fs, 0.5)
