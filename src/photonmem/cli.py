@@ -75,9 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", dest="n_frames", type=_positive_int, default=None, help="number of frames")
     p.add_argument("--purity", type=float, default=0.582, help="single-photon weight of the state")
     p.add_argument("--release", type=float, default=150.0, help="shutter opening time (ns)")
-    p.add_argument(
-        "--adc-bits", type=int, default=None, help="ADC resolution (0 disables quantization; default: [adc])"
-    )
+    p.add_argument("--adc-bits", type=int, default=None, help="ADC resolution in [2, 16] (default: [adc])")
     p.add_argument("--full-scale", type=float, default=None, help="ADC full scale (default: [adc])")
 
     p = sub.add_parser("estimate", parents=[common], help="estimate a state from a frame file")
@@ -114,9 +112,9 @@ def _prepare(args) -> ExperimentConfig:
     if hasattr(args, "purity"):
         args.state = FockDiagonalState.two_level(args.purity)
     if hasattr(args, "adc_bits"):
-        bits = (cfg.adc.bits if cfg.adc else 0) if args.adc_bits is None else args.adc_bits
-        full_scale = (cfg.adc or AdcSpec()).full_scale if args.full_scale is None else args.full_scale
-        args.adc = AdcSpec(bits, full_scale) if bits else None
+        bits = cfg.adc.bits if args.adc_bits is None else args.adc_bits
+        full_scale = cfg.adc.full_scale if args.full_scale is None else args.full_scale
+        args.adc = AdcSpec(bits, full_scale)
     return cfg
 
 

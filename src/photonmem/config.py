@@ -46,7 +46,7 @@ class ExperimentConfig:
     window_end_ns: float = 1000.0
     dt_int_ns: float = 0.1
     imperfections: ImperfectionConfig = field(default_factory=ImperfectionConfig)
-    adc: AdcSpec | None = field(default_factory=AdcSpec)
+    adc: AdcSpec = field(default_factory=AdcSpec)
     n_max: int = DEFAULT_N_MAX
     bootstrap_resamples: int = 40
     master_seed: int = 20140523
@@ -132,13 +132,6 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def _bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
-
-
 #: The INI schema, one row per key: (section, key, cast, read).  ``cast``
 #: parses the INI text and fixes the key's format in the dump; ``read`` takes
 #: the value from a config, and from the stock config for a key a file omits.
@@ -162,15 +155,13 @@ _FIELDS = (
     ("sweep", "purity_model", str, lambda c: c.purity_model),
     ("sweep", "purities", _floats, lambda c: c.purities),
     ("sweep", "release_purity_p0", float, lambda c: c.release_purity_p0),
-    ("imperfections", "displacement_re", float, lambda c: (c.imperfections.displacement or 0j).real),
-    ("imperfections", "displacement_im", float, lambda c: (c.imperfections.displacement or 0j).imag),
+    ("imperfections", "displacement_re", float, lambda c: c.imperfections.displacement or 0.0),
     ("imperfections", "detuning_rad_s", float, lambda c: (c.imperfections.detuning or (0.0, 0.0))[0]),
     ("imperfections", "detuning_phase_rad", float, lambda c: (c.imperfections.detuning or (0.0, 0.0))[1]),
     ("imperfections", "extra_loss", float, lambda c: c.imperfections.extra_loss),
     ("imperfections", "electronic_noise_std", float, lambda c: c.imperfections.electronic_noise_std),
-    ("adc", "enabled", _bool, lambda c: c.adc is not None),
-    ("adc", "bits", int, lambda c: (c.adc or AdcSpec()).bits),
-    ("adc", "full_scale", float, lambda c: (c.adc or AdcSpec()).full_scale),
+    ("adc", "bits", int, lambda c: c.adc.bits),
+    ("adc", "full_scale", float, lambda c: c.adc.full_scale),
     ("estimation", "n_max", int, lambda c: c.n_max),
     ("estimation", "bootstrap_resamples", int, lambda c: c.bootstrap_resamples),
     ("run", "master_seed", int, lambda c: c.master_seed),
@@ -180,7 +171,6 @@ _FIELDS = (
 _FORMAT = {
     float: lambda v: repr(float(v)),
     _floats: lambda v: ", ".join(repr(float(t)) for t in v),
-    _bool: lambda v: str(v).lower(),
 }
 
 #: builders of the object-valued fields, called with their section's values
@@ -188,10 +178,8 @@ _FORMAT = {
 #: to None)
 _OBJECTS = {
     "cavity": CavityParams,
-    "imperfections": lambda re, im, rad_s, phase, *rest: ImperfectionConfig(
-        complex(re, im), (rad_s, phase), *rest
-    ),
-    "adc": lambda enabled, *spec: AdcSpec(*spec) if enabled else None,
+    "imperfections": lambda re, rad_s, phase, *rest: ImperfectionConfig(re, (rad_s, phase), *rest),
+    "adc": AdcSpec,
 }
 
 

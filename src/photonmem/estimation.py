@@ -77,8 +77,8 @@ class TomographyReport:
     quadratures: np.ndarray
     mle: MleResult
     bootstrap: BootstrapResult
-    #: share of ADC samples at the two outermost codes (None without an ADC)
-    adc_saturated_fraction: float | None
+    #: share of ADC samples at the two outermost codes
+    adc_saturated_fraction: float
 
     @property
     def purity(self) -> float:
@@ -116,16 +116,15 @@ def autocovariance(fs: FrameSet, *, b: int = 1, cols: slice = slice(None)) -> np
     LO light) out of the mode estimate.
 
     One uncentred pass over the ``FRAME_BLOCK`` row blocks: each block's
-    bin sums (exact integers for ADC codes, float64 for float32 frames) are
-    cast to float64 and add their column sums to ``total`` and their Gram
-    matrix to ``v``; the result is ``(v - total total^T / M) / (M b)``,
-    times step² with an ADC.  For codes every product and partial sum is
-    an integer below 2^53 (8-bit codes: while ``M b² < 2^39``), so ``v``
-    and ``total`` are exact, the result does not depend on the row order,
-    and the code offset of 1/2 step drops out with the mean.  For float32
-    frames the cancellation costs ~eps64 (mean/σ)² of σ², less than the
-    ~eps32 |mean|/σ the float32 input itself carries while
-    |mean|/σ < eps32/eps64 ≈ 5·10^8.
+    bin sums of codes, exact integers, are cast to float64 and add their
+    column sums to ``total`` and their Gram matrix to ``v``; the result is
+    ``(v - total total^T / M) / (M b)`` times step².  A bin sum has
+    magnitude at most ``b 2^(bits-1)``, so every product and partial sum is
+    an integer below 2^53 while ``M b² 4^(bits-1) < 2^53``: ``M b² < 2^39``
+    for 8-bit codes, ``M b² < 2^23`` for 16-bit ones (131 072 frames at
+    b = 8).  Then ``v`` and ``total`` are exact, the result does not depend
+    on the row order, and the code offset of 1/2 step drops out with the
+    mean.
     """
     if b < 1:
         raise ValueError(f"bin size must be a positive whole number of samples, got {b}")
@@ -137,7 +136,7 @@ def autocovariance(fs: FrameSet, *, b: int = 1, cols: slice = slice(None)) -> np
         raise ValueError("window too short for the requested binning")
     seg = seg[:, : n * b]
     # codes sum exactly in the narrowest integer type that holds b of them
-    acc_type = np.min_scalar_type(-(b << (fs.adc.bits - 1))) if fs.adc else np.float64
+    acc_type = np.min_scalar_type(-(b << (fs.adc.bits - 1)))
     v, gram, total = np.zeros((n, n)), np.empty((n, n)), np.zeros(n)
     for lo in range(0, m, FRAME_BLOCK):
         # b strided column passes: a reduction over a short last axis
@@ -151,7 +150,7 @@ def autocovariance(fs: FrameSet, *, b: int = 1, cols: slice = slice(None)) -> np
         v += np.matmul(x.T, x, out=gram)
     v -= np.outer(total, total / m)
     v /= m * b
-    v *= fs.adc.step**2 if fs.adc else 1.0
+    v *= fs.adc.step**2
     return (v + v.T) / 2.0
 
 

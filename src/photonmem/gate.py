@@ -193,13 +193,14 @@ def _cross_validated_eigenvalue(p: float, seed: int) -> tuple[float, float]:
     relation lambda = 1/2 + p is tested with held-out data: the mode is
     estimated on one half and the variance measured on the other, with the
     attenuation from imperfect mode estimates corrected by the overlap of the
-    two half-sample modes.
+    two half-sample modes.  The frames are 16-bit codes, an ideal detector to
+    within step²/12 ≈ 4e-9 of variance.
     """
     psi = _short_mode()
     n = psi.n_samples
     m = 30000
     fs = synth_condition(
-        FockDiagonalState.two_level(p), psi, m, seed, t0=psi.t0, n_samples=n
+        FockDiagonalState.two_level(p), psi, m, seed, t0=psi.t0, n_samples=n, adc=AdcSpec(16)
     )
     half = m // 2
     halves = [
@@ -233,11 +234,13 @@ def mode_mismatch_purities(
     release mode clipped to 140-267 ns (``psi``) are analysed in the mode
     ``sqrt(ov) psi + sqrt(1 - ov) phi`` for each ``ov`` in ``overlaps``,
     with ``phi`` the 160-240 ns boxcar orthonormalised against ``psi``, by
-    an n_max = 5 MLE.
+    an n_max = 5 MLE.  The frames are 16-bit codes, as in criterion 5's
+    eigenvalue test.
     """
     psi = _short_mode()
     fs = synth_condition(
-        FockDiagonalState.two_level(p), psi, n_frames, seed, t0=psi.t0, n_samples=psi.n_samples
+        FockDiagonalState.two_level(p), psi, n_frames, seed,
+        t0=psi.t0, n_samples=psi.n_samples, adc=AdcSpec(16),
     )
     boxcar = np.where((psi.times >= 160.0) & (psi.times < 240.0), 1.0, 0.0)
     partner = ModeFunction(boxcar / np.sqrt(boxcar.sum()), psi.t0, psi.dt)

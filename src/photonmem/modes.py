@@ -55,15 +55,6 @@ class ModeFunction:
         return self.t0 + self.dt * (self.samples.size - 1)
 
 
-def normalized_mode(samples, t0: float, dt: float = 1.0) -> ModeFunction:
-    """Build a ModeFunction from raw samples, normalizing them first."""
-    arr = np.asarray(samples, dtype=float)
-    norm = float(np.sum(arr**2))
-    if norm < 1e-24:
-        raise DegenerateInputError("cannot normalize: zero-energy samples")
-    return ModeFunction(arr / np.sqrt(norm), t0, dt)
-
-
 def _grid_offset(a: ModeFunction, b: ModeFunction) -> int:
     """Integer sample offset of b's grid relative to a's; error if misaligned."""
     if abs(a.dt - b.dt) > GRID_TOL * a.dt:
@@ -125,21 +116,6 @@ def _centroid_time(m: ModeFunction) -> float:
     return float(np.sum(m.samples**2 * m.times))
 
 
-def detuning_overlap_penalty(m: ModeFunction, delta_rad_s: float, phase: float) -> float:
-    """Purity factor for measuring a detuned mode in a fixed LO frame.
-
-    The mode rotates as ``m(t) e^{i(delta (t - t_c) + phase)}`` with the phase
-    referenced to the pulse centroid ``t_c`` (the absolute phase accumulated
-    before the pulse is folded into ``phase``).  Only the in-phase part
-    couples to a quadrature measurement weighted by ``m`` itself, so the
-    single-photon weight scales by ``(sum_i m_i^2 cos(...))^2``: 1 when the
-    rotation is negligible across the pulse, 0 for a pure quadrature rotation.
-    """
-    rel_t_s = (m.times - _centroid_time(m)) * 1e-9
-    proj = float(np.sum(m.samples**2 * np.cos(delta_rad_s * rel_t_s + phase)))
-    return proj**2
-
-
 def detuned_effective_mode(
     m: ModeFunction, delta_rad_s: float, phase: float
 ) -> tuple[ModeFunction, float]:
@@ -147,8 +123,10 @@ def detuned_effective_mode(
     and its weight ``sum_i (m_i cos(...))^2``: the share of the photon that
     the in-phase part carries.
 
-    Uses the same centroid-referenced rotation as
-    :func:`detuning_overlap_penalty`.
+    The mode rotates as ``m(t) e^{i(delta (t - t_c) + phase)}`` with the
+    phase referenced to the pulse centroid ``t_c`` (the absolute phase
+    accumulated before the pulse is folded into ``phase``); only the
+    in-phase part couples to a quadrature measurement.
     """
     rel_t_s = (m.times - _centroid_time(m)) * 1e-9
     raw = m.samples * np.cos(delta_rad_s * rel_t_s + phase)

@@ -9,9 +9,11 @@ electronic noise ``e ~ N(0, sigma_e^2)^N`` adds to every sample::
     frame = w - (psi . w) psi + x_psi psi + e,   w ~ N(0, 1/2)^N
 
 so a weighted integral with psi recovers ``x_psi + psi . e`` and any
-orthogonal mode stays Gaussian of variance ``1/2 + sigma_e^2``.  Frames are
-stored as the binary file format holds them -- ADC codes, or float32 without
-an ADC -- which keeps file-mediated pipelines bit-identical to in-process ones.
+orthogonal mode stays Gaussian of variance ``1/2 + sigma_e^2``.  Every frame
+is digitised by an ADC and stored as the binary file format holds it, as
+integer codes, which keeps file-mediated pipelines bit-identical to in-process
+ones; a 16-bit ADC (quantisation noise ~4e-9 against the vacuum's 1/2) stands
+in for an ideal detector.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ class AdcSpec:
 class ImperfectionConfig:
     """Optional measurement imperfections.
 
-    displacement: complex coherent contamination of the excited mode (adds
-        sqrt(2) Re(alpha) to its quadrature).
+    displacement: real coherent amplitude alpha contaminating the excited
+        mode (adds sqrt(2) alpha to its quadrature).
     detuning: (delta rad/s, phase rad) rotation of the excited mode relative
         to the LO frame; the embedded mode becomes its normalised in-phase
         projection, which carries only its weight of the photon (a loss,
@@ -119,7 +121,7 @@ class ImperfectionConfig:
         quadrature units (off by default: shot noise dominates by ~20 dB).
     """
 
-    displacement: complex | None = None
+    displacement: float | None = None
     detuning: tuple[float, float] | None = None
     extra_loss: float = 1.0
     electronic_noise_std: float = 0.0
@@ -131,6 +133,8 @@ class ImperfectionConfig:
             raise ValueError(
                 f"electronic_noise_std must be finite and non-negative, got {self.electronic_noise_std}"
             )
+        if isinstance(self.displacement, complex):
+            raise ValueError(f"displacement must be a real amplitude, got {self.displacement}")
         for name in ("displacement", "detuning"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
@@ -143,27 +147,23 @@ class ImperfectionConfig:
             object.__setattr__(self, "detuning", None)
 
 
-def _check_block(block: np.ndarray, adc: AdcSpec | None) -> None:
-    """Raise ``ValueError`` unless ``block`` holds codes in the ADC's range,
-    or finite values without an ADC."""
-    if adc is None:
-        if not np.isfinite(block).all():
-            raise ValueError("frames must be finite")
-    elif block.min() < adc.code_range[0] or block.max() > adc.code_range[1]:
+def _check_block(block: np.ndarray, adc: AdcSpec) -> None:
+    """Raise ``ValueError`` unless ``block`` holds codes in the ADC's range."""
+    if block.min() < adc.code_range[0] or block.max() > adc.code_range[1]:
         raise ValueError(f"frame codes outside the {adc.bits}-bit ADC's range")
 
 
 @dataclass(frozen=True)
 class FrameSet:
-    """M x N frames (ADC codes iff ``adc`` is set, else float32) plus grid/ADC/seed metadata.
+    """M x N frames of ADC codes plus grid/ADC/seed metadata.
 
-    With an ADC, ``data`` must be an integer array of codes in its range;
-    without one, it is converted to float32 and must be finite."""
+    ``data`` must be an integer array of codes in the ADC's range; it is
+    stored in :attr:`AdcSpec.code_dtype`."""
 
     data: np.ndarray
     t0: float
     dt: float
-    adc: AdcSpec | None
+    adc: AdcSpec
     master_seed: int
 
     def __post_init__(self):
@@ -171,24 +171,21 @@ class FrameSet:
             raise ValueError(f"t0 must be finite, got {self.t0}")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        adc, arr = self.adc, np.asarray(self.data)
-        if adc is not None and arr.dtype.kind not in "iu":
-            raise ValueError(f"frames with an ADC must be integer codes, got {arr.dtype}")
-        arr = arr if adc else np.ascontiguousarray(arr, dtype=np.float32)
+        arr = np.asarray(self.data)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"frames must be integer codes, got {arr.dtype}")
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("frames must be a non-empty M x N matrix")
         # block by block: whole-matrix checks make M x N temporaries
         for lo in range(0, arr.shape[0], FRAME_BLOCK):
-            _check_block(arr[lo : lo + FRAME_BLOCK], adc)
-        data = np.ascontiguousarray(arr, dtype=adc.code_dtype if adc else None)
+            _check_block(arr[lo : lo + FRAME_BLOCK], self.adc)
+        data = np.ascontiguousarray(arr, dtype=self.adc.code_dtype)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
     @cached_property
     def frames(self) -> np.ndarray:
-        """float32 quadratures: ``data``, or its ADC levels (decoded once)."""
-        if self.adc is None:
-            return self.data
+        """float32 quadratures: the ADC levels of ``data``, decoded once."""
         out = np.empty(self.data.shape, np.float32)
         for lo in range(0, self.n_frames, FRAME_BLOCK):
             self.adc.decode(self.data[lo : lo + FRAME_BLOCK], out=out[lo : lo + FRAME_BLOCK])
@@ -204,10 +201,8 @@ class FrameSet:
         return self.data.shape[1]
 
     @property
-    def adc_saturated_fraction(self) -> float | None:
-        """Share of samples at the ADC's two outermost codes (None without an ADC)."""
-        if self.adc is None:
-            return None
+    def adc_saturated_fraction(self) -> float:
+        """Share of samples at the ADC's two outermost codes."""
         lo, hi = self.adc.code_range
         blocks = (self.data[i : i + FRAME_BLOCK] for i in range(0, self.n_frames, FRAME_BLOCK))
         return sum(np.count_nonzero(b == lo) + np.count_nonzero(b == hi) for b in blocks) / self.data.size
@@ -278,12 +273,12 @@ def _block_filler(
     t0: float,
     n_samples: int,
     imperfections: ImperfectionConfig | None,
-    adc: AdcSpec | None,
+    adc: AdcSpec,
 ) -> Callable[[int, np.ndarray], None]:
     """Check the arguments of :func:`synth_condition`, make its set-up once
     and return ``fill(lo, dest)``, which writes the block of frames from
     ``lo`` (a multiple of ``FRAME_BLOCK``) into ``dest``, an array of that
-    block's rows in the frame dtype.  ``fill`` may run on several threads
+    block's rows in the ADC's code dtype.  ``fill`` may run on several threads
     at once."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -299,7 +294,7 @@ def _block_filler(
     # here, as two threads that miss the cache together would both build one
     drawn = {*np.flatnonzero(eff_state.c).tolist(), eff_state.n_max}
     tables = {k: _fock_inverse_cdf(k) for k in drawn}
-    shift = np.sqrt(2.0) * np.real(imp.displacement) if imp.displacement is not None else 0.0
+    shift = np.sqrt(2.0) * (imp.displacement or 0.0)
     noise = imp.electronic_noise_std
     sigma = math.sqrt(0.5 + noise**2)
 
@@ -326,8 +321,7 @@ def _block_filler(
             band = rows[:, cols]
             coef = x[s : s + len(rows)] - np.einsum("ij,j->i", band, mode)
             band += np.einsum("i,j->ij", coef, mode, out=swap[: len(rows)])
-            if adc is not None:
-                adc.encode(rows, out=rows)
+            adc.encode(rows, out=rows)
             dest[s : s + len(rows)] = rows
 
     return fill
@@ -348,7 +342,7 @@ def synth_condition(
     t0: float = 0.0,
     n_samples: int = 1000,
     imperfections: ImperfectionConfig | None = None,
-    adc: AdcSpec | None = None,
+    adc: AdcSpec = AdcSpec(),
     threads: int | None = None,
 ) -> FrameSet:
     """Generate ``n_frames`` independent frames on the 1 ns grid for one
@@ -371,9 +365,9 @@ def synth_condition(
     frame carries ``x_psi + sigma_e * zeta``, orthogonal to it the isotropic
     noise, which is the distribution of the frame in the module docstring.
     Each row is built in float64, the mode swapped in place, and rounded
-    once: to float32, or to the ADC codes :meth:`AdcSpec.encode` gives for
-    the float64 values.  Each row sub-block is drawn and finished while it
-    is in cache; the draws do not depend on the sub-block size.  A partial
+    once, to the ADC codes :meth:`AdcSpec.encode` gives for the float64
+    values.  Each row sub-block is drawn and finished while it is in cache;
+    the draws do not depend on the sub-block size.  A partial
     last block draws its uniforms for the whole block and words for its own
     rows only, so frame ``i`` depends only on ``(master_seed, i)``.  The
     blocks are filled on a pool of ``threads`` threads (None:
@@ -386,7 +380,7 @@ def synth_condition(
     fill = _block_filler(
         state, psi, n_frames, master_seed, t0=t0, n_samples=n_samples, imperfections=imperfections, adc=adc
     )
-    out = np.empty((n_frames, n_samples), dtype=adc.code_dtype if adc else np.float32)
+    out = np.empty((n_frames, n_samples), dtype=adc.code_dtype)
     with ThreadPoolExecutor(max_workers=_pool_size(threads, n_frames)) as pool:
         list(pool.map(lambda lo: fill(lo, out[lo : lo + FRAME_BLOCK]), range(0, n_frames, FRAME_BLOCK)))
     return FrameSet(out, t0=t0, dt=1.0, adc=adc, master_seed=master_seed)
@@ -402,7 +396,7 @@ def synth_to_file(
     t0: float = 0.0,
     n_samples: int = 1000,
     imperfections: ImperfectionConfig | None = None,
-    adc: AdcSpec | None = None,
+    adc: AdcSpec = AdcSpec(),
 ) -> None:
     """Write the frames :func:`synth_condition` returns for these arguments
     to ``path``, byte for byte as :func:`save_frames` writes them, without
@@ -420,10 +414,9 @@ def synth_to_file(
     fill = _block_filler(
         state, psi, n_frames, master_seed, t0=t0, n_samples=n_samples, imperfections=imperfections, adc=adc
     )
-    dtype = _file_dtype(adc)
 
     def block(lo: int) -> np.ndarray:
-        rows = np.empty((min(FRAME_BLOCK, n_frames - lo), n_samples), dtype)
+        rows = np.empty((min(FRAME_BLOCK, n_frames - lo), n_samples), adc.code_dtype)
         fill(lo, rows)
         _check_block(rows, adc)
         return rows
@@ -449,21 +442,15 @@ def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
     """Mode quadrature of every frame in the set (float64).
 
     One float64 gemv per ``FRAME_BLOCK`` row block, so no M x N float64 copy
-    of the frames is made; ADC codes count at their exact levels.
+    of the frames is made; codes count at their exact ADC levels.
     """
     cols = _mode_indices(psi0, fs.t0, fs.n_samples, fs.dt)
     quads = np.empty(fs.n_frames)
     for lo in range(0, fs.n_frames, FRAME_BLOCK):
         block = fs.data[lo : lo + FRAME_BLOCK, cols].astype(np.float64)
         np.matmul(block, psi0.samples, out=quads[lo : lo + FRAME_BLOCK])
-    if fs.adc is not None:  # code k stands for the level (k + 1/2) step
-        return (quads + 0.5 * psi0.samples.sum()) * fs.adc.step
-    return quads
-
-
-def _file_dtype(adc: AdcSpec | None) -> np.dtype:
-    """Little-endian sample type of the frame format: ADC codes, or float32."""
-    return adc.code_dtype if adc else np.dtype("<f4")
+    # code k stands for the level (k + 1/2) step
+    return (quads + 0.5 * psi0.samples.sum()) * fs.adc.step
 
 
 def _write_frame_file(
@@ -472,13 +459,14 @@ def _write_frame_file(
     n_samples: int,
     t0: float,
     dt: float,
-    adc: AdcSpec | None,
+    adc: AdcSpec,
     master_seed: int,
     write_data: Callable[[BinaryIO], None],
 ) -> None:
     """Write the frame format's header for this geometry and then
-    ``write_data(fh)``, which writes the ``n_frames x n_samples`` samples in
-    :func:`_file_dtype`, under ``<path>.tmp``, and rename it over ``path``.
+    ``write_data(fh)``, which writes the ``n_frames x n_samples`` codes in
+    :attr:`AdcSpec.code_dtype`, under ``<path>.tmp``, and rename it over
+    ``path``.
 
     A seed outside [0, 2**64) raises ``ValueError``, and a file that the
     free space of its directory (or of the nearest existing ancestor)
@@ -494,13 +482,13 @@ def _write_frame_file(
         n_samples,
         t0,
         dt,
-        1 if adc else 0,
-        adc.bits if adc else 0,
-        adc.full_scale if adc else 0.0,
+        1,
+        adc.bits,
+        adc.full_scale,
         master_seed,
     )
     path = Path(path)
-    need = len(header) + n_frames * n_samples * _file_dtype(adc).itemsize
+    need = len(header) + n_frames * n_samples * adc.code_dtype.itemsize
     existing = next(d for d in (path.parent, *path.parent.parents) if d.exists())
     free = shutil.disk_usage(existing).free
     if need > free:
@@ -518,13 +506,12 @@ def _write_frame_file(
 
 
 def save_frames(fs: FrameSet, path: str | Path) -> None:
-    """Write the frame format (version 2): fixed header + row-major data, as
-    little-endian ADC codes iff the ADC flag is set and float32 otherwise.
+    """Write the frame format (version 2): fixed header, ADC flag 1, then the
+    row-major data as little-endian ADC codes.
 
     The file is written by :func:`_write_frame_file`: under a temporary
     name, renamed over ``path``, and refused before anything is written when
     the seed does not fit the header or the directory has no room for it."""
-    dtype = _file_dtype(fs.adc)
     _write_frame_file(
         path,
         fs.n_frames,
@@ -533,15 +520,16 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
         fs.dt,
         fs.adc,
         fs.master_seed,
-        lambda fh: fs.data.astype(dtype, copy=False).tofile(fh),
+        fs.data.tofile,
     )
 
 
 def load_frames(path: str | Path) -> FrameSet:
     """Read a file written by :func:`save_frames`.
 
-    Only version 2 is read; any other version, such as the float32 version
-    1, raises ``ValueError``.  The size the header implies must equal the
+    Only version 2 with ADC flag 1 is read; any other version, such as the
+    float32 version 1, or a version-2 file of float32 frames (ADC flag 0)
+    raises ``ValueError``.  The size the header implies must equal the
     file size, so a truncated file, trailing bytes or a corrupt header
     raise (naming the file) first.
     """
@@ -550,15 +538,15 @@ def load_frames(path: str | Path) -> FrameSet:
             raw = fh.read(_HEADER.size)
             if len(raw) != _HEADER.size:
                 raise ValueError("truncated header")
-            magic, version, m, n, t0, dt, adc_flag, bits, full_scale, seed = _HEADER.unpack(raw)
+            magic, version, m, n, t0, dt, flag, bits, full_scale, seed = _HEADER.unpack(raw)
             if magic != _MAGIC:
                 raise ValueError(f"not a frame file (bad magic {magic!r})")
             if version != _VERSION:
                 raise ValueError(f"unsupported version {version}")
-            if adc_flag not in (0, 1):
-                raise ValueError(f"ADC flag {adc_flag} is neither 0 nor 1")
-            adc = AdcSpec(bits, full_scale) if adc_flag else None
-            dtype = _file_dtype(adc)
+            if flag != 1:
+                raise ValueError(f"ADC flag {flag}: only files of ADC codes (flag 1) are read")
+            adc = AdcSpec(bits, full_scale)
+            dtype = adc.code_dtype
             expected = _HEADER.size + dtype.itemsize * m * n
             size = os.fstat(fh.fileno()).st_size
             if size < expected:

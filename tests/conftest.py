@@ -9,7 +9,12 @@ import pytest
 import photonmem
 from photonmem import CavityParams, ShutterSchedule, simulate_release
 from photonmem.estimation import _kkt_of_gradient, _objective
-from photonmem.modes import ModeFunction, normalized_mode
+from photonmem.modes import ModeFunction
+from photonmem.synth import AdcSpec
+
+#: the ideal detector of the statistical tests: a 16-bit ADC, whose
+#: quantisation noise step²/12 ≈ 4e-9 is far below the vacuum's 1/2
+IDEAL_ADC = AdcSpec(16)
 
 
 @pytest.fixture(scope="session")
@@ -23,14 +28,34 @@ def base_release(params):
     return simulate_release(params, ShutterSchedule(t_release_ns=150.0))
 
 
+def unit_mode(samples, t0: float, dt: float = 1.0) -> ModeFunction:
+    """The mode of ``samples`` scaled to unit norm."""
+    arr = np.asarray(samples, dtype=float)
+    return ModeFunction(arr / np.sqrt(np.sum(arr**2)), t0, dt)
+
+
 def boxcar(t0: float, width_ns: float, dt: float = 1.0) -> ModeFunction:
     n = int(round(width_ns / dt))
-    return normalized_mode(np.ones(n), t0, dt)
+    return unit_mode(np.ones(n), t0, dt)
 
 
 def gaussian_mode(center: float, sigma: float, t0: float, n: int, dt: float = 1.0) -> ModeFunction:
     t = t0 + dt * np.arange(n)
-    return normalized_mode(np.exp(-0.5 * ((t - center) / sigma) ** 2), t0, dt)
+    return unit_mode(np.exp(-0.5 * ((t - center) / sigma) ** 2), t0, dt)
+
+
+def detuning_overlap_penalty(m: ModeFunction, delta_rad_s: float, phase: float) -> float:
+    """Oracle for the single-photon weight a detuned mode keeps along ``m``
+    in a fixed LO frame.
+
+    The mode rotates as ``m(t) e^{i(delta (t - t_c) + phase)}`` with the phase
+    referenced to the pulse centroid ``t_c``.  Only the in-phase part couples
+    to a quadrature measurement weighted by ``m`` itself, so the weight
+    scales by ``(sum_i m_i^2 cos(...))^2``: 1 when the rotation is negligible
+    across the pulse, 0 for a pure quadrature rotation."""
+    centroid = float(np.sum(m.samples**2 * m.times))
+    rel_t_s = (m.times - centroid) * 1e-9
+    return float(np.sum(m.samples**2 * np.cos(delta_rad_s * rel_t_s + phase))) ** 2
 
 
 def run_fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -26,7 +26,7 @@ from photonmem.estimation import (
     pca_leading_mode,
 )
 from photonmem.fock import FockDiagonalState, hermite_functions, quadrature_pdf
-from photonmem.modes import normalized_mode, overlap_sq
+from photonmem.modes import overlap_sq
 from photonmem.pipeline import estimate_frames
 from photonmem.synth import (
     VACUUM_SIGMA,
@@ -37,7 +37,7 @@ from photonmem.synth import (
     synth_condition,
 )
 
-from conftest import gaussian_mode, kkt_residual
+from conftest import IDEAL_ADC, gaussian_mode, kkt_residual, unit_mode
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ class TestAutocovariance:
         # analytic oracle: V = I/2 + p psi psi^T for single-photon weight p
         p = 0.6
         m_frames = 30_000
-        fs = synth_condition(FockDiagonalState.two_level(p), mode64, m_frames, 31, n_samples=64)
+        fs = synth_condition(FockDiagonalState.two_level(p), mode64, m_frames, 31, n_samples=64, adc=IDEAL_ADC)
         v = autocovariance(fs)
         target = np.eye(64) / 2.0 + p * np.outer(mode64.samples, mode64.samples)
         assert np.max(np.abs(v - target)) < 6.0 / np.sqrt(m_frames)
@@ -81,12 +81,12 @@ class TestAutocovariance:
         # the exact value (Higham, Accuracy and Stability of Numerical
         # Algorithms, 2002, eq. 3.5), so they differ by at most twice that
         # ADC codes k count at their exact levels (k + 1/2) step
-        for adc in (None, AdcSpec()):
+        for adc in (IDEAL_ADC, AdcSpec()):
             fs = synth_condition(
                 FockDiagonalState.two_level(0.5), mode64, 5_000, 37, n_samples=64, adc=adc
             )
             m = fs.n_frames
-            x = fs.frames.astype(np.float64) if adc is None else (fs.data + 0.5) * adc.step
+            x = (fs.data + 0.5) * adc.step
             x -= x.mean(axis=0)
             ref = (x.T @ x) / m
             ref = (ref + ref.T) / 2.0
@@ -102,7 +102,7 @@ class TestAutocovariance:
 
     def test_duplicated_frame_is_rank_deficient_but_valid(self, mode64):
         one = synth_condition(FockDiagonalState.vacuum(), mode64, 1, 33, n_samples=64)
-        fs = FrameSet(np.repeat(one.frames, 10, axis=0), one.t0, one.dt, None, 33)
+        fs = FrameSet(np.repeat(one.data, 10, axis=0), one.t0, one.dt, one.adc, 33)
         v = autocovariance(fs)
         # mean subtraction removes the only component entirely
         assert np.max(np.abs(v)) < 1e-9
@@ -114,9 +114,7 @@ class TestBinnedAutocovariance:
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("window", [None, (13.0, 101.0)], ids=["full", "window"])
-    @pytest.mark.parametrize(
-        "adc", [None, AdcSpec(8, 2.5), AdcSpec(16, 2.5)], ids=["float", "8-bit", "16-bit"]
-    )
+    @pytest.mark.parametrize("adc", [AdcSpec(8, 2.5), AdcSpec(16, 2.5)], ids=["8-bit", "16-bit"])
     def test_matches_float64_reference(self, mode128, b, window, adc):
         # 2049 frames: two full row blocks and a partial third; full scale
         # 2.5 clips, so the outermost codes are in use.  The uncentred sums
@@ -131,8 +129,8 @@ class TestBinnedAutocovariance:
         )
         i0, i1 = (0, 128) if window is None else (13, 101)
         n_bins = (i1 - i0) // b
-        # exact levels: the float32 frames, or code k's level (k + 1/2) step
-        x = fs.data.astype(np.float64) if adc is None else (fs.data + 0.5) * adc.step
+        # exact levels: code k's level (k + 1/2) step
+        x = (fs.data + 0.5) * adc.step
         x = x[:, i0 : i0 + n_bins * b]
         y = x.reshape(-1, b).sum(axis=1).reshape(fs.n_frames, n_bins) / np.sqrt(b)
         y -= y.mean(axis=0)
@@ -147,44 +145,23 @@ class TestBinnedAutocovariance:
         assert np.all(np.abs(v - ref) <= bound)
 
     def test_codes_do_not_depend_on_row_order(self, mode128):
-        # 8-bit code sums and their products are exact integers in float64,
-        # so no reordering of the rows, and no blocking, moves a bit
-        fs = synth_condition(
-            FockDiagonalState.two_level(0.5), mode128, 2049, 43, n_samples=128, adc=AdcSpec()
-        )
-        perm = np.random.default_rng(43).permutation(fs.n_frames)
-        shuffled = FrameSet(fs.data[perm], fs.t0, fs.dt, fs.adc, fs.master_seed)
-        np.testing.assert_array_equal(autocovariance(shuffled), autocovariance(fs))
-        np.testing.assert_array_equal(
-            autocovariance(shuffled, b=8, cols=slice(13, 101)),
-            autocovariance(fs, b=8, cols=slice(13, 101)),
-        )
-
-    @pytest.mark.parametrize("b", [1, 4])
-    def test_float_offset_of_100_sigma(self, mode128, b):
-        # a constant offset c = 100 sigma on every float32 sample.  In
-        # terms of the bin sums of b samples (the result is divided by b):
-        # the float32 sums x + c round by at most d = b half-ulps of
-        # max|x + c|, which moves a covariance entry by at most
-        # (s_i + s_j) d + d^2 <= 2 s d + d^2 (s_i the bins' standard
-        # deviations, s their maximum); the uncentred float64 sums of either
-        # set round within gamma_M (b c + max|S|)^2 per entry of G / M and of
-        # total total^T / M^2, which 4 gamma_M (b c + max|S|)^2 covers.  An
-        # all-float32 computation was off by 0.02 on these frames
-        fs = synth_condition(FockDiagonalState.two_level(0.5), mode128, 2049, 44, n_samples=128)
-        c = np.float32(100.0 * VACUUM_SIGMA)
-        moved = FrameSet(fs.data + c, fs.t0, fs.dt, None, fs.master_seed)
-        v0 = autocovariance(fs, b=b)
-        x_max = float(np.abs(fs.data).max()) * b
-        d = float(np.spacing(np.abs(moved.data).max())) / 2.0 * b
-        s = float(np.sqrt(np.diag(v0).max() * b))
-        m = fs.n_frames
-        gamma = m * np.finfo(np.float64).eps / 2.0 / (1.0 - m * np.finfo(np.float64).eps / 2.0)
-        bound = (2.0 * s * d + d**2 + 4.0 * gamma * (b * float(c) + x_max) ** 2) / b
-        assert np.max(np.abs(autocovariance(moved, b=b) - v0)) <= bound
+        # code sums and their products are exact integers in float64 (for
+        # 16-bit codes at b = 8 while M < 131 072), so no reordering of the
+        # rows, and no blocking, moves a bit
+        for adc in (AdcSpec(), AdcSpec(16)):
+            fs = synth_condition(
+                FockDiagonalState.two_level(0.5), mode128, 2049, 43, n_samples=128, adc=adc
+            )
+            perm = np.random.default_rng(43).permutation(fs.n_frames)
+            shuffled = FrameSet(fs.data[perm], fs.t0, fs.dt, fs.adc, fs.master_seed)
+            np.testing.assert_array_equal(autocovariance(shuffled), autocovariance(fs))
+            np.testing.assert_array_equal(
+                autocovariance(shuffled, b=8, cols=slice(13, 101)),
+                autocovariance(fs, b=8, cols=slice(13, 101)),
+            )
 
     def test_vacuum_variance_preserved(self, mode128):
-        fs = synth_condition(FockDiagonalState.vacuum(), mode128, 8_000, 27, n_samples=128)
+        fs = synth_condition(FockDiagonalState.vacuum(), mode128, 8_000, 27, n_samples=128, adc=IDEAL_ADC)
         var = np.diag(autocovariance(fs, b=4))
         assert var.size == 32
         assert np.all(np.abs(var - 0.5) < 0.05)
@@ -192,11 +169,12 @@ class TestBinnedAutocovariance:
     def test_extraction_commutes_with_binning(self, mode128):
         # the upsampled mode on fine frames equals the coarse mode on the
         # binned frames
-        fs = synth_condition(FockDiagonalState.two_level(0.6), mode128, 4_000, 28, n_samples=128)
+        fs = synth_condition(FockDiagonalState.two_level(0.6), mode128, 4_000, 28, n_samples=128, adc=IDEAL_ADC)
         pca = pca_from_frames(fs, bin_size=4)
         assert pca.mode.t0 == fs.t0 and pca.mode.samples.size == 128
         fine = extract_quadratures(fs, pca.mode)
-        binned = fs.data.astype(np.float64).reshape(-1, 4).sum(axis=1).reshape(fs.n_frames, -1) / 2.0
+        levels = (fs.data + 0.5) * fs.adc.step
+        binned = levels.reshape(-1, 4).sum(axis=1).reshape(fs.n_frames, -1) / 2.0
         coarse = binned @ (pca.mode.samples.reshape(-1, 4).sum(axis=1) / 2.0)
         np.testing.assert_allclose(fine, coarse, atol=1e-5)
 
@@ -217,7 +195,7 @@ class TestPcaLeadingMode:
         v = np.eye(64) / 2.0 + 0.582 * np.outer(mode64.samples, mode64.samples)
         pca = pca_leading_mode(v)
         assert pca.eigenvalue == pytest.approx(1.082, abs=1e-12)
-        assert overlap_sq(pca.mode, normalized_mode(mode64.samples, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert overlap_sq(pca.mode, unit_mode(mode64.samples, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
         # the photon number the eigenvalue implies: lambda - 1/2
         assert pca.eigenvalue - 0.5 == pytest.approx(0.582, abs=1e-12)
 
@@ -421,7 +399,7 @@ class TestMle:
 
 class TestBootstrap:
     def test_resample_count_consistency(self, mode64):
-        fs = synth_condition(FockDiagonalState.two_level(0.582), mode64, 6_000, 40, n_samples=64)
+        fs = synth_condition(FockDiagonalState.two_level(0.582), mode64, 6_000, 40, n_samples=64, adc=IDEAL_ADC)
         quads = extract_quadratures(fs, mode64)
         point = mle_photon_distribution(quads, 5).state
         std_small = bootstrap_purity(quads, point, 20, n_max=5, master_seed=40).std
@@ -430,7 +408,7 @@ class TestBootstrap:
 
     def test_identical_frames_unstable(self, mode64):
         one = synth_condition(FockDiagonalState.vacuum(), mode64, 1, 41, n_samples=64)
-        fs = FrameSet(np.repeat(one.frames, 2_000, axis=0), one.t0, one.dt, None, 41)
+        fs = FrameSet(np.repeat(one.data, 2_000, axis=0), one.t0, one.dt, one.adc, 41)
         quads = extract_quadratures(fs, mode64)
         with pytest.raises(UnstableEstimateError):
             bootstrap_purity(quads, FockDiagonalState.vacuum(), 20, master_seed=41)
@@ -594,11 +572,11 @@ class TestSplitHalfReproducibility:
         # better than 99% when the analysis runs at ~50 effective dimensions
         fs = synth_condition(
             FockDiagonalState.two_level(0.582), base_release.envelope,
-            43_000, 45, n_samples=1000,
+            43_000, 45, n_samples=1000, adc=IDEAL_ADC,
         )
         half = fs.n_frames // 2
-        a = FrameSet(fs.frames[:half], fs.t0, fs.dt, fs.adc, fs.master_seed)
-        b = FrameSet(fs.frames[half:], fs.t0, fs.dt, fs.adc, fs.master_seed)
+        a = FrameSet(fs.data[:half], fs.t0, fs.dt, fs.adc, fs.master_seed)
+        b = FrameSet(fs.data[half:], fs.t0, fs.dt, fs.adc, fs.master_seed)
         window = (102.0, 102.0 + 336.0)
         mode_a = pca_from_frames(a, window=window, bin_size=8).mode
         mode_b = pca_from_frames(b, window=window, bin_size=8).mode
@@ -607,7 +585,7 @@ class TestSplitHalfReproducibility:
     def test_matched_window_pca_recovers_truth(self, base_release):
         fs = synth_condition(
             FockDiagonalState.two_level(0.582), base_release.envelope,
-            30_000, 46, n_samples=1000,
+            30_000, 46, n_samples=1000, adc=IDEAL_ADC,
         )
         pca = matched_window_pca(fs)
         assert overlap_sq(pca.mode, base_release.envelope) >= 0.985

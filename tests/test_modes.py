@@ -8,20 +8,18 @@ from photonmem.modes import (
     ModeFunction,
     clip_and_renormalize,
     detuned_effective_mode,
-    detuning_overlap_penalty,
     inner_product,
-    normalized_mode,
     orthonormalize,
     overlap_sq,
     time_shift,
 )
 
-from conftest import boxcar, gaussian_mode
+from conftest import boxcar, detuning_overlap_penalty, gaussian_mode, unit_mode
 
 
 def random_mode(seed: int, n: int = 64, t0: float = 0.0) -> ModeFunction:
     rng = np.random.default_rng(seed)
-    return normalized_mode(rng.normal(size=n), t0, 1.0)
+    return unit_mode(rng.normal(size=n), t0, 1.0)
 
 
 class TestInnerProduct:
@@ -181,7 +179,7 @@ class TestDetuningPenalty:
 class TestOrthonormalize:
     def test_gram_matrix_is_identity(self):
         rng = np.random.default_rng(11)
-        modes = [normalized_mode(rng.normal(size=48), 0.0, 1.0) for _ in range(6)]
+        modes = [unit_mode(rng.normal(size=48), 0.0, 1.0) for _ in range(6)]
         basis = orthonormalize(modes)
         gram = [[inner_product(a, b) for b in basis] for a in basis]
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-9)
@@ -200,7 +198,3 @@ class TestModeFunctionValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             ModeFunction(np.array([np.nan, 1.0]), 0.0, 1.0)
-
-    def test_normalized_mode_rejects_zero(self):
-        with pytest.raises(DegenerateInputError):
-            normalized_mode(np.zeros(8), 0.0, 1.0)

@@ -62,14 +62,12 @@ release_purity_p0 = 0.626
 
 [imperfections]
 displacement_re = 0.0
-displacement_im = 0.0
 detuning_rad_s = 0.0
 detuning_phase_rad = 0.0
 extra_loss = 1.0
 electronic_noise_std = 0.0
 
 [adc]
-enabled = true
 bits = 8
 full_scale = 7.0710678118654755
 
@@ -104,12 +102,12 @@ def valid_configs(draw):
     model = draw(st.sampled_from(["explicit", "lifetime"]))
     n_purities = len(times) if model == "explicit" else draw(st.integers(0, 4))
     imperfections = ImperfectionConfig(
-        displacement=draw(st.none() | st.just(0j) | st.complex_numbers(max_magnitude=10.0)),
+        displacement=draw(st.none() | st.just(0.0) | st.floats(-10.0, 10.0)),
         detuning=draw(st.none() | st.just((0.0, 0.0)) | st.tuples(_finite, _finite)),
         extra_loss=draw(_unit),
         electronic_noise_std=draw(st.floats(0.0, 10.0)),
     )
-    adc = draw(st.none() | st.builds(AdcSpec, st.integers(2, 16), st.floats(1e-3, 1e3)))
+    adc = draw(st.builds(AdcSpec, st.integers(2, 16), st.floats(1e-3, 1e3)))
     loss = st.floats(0.0, 0.999)
     length = st.floats(0.01, 100.0)
     cavity = CavityParams(*draw(st.tuples(length, loss, length, loss, loss, loss)))
@@ -184,7 +182,7 @@ class TestConfig:
 
     def test_zero_imperfections_round_trip(self, tmp_path):
         # a zero displacement or detuning is stock: same digest, same config
-        cfg = ExperimentConfig(imperfections=ImperfectionConfig(displacement=0j, detuning=(0.0, 0.0)))
+        cfg = ExperimentConfig(imperfections=ImperfectionConfig(displacement=0.0, detuning=(0.0, 0.0)))
         path = tmp_path / "zero.cfg"
         path.write_text(cfg.to_text())
         assert load_config(path) == cfg == ExperimentConfig()
@@ -207,10 +205,9 @@ class TestConfig:
             ("[sweeps]\nframes_per_condition = 500\n", r"\[sweeps\]"),
             ("[DEFAULT]\nn_max = 3\n", r"\[DEFAULT\] n_max"),
             ("[sweep]\nframes_per_condition = many\n", r"\[sweep\] frames_per_condition"),
-            ("[adc]\nenabled = maybe\n", r"\[adc\] enabled"),
             ("frames_per_condition = 500\n", r"no section headers"),
         ],
-        ids=["typo-key", "unknown-section", "default-section", "bad-int", "bad-bool", "no-header"],
+        ids=["typo-key", "unknown-section", "default-section", "bad-int", "no-header"],
     )
     def test_bad_file_rejected(self, tmp_path, text, where):
         path = tmp_path / "bad.cfg"
@@ -403,9 +400,6 @@ class TestRunSweep:
         expected = float(np.isin(fs.frames, np.float32(rails)).mean())
         assert report.adc_saturated_fraction == expected
         assert 0.02 < expected < 0.5
-        raw = synth_condition(state, base_release.envelope, MIN_MLE_SAMPLES, 5, **kw)
-        report = estimate_frames(raw, n_max=5, bootstrap_resamples=20)
-        assert report.adc_saturated_fraction is None
 
     def test_pipeline_never_decodes_codes(self, monkeypatch, base_release):
         # the passes read the codes: no float32 frame matrix is built
@@ -669,6 +663,9 @@ class TestCli:
             (["synth", "--frames", "-5"], "argument --frames: must be positive, got -5"),
             # flags are built into inputs before any stage runs
             (["synth", "--adc-bits", "20"], "bits must lie in [2, 16], got 20"),
+            # 0 used to write float32 frames without an ADC
+            (["synth", "--adc-bits", "0"], "bits must lie in [2, 16], got 0"),
+            (["synth", "--config", "{adc_enabled}"], "unknown section or key: [adc] enabled"),
             (["synth", "--full-scale", "-1"], "full_scale must be positive and finite"),
             (["synth", "--purity", "1.5"], "p must lie in [0, 1], got 1.5"),
             (["simulate", "--release", "1e9"], "need t_start < t_release < t_end"),
@@ -691,8 +688,11 @@ class TestCli:
             # time with exit 1
             (["synth", "--config", "{noise_nan}"], "electronic_noise_std must be finite and non-negative, got nan"),
             (["synth", "--config", "{noise_inf}"], "electronic_noise_std must be finite and non-negative, got inf"),
-            (["synth", "--config", "{displacement_nan}"], "displacement must be finite, got (nan+0j)"),
-            (["synth", "--config", "{displacement_im_inf}"], "displacement must be finite"),
+            (["synth", "--config", "{displacement_nan}"], "displacement must be finite, got nan"),
+            # the imaginary part of the displacement used to be read and
+            # then left out of every frame
+            (["synth", "--config", "{displacement_im_inf}"], "unknown section or key: [imperfections] displacement_im"),
+            (["synth", "--config", "{displacement_im}"], "unknown section or key: [imperfections] displacement_im"),
             (["synth", "--config", "{detuning_nan}"], "detuning must be finite, got (nan, 0.0)"),
             (["synth", "--config", "{round_trip_nan}"], "round-trip lengths must be positive and finite, got nan"),
             (["synth", "--config", "{delta_nan}"], "[schedule] delta_closed_rad_s must be finite, got nan"),
@@ -719,6 +719,8 @@ class TestCli:
             "synth-zero-frames",
             "synth-negative-frames",
             "synth-adc-bits",
+            "synth-adc-bits-zero",
+            "synth-adc-enabled-key",
             "synth-full-scale",
             "synth-purity",
             "simulate-release-late",
@@ -735,6 +737,7 @@ class TestCli:
             "synth-noise-inf",
             "synth-displacement-nan",
             "synth-displacement-im-inf",
+            "synth-displacement-im-key",
             "synth-detuning-nan",
             "synth-round-trip-nan",
             "synth-delta-closed-nan",
@@ -760,6 +763,8 @@ class TestCli:
             "noise_inf": "[imperfections]\nelectronic_noise_std = inf\n",
             "displacement_nan": "[imperfections]\ndisplacement_re = nan\n",
             "displacement_im_inf": "[imperfections]\ndisplacement_im = inf\n",
+            "displacement_im": "[imperfections]\ndisplacement_im = 0.5\n",
+            "adc_enabled": "[adc]\nenabled = false\n",
             "detuning_nan": "[imperfections]\ndetuning_rad_s = nan\n",
             "round_trip_nan": "[cavity]\nmc_round_trip_m = nan\n",
             "delta_nan": "[schedule]\ndelta_closed_rad_s = nan\n",
@@ -782,9 +787,7 @@ class TestCli:
         assert "invalid choice: 99" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "adc_section, expected", [("bits = 12", AdcSpec(12)), ("enabled = false", None)], ids=["12-bit", "off"]
-    )
+    @pytest.mark.parametrize("adc_section, expected", [("bits = 12", AdcSpec(12))], ids=["12-bit"])
     def test_synth_follows_config_adc(self, tmp_path, capsys, adc_section, expected):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(f"{_SHORT_WINDOW}[adc]\n{adc_section}\n")
@@ -796,8 +799,8 @@ class TestCli:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(f"{_SHORT_WINDOW}[adc]\nbits = 12\n")
         argv = ["synth", "--config", str(cfg_path), "--frames", "200", "--out", str(tmp_path)]
-        assert cli_entry(argv + ["--adc-bits", "0"]) == 0
-        assert load_frames(tmp_path / "frames.bin").adc is None
+        assert cli_entry(argv + ["--adc-bits", "10"]) == 0
+        assert load_frames(tmp_path / "frames.bin").adc == AdcSpec(10)
         assert cli_entry(argv + ["--full-scale", "3.0"]) == 0
         assert load_frames(tmp_path / "frames.bin").adc == AdcSpec(12, 3.0)
         capsys.readouterr()

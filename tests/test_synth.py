@@ -17,7 +17,7 @@ from photonmem import seeds, synth
 from photonmem.cli import cli_entry
 from photonmem.estimation import mle_photon_distribution
 from photonmem.fock import FockDiagonalState
-from photonmem.modes import normalized_mode
+from photonmem.modes import ModeFunction
 from photonmem.synth import (
     FRAME_BLOCK,
     AdcSpec,
@@ -32,7 +32,7 @@ from photonmem.synth import (
     synth_to_file,
 )
 
-from conftest import boxcar, gaussian_mode, run_fresh_python
+from conftest import IDEAL_ADC, boxcar, detuning_overlap_penalty, gaussian_mode, run_fresh_python, unit_mode
 
 
 def p1_cdf(x):
@@ -57,16 +57,16 @@ def narrow():
 def ortho(mode):
     """A mode orthogonal to ``mode`` on the same grid."""
     # antisymmetric partner about the pulse center is nearly orthogonal
-    partner = normalized_mode(mode.samples * np.sign(mode.times - 60.0 + 0.25), 0.0, 1.0)
+    partner = unit_mode(mode.samples * np.sign(mode.times - 60.0 + 0.25), 0.0, 1.0)
     assert abs(np.dot(partner.samples, mode.samples)) < 0.05
-    return normalized_mode(
+    return unit_mode(
         partner.samples - np.dot(partner.samples, mode.samples) * mode.samples, 0.0, 1.0
     )
 
 
 class TestSynthFrame:
     def test_vacuum_per_bin_variance(self, mode):
-        fs = synth_condition(FockDiagonalState.vacuum(), mode, 10_000, 11, n_samples=128)
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 10_000, 11, n_samples=128, adc=IDEAL_ADC)
         var = fs.frames.astype(float).var(axis=0)
         # variance of a variance estimate: ~ 0.5 sqrt(2/M); allow 3 sigma + binomial band
         band = 3.0 * 0.5 * math.sqrt(2.0 / 10_000)
@@ -74,16 +74,16 @@ class TestSynthFrame:
 
     def test_vacuum_column_is_normal(self, mode):
         # one sample of every frame: a Box-Muller sine, scale sqrt(1/2)
-        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20_000, 43, n_samples=128)
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20_000, 43, n_samples=128, adc=IDEAL_ADC)
         assert kstest(fs.frames[:, 100], norm(scale=math.sqrt(0.5)).cdf).pvalue > 0.01
 
     def test_single_photon_quadratures_match_p1(self, mode):
-        fs = synth_condition(FockDiagonalState.fock(1), mode, 43_000, 12, n_samples=128)
+        fs = synth_condition(FockDiagonalState.fock(1), mode, 43_000, 12, n_samples=128, adc=IDEAL_ADC)
         quads = extract_quadratures(fs, mode)
         assert kstest(quads, p1_cdf).pvalue > 0.01
 
     def test_orthogonal_mode_stays_vacuum(self, mode, ortho):
-        fs = synth_condition(FockDiagonalState.fock(1), mode, 20_000, 13, n_samples=128)
+        fs = synth_condition(FockDiagonalState.fock(1), mode, 20_000, 13, n_samples=128, adc=IDEAL_ADC)
         quads = extract_quadratures(fs, ortho)
         cdf = lambda x: 0.5 * (1.0 + np.vectorize(math.erf)(x))
         assert kstest(quads, cdf).pvalue > 0.01
@@ -95,22 +95,27 @@ class TestSynthFrame:
 
 class TestExtract:
     def test_projection_recovers_coefficient(self):
-        # frames are stored as float32: a boxcar of height 1/4 and the
-        # coefficient 3.75 are exact there, so the projection is exact
+        # a step of 1/8: code 7 is the level 15/16 = 3.75 x 1/4, so a boxcar
+        # of height 1/4 and the coefficient 3.75 are exact
+        adc = AdcSpec(16, 4096.0)
         box = boxcar(40.0, 16.0)
-        frame = np.zeros((1, 128))
-        frame[0, 40:56] = 3.75 * box.samples
-        fs = FrameSet(frame, t0=0.0, dt=1.0, adc=None, master_seed=0)
+        codes = np.zeros((1, 128), np.int16)
+        codes[0, 40:56] = 7
+        assert (7 + 0.5) * adc.step == 3.75 * box.samples[0]
+        fs = FrameSet(codes, t0=0.0, dt=1.0, adc=adc, master_seed=0)
         assert extract_quadratures(fs, box)[0] == pytest.approx(3.75, abs=1e-12)
 
     def test_orthogonal_frame_projects_to_zero(self, mode):
-        frame = np.zeros((1, 128))
-        frame[0, 0] = 5.0  # mode has negligible weight at the first sample
-        fs = FrameSet(frame, t0=0.0, dt=1.0, adc=None, master_seed=0)
-        assert abs(extract_quadratures(fs, mode)[0]) < 1e-5
+        # a 5.0 spike at the first sample, where the mode has negligible
+        # weight, moves the projection of a frame of code 0 by nearly nothing
+        codes = np.zeros((2, 128), np.int16)
+        codes[1, 0] = IDEAL_ADC.encode(np.array([5.0]))[0]
+        fs = FrameSet(codes, t0=0.0, dt=1.0, adc=IDEAL_ADC, master_seed=0)
+        quads = extract_quadratures(fs, mode)
+        assert abs(quads[1] - quads[0]) < 1e-5
 
     def test_vacuum_ensemble_variance(self, mode):
-        fs = synth_condition(FockDiagonalState.vacuum(), mode, 10_000, 14, n_samples=128)
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 10_000, 14, n_samples=128, adc=IDEAL_ADC)
         var = float(np.var(extract_quadratures(fs, mode)))
         assert var == pytest.approx(0.5, abs=0.03)
 
@@ -131,7 +136,7 @@ class TestExtract:
 
     def test_grid_mismatch_rejected(self, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 2, 15, n_samples=128)
-        shifted = normalized_mode(mode.samples, 0.5, 1.0)
+        shifted = ModeFunction(mode.samples, 0.5, 1.0)
         with pytest.raises(ValueError, match="misaligned"):
             extract_quadratures(fs, shifted)
 
@@ -174,10 +179,10 @@ class TestQuantizeAdc:
         assert np.all(np.diff(q) >= 0)
 
     def test_quantization_barely_moves_mle(self, mode):
-        # same seed with and without the 8-bit ADC: the c1 estimate moves
-        # by far less than the 0.01 budget
+        # same seed with the ideal 16-bit and the 8-bit ADC: the c1 estimate
+        # moves by far less than the 0.01 budget
         state = FockDiagonalState.two_level(0.582)
-        raw = synth_condition(state, mode, 15_000, 17, n_samples=128)
+        raw = synth_condition(state, mode, 15_000, 17, n_samples=128, adc=IDEAL_ADC)
         q = synth_condition(state, mode, 15_000, 17, n_samples=128, adc=AdcSpec())
         c1_raw = float(mle_photon_distribution(extract_quadratures(raw, mode), 5).state.c[1])
         c1_q = float(mle_photon_distribution(extract_quadratures(q, mode), 5).state.c[1])
@@ -237,7 +242,7 @@ class TestGaussianDraw:
         # since a vacuum frame with electronic noise is isotropic
         imp = ImperfectionConfig(electronic_noise_std=0.3)
         fs = synth_condition(
-            FockDiagonalState.vacuum(), mode, 8 * FRAME_BLOCK, 51, n_samples=128, imperfections=imp
+            FockDiagonalState.vacuum(), mode, 8 * FRAME_BLOCK, 51, n_samples=128, imperfections=imp, adc=IDEAL_ADC
         )
         return fs.frames.astype(np.float64), math.sqrt(0.5 + 0.3**2)
 
@@ -294,16 +299,18 @@ class TestGaussianDraw:
 
 class TestImperfections:
     def test_displacement_shifts_mode_quadrature(self, mode):
-        alpha = 0.5 + 0.3j
+        alpha = 0.5
         imp = ImperfectionConfig(displacement=alpha)
-        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20_000, 18, n_samples=128, imperfections=imp)
+        fs = synth_condition(
+            FockDiagonalState.vacuum(), mode, 20_000, 18, n_samples=128, imperfections=imp, adc=IDEAL_ADC
+        )
         mean = float(np.mean(extract_quadratures(fs, mode)))
-        assert mean == pytest.approx(math.sqrt(2.0) * alpha.real, abs=3.0 * math.sqrt(0.5 / 20_000) + 0.01)
+        assert mean == pytest.approx(math.sqrt(2.0) * alpha, abs=3.0 * math.sqrt(0.5 / 20_000) + 0.01)
 
     def test_extra_loss_degrades_purity(self, mode):
         state = FockDiagonalState.two_level(0.8)
         imp = ImperfectionConfig(extra_loss=0.5)
-        fs = synth_condition(state, mode, 30_000, 19, n_samples=128, imperfections=imp)
+        fs = synth_condition(state, mode, 30_000, 19, n_samples=128, imperfections=imp, adc=IDEAL_ADC)
         c1 = float(mle_photon_distribution(extract_quadratures(fs, mode), 5).state.c[1])
         assert c1 == pytest.approx(0.4, abs=0.02)
 
@@ -313,12 +320,10 @@ class TestImperfections:
     def test_detuning_attenuates_purity(self, mode, p, phase, seed):
         # the in-phase part carries only its weight of the photon, so along
         # the undetuned mode the single-photon weight is p times the penalty
-        from photonmem.modes import detuning_overlap_penalty
-
         delta = 2 * math.pi * 3e6
         imp = ImperfectionConfig(detuning=(delta, phase))
         state = FockDiagonalState.two_level(p)
-        fs = synth_condition(state, mode, 30_000, seed, n_samples=128, imperfections=imp)
+        fs = synth_condition(state, mode, 30_000, seed, n_samples=128, imperfections=imp, adc=IDEAL_ADC)
         c1 = float(mle_photon_distribution(extract_quadratures(fs, mode), 5).state.c[1])
         penalty = detuning_overlap_penalty(mode, delta, phase)
         assert penalty < 0.99  # 3 MHz over a wide pulse is no longer harmless
@@ -331,7 +336,7 @@ class TestImperfections:
         m_frames, expected = 20_000, 0.5 + 0.3**2
         noisy = ImperfectionConfig(electronic_noise_std=0.3)
         fs = synth_condition(
-            FockDiagonalState.vacuum(), mode, m_frames, 31, n_samples=128, imperfections=noisy
+            FockDiagonalState.vacuum(), mode, m_frames, 31, n_samples=128, imperfections=noisy, adc=IDEAL_ADC
         )
         quads = extract_quadratures(fs, {"mode": mode, "ortho": ortho}[which])
         # standard error of a Gaussian sample variance: var sqrt(2 / (M - 1))
@@ -342,10 +347,16 @@ class TestImperfections:
     def test_electronic_noise_adds_variance(self, mode):
         noisy = ImperfectionConfig(electronic_noise_std=0.3)
         fs = synth_condition(
-            FockDiagonalState.vacuum(), mode, 8_000, 30, n_samples=128, imperfections=noisy
+            FockDiagonalState.vacuum(), mode, 8_000, 30, n_samples=128, imperfections=noisy, adc=IDEAL_ADC
         )
         var = float(fs.frames.astype(float).var())
         assert var == pytest.approx(0.5 + 0.09, abs=0.02)
+
+    def test_complex_displacement_rejected(self):
+        # the displacement is real: a complex one used to construct and then
+        # fail inside the synthesis threads with a numpy casting error
+        with pytest.raises(ValueError, match=r"real amplitude, got 0\.5j"):
+            ImperfectionConfig(displacement=0.5j)
 
     def test_loss_range_validated(self):
         with pytest.raises(ValueError):
@@ -377,7 +388,7 @@ class TestDeterminism:
         long = synth_condition(state, mode, 2049, 35, n_samples=128, imperfections=imp)
         np.testing.assert_array_equal(short.frames, long.frames[:1500])
 
-    @pytest.mark.parametrize("adc", [AdcSpec(), None], ids=["adc", "no-adc"])
+    @pytest.mark.parametrize("adc", [AdcSpec(), AdcSpec(16)], ids=["adc", "16-bit"])
     def test_sub_block_does_not_change_bytes(self, monkeypatch, mode, adc):
         state = FockDiagonalState.two_level(0.5)
         imp = ImperfectionConfig(
@@ -446,7 +457,7 @@ class TestAutocovarianceContract:
 
         m_frames = 20_000
         small = gaussian_mode(center=30.0, sigma=8.0, t0=0.0, n=64)
-        fs = synth_condition(FockDiagonalState.vacuum(), small, m_frames, 24, n_samples=64)
+        fs = synth_condition(FockDiagonalState.vacuum(), small, m_frames, 24, n_samples=64, adc=IDEAL_ADC)
         v = autocovariance(fs)
         off = v - np.diag(np.diag(v))
         assert np.max(np.abs(np.diag(v) - 0.5)) < 5.0 / math.sqrt(m_frames)
@@ -454,16 +465,8 @@ class TestAutocovarianceContract:
 
 
 class TestFrameSet:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_non_finite_in_partial_last_block_rejected(self, bad):
-        frames = np.zeros((2049, 16), dtype=np.float32)
-        assert 2 * FRAME_BLOCK < frames.shape[0] < 3 * FRAME_BLOCK
-        frames[-1, 7] = bad
-        with pytest.raises(ValueError, match="finite"):
-            FrameSet(frames, t0=0.0, dt=1.0, adc=None, master_seed=0)
-
     def test_float_input_with_adc_rejected(self, mode):
-        # an ADC frame set holds codes only: float levels are not re-encoded
+        # a frame set holds codes only: float levels are not re-encoded
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 50, 41, n_samples=128, adc=AdcSpec())
         assert fs.data.dtype == np.int8
         assert fs.frames is fs.frames  # decoded once
@@ -496,7 +499,7 @@ class TestFrameIo:
     @pytest.mark.parametrize("seed", [-1, 2**64 + 7])
     def test_seed_outside_64_bits_rejected(self, tmp_path, seed):
         # the header used to keep the low 64 bits, so 2**64 + 7 read back as 7
-        fs = FrameSet(np.zeros((2, 4), np.float32), 0.0, 1.0, None, seed)
+        fs = FrameSet(np.zeros((2, 4), np.int8), 0.0, 1.0, AdcSpec(), seed)
         path = tmp_path / "frames.bin"
         with pytest.raises(ValueError, match="64 bits"):
             save_frames(fs, path)
@@ -525,9 +528,6 @@ class TestFrameIo:
 
             shape = codes.shape
 
-            def astype(self, *args, **kwargs):
-                return self
-
             def tofile(self, fh):
                 fh.write(codes.tobytes()[: codes.nbytes // 2])
                 raise OSError(errno.ENOSPC, "No space left on device")
@@ -538,25 +538,26 @@ class TestFrameIo:
         assert saved.read_bytes() == before
         assert not saved.with_name("frames.bin.tmp").exists()
 
-    def test_save_writes_header_and_raw_float32(self, saved, tmp_path, mode):
+    def test_save_writes_header_and_raw_codes(self, saved, tmp_path, mode):
         # version 2: fixed 58-byte header, then the row-major little-endian
-        # data, float32 without an ADC ...
+        # codes: one int8 per sample with the 8-bit ADC ...
         raw = saved.read_bytes()
         fs = load_frames(saved)
         assert struct.unpack_from("<4sI", raw) == (b"HMFR", 2)
-        assert len(raw) == 58 + 4 * 20 * 128
-        assert raw[58:] == fs.frames.astype("<f4").tobytes()
-        # ... and one int8 code per sample with the 8-bit ADC
-        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 36, n_samples=128, adc=AdcSpec())
-        path = tmp_path / "codes.bin"
-        save_frames(fs, path)
-        raw = path.read_bytes()
         assert len(raw) == 58 + 20 * 128
         assert raw[58:] == fs.data.astype("<i1").tobytes()
         assert raw[40] == 1 and raw[41] == 8  # ADC flag and bits
+        # ... and one int16 with the 16-bit ADC
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 36, n_samples=128, adc=AdcSpec(16))
+        path = tmp_path / "codes.bin"
+        save_frames(fs, path)
+        raw = path.read_bytes()
+        assert len(raw) == 58 + 2 * 20 * 128
+        assert raw[58:] == fs.data.astype("<i2").tobytes()
+        assert raw[40] == 1 and raw[41] == 16
 
     @given(
-        bits=st.none() | st.integers(2, 16),
+        bits=st.integers(2, 16),
         m=st.sampled_from([1, 7, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 3]),
         n=st.integers(1, 5),
         full_scale=st.floats(1e-3, 1e3),
@@ -565,50 +566,57 @@ class TestFrameIo:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, tmp_path_factory, bits, m, n, full_scale, seed):
         rng = np.random.default_rng(seed % 2**32)
-        if bits is None:
-            adc, data = None, rng.normal(0.0, full_scale, (m, n)).astype(np.float32)
-        else:
-            adc = AdcSpec(bits, full_scale)
-            data = rng.integers(*adc.code_range, endpoint=True, size=(m, n))
+        adc = AdcSpec(bits, full_scale)
+        data = rng.integers(*adc.code_range, endpoint=True, size=(m, n))
         fs = FrameSet(data, t0=-3.5, dt=0.25, adc=adc, master_seed=seed)
         path = tmp_path_factory.getbasetemp() / "round_trip.bin"
         save_frames(fs, path)
         back = load_frames(path)
-        assert path.stat().st_size == 58 + (4 if adc is None else adc.code_dtype.itemsize) * m * n
+        assert path.stat().st_size == 58 + adc.code_dtype.itemsize * m * n
         assert back.data.dtype == fs.data.dtype
         assert back.data.tobytes() == fs.data.tobytes()
         assert back.frames.tobytes() == fs.frames.tobytes()
         assert (back.t0, back.dt, back.adc, back.master_seed) == (-3.5, 0.25, adc, seed)
 
     @staticmethod
-    def _write(path, fs, *, version=2, adc_flag=None, bits=None, data=None):
+    def _write(path, fs, *, version=2, adc_flag=1, bits=None, full_scale=None, data=None):
         """A hand-written frame file: header fields in the documented order."""
-        adc = fs.adc
         header = struct.pack(
-            "<4sIQQddBBdQ", b"HMFR", version, fs.n_frames, fs.n_samples, fs.t0, fs.dt,
-            (1 if adc else 0) if adc_flag is None else adc_flag,
-            (adc.bits if adc else 0) if bits is None else bits,
-            adc.full_scale if adc else 0.0, fs.master_seed,
+            "<4sIQQddBBdQ", b"HMFR", version, fs.n_frames, fs.n_samples, fs.t0, fs.dt, adc_flag,
+            fs.adc.bits if bits is None else bits,
+            fs.adc.full_scale if full_scale is None else full_scale, fs.master_seed,
         )
-        path.write_bytes(header + (fs.frames.astype("<f4") if data is None else data).tobytes())
+        path.write_bytes(header + (fs.data if data is None else data).tobytes())
 
     def test_version_1_file_rejected(self, tmp_path, mode, capsys):
         # version 1 held float32 levels whatever the ADC flag
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 39, n_samples=128, adc=AdcSpec())
         path = tmp_path / "v1.bin"
-        self._write(path, fs, version=1)
+        self._write(path, fs, version=1, data=fs.frames.astype("<f4"))
         with pytest.raises(ValueError, match=r"v1\.bin: unsupported version 1$"):
             load_frames(path)
         assert cli_entry(["estimate", str(path), "--out", str(tmp_path / "est")]) == 1
         assert "unsupported version 1" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
+    def test_float32_file_rejected(self, tmp_path, mode, capsys):
+        # ADC flag 0 marked a file of float32 frames without an ADC, a frame
+        # form that no longer exists
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 39, n_samples=128, adc=AdcSpec())
+        path = tmp_path / "f32.bin"
+        self._write(path, fs, adc_flag=0, bits=0, full_scale=0.0, data=fs.frames.astype("<f4"))
+        with pytest.raises(ValueError, match=r"f32\.bin: ADC flag 0: only files of ADC codes \(flag 1\) are read"):
+            load_frames(path)
+        assert cli_entry(["estimate", str(path), "--out", str(tmp_path / "est")]) == 1
+        assert "ADC flag 0" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     @pytest.mark.parametrize("flag", [2, 255])
     def test_adc_flag_other_than_0_or_1_rejected(self, tmp_path, mode, flag):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 40, n_samples=128, adc=AdcSpec())
         path = tmp_path / "flag.bin"
-        self._write(path, fs, adc_flag=flag, data=fs.data.astype("<i1"))
-        with pytest.raises(ValueError, match=rf"flag\.bin: ADC flag {flag} is neither 0 nor 1"):
+        self._write(path, fs, adc_flag=flag)
+        with pytest.raises(ValueError, match=rf"flag\.bin: ADC flag {flag}: only files of ADC codes"):
             load_frames(path)
 
     @pytest.mark.parametrize(
@@ -665,7 +673,7 @@ class TestSynthToFile:
     )
 
     @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("adc", [AdcSpec(), AdcSpec(12), None], ids=["8-bit", "12-bit", "no-adc"])
+    @pytest.mark.parametrize("adc", [AdcSpec(), AdcSpec(12), AdcSpec(16)], ids=["8-bit", "12-bit", "16-bit"])
     def test_bytes_match_save_frames(self, monkeypatch, tmp_path, mode, adc, threads):
         # 999 samples: each row's last Box-Muller word drops its sine;
         # 2 FRAME_BLOCK + 1 frames: two full blocks and a one-row block
