@@ -29,8 +29,6 @@ from .modes import ModeFunction
 
 SPEED_OF_LIGHT = 299792458.0
 NS = 1e-9
-#: sample interval of emitted envelopes, matching the 1 GS/s acquisition grid
-ENVELOPE_DT_NS = 1.0
 #: shutter detuning (rad/s) calibrated so that ~3% of the photon pre-leaks
 #: through the closed shutter over the longest stock release time (450 ns)
 DEFAULT_SHUTTER_DETUNING_RAD_S = 1.6388e9
@@ -95,15 +93,15 @@ class ShutterSchedule:
                 f"need t_start < t_release < t_end, got "
                 f"{self.t_start_ns}, {self.t_release_ns}, {self.t_end_ns}"
             )
-        if not 0 < self.dt_int_ns <= ENVELOPE_DT_NS:
-            raise ValueError(f"dt_int must lie in (0, {ENVELOPE_DT_NS}] ns")
-        per_bin = ENVELOPE_DT_NS / self.dt_int_ns
+        if not 0 < self.dt_int_ns <= 1.0:
+            raise ValueError("dt_int must lie in (0, 1.0] ns")
+        per_bin = 1.0 / self.dt_int_ns
         if abs(per_bin - round(per_bin)) > 1e-9:
             raise ValueError("dt_int must divide the 1 ns output grid")
         rel = (self.t_release_ns - self.t_start_ns) / self.dt_int_ns
         if abs(rel - round(rel)) > 1e-6:
             raise ValueError("t_release - t_start must be a multiple of dt_int")
-        span = (self.t_end_ns - self.t_start_ns) / ENVELOPE_DT_NS
+        span = self.t_end_ns - self.t_start_ns
         if abs(span - round(span)) > 1e-9:
             raise ValueError("the window length must be a whole number of ns")
 
@@ -286,7 +284,7 @@ def _real_mode(values: np.ndarray, t0: float) -> ModeFunction:
     psi = real_part / np.sqrt(float(np.sum(real_part**2)))
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
-    return ModeFunction(psi, t0, ENVELOPE_DT_NS)
+    return ModeFunction(psi, t0)
 
 
 def simulate_release(params: CavityParams, schedule: ShutterSchedule) -> ReleaseResult:
@@ -314,7 +312,7 @@ def simulate_release(params: CavityParams, schedule: ShutterSchedule) -> Release
         raise DegenerateInputError(
             "no field leaves the shutter cavity (decoupled or permanently closed)"
         )
-    stride = int(round(ENVELOPE_DT_NS / schedule.dt_int_ns))
+    stride = int(round(1.0 / schedule.dt_int_ns))
     # half-open window [t_start, t_end): one sample per ns, matching frame grids
     coarse = slice(0, t_ns.size - 1, stride)
     mode = _real_mode(np.sqrt(rates.kappa_out) * a[coarse, 1], schedule.t_start_ns)

@@ -80,17 +80,17 @@ def simulate_heralded_clicks(
     trial and routed to one of two detectors.  Returns (times_a, times_b,
     total_time_ns).
     """
-    if trial_period_ns < psi.t_end - psi.t0 + psi.dt:
+    if trial_period_ns < psi.n_samples:
         raise ValueError("trial period is shorter than the mode support")
     rng = seeds.stream(master_seed, seeds.DOMAIN_CLICKS, 0)
     detected = rng.random(n_trials) < p * eta
     # draw per-trial times even for undetected trials to keep draws aligned
     probs = psi.samples**2
     bin_idx = rng.choice(psi.n_samples, size=n_trials, p=probs / probs.sum())
-    within = rng.random(n_trials) * psi.dt
+    within = rng.random(n_trials)
     to_a = rng.random(n_trials) < 0.5
 
-    t_click = np.arange(n_trials) * trial_period_ns + bin_idx * psi.dt + within
+    t_click = np.arange(n_trials) * trial_period_ns + bin_idx + within
     times_a = t_click[detected & to_a]
     times_b = t_click[detected & ~to_a]
     return times_a, times_b, float(n_trials * trial_period_ns)

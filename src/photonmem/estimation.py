@@ -154,8 +154,9 @@ def autocovariance(fs: FrameSet, *, b: int = 1, cols: slice = slice(None)) -> np
     return (v + v.T) / 2.0
 
 
-def pca_leading_mode(v: np.ndarray, *, t0: float = 0.0, dt: float = 1.0) -> PcaResult:
-    """Leading eigenpair of a symmetric auto-covariance matrix.
+def pca_leading_mode(v: np.ndarray) -> PcaResult:
+    """Leading eigenpair of a symmetric auto-covariance matrix; its mode
+    starts at t0 = 0.
 
     The eigenvector sign is fixed so its largest-|value| entry is positive.
     For a phase-insensitive mixture with single-photon weight p in one mode,
@@ -172,7 +173,7 @@ def pca_leading_mode(v: np.ndarray, *, t0: float = 0.0, dt: float = 1.0) -> PcaR
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     return PcaResult(
-        mode=ModeFunction(vec, t0, dt),
+        mode=ModeFunction(vec, 0.0),
         eigenvalue=float(eigvals[-1]),
         spectrum=eigvals[::-1].copy(),
     )
@@ -193,14 +194,14 @@ def pca_from_frames(
     i0, i1 = 0, fs.n_samples
     if window is not None:
         lo, hi = window
-        i0 = max(i0, int(np.ceil((lo - fs.t0) / fs.dt - GRID_TOL)))
-        i1 = min(i1, int(np.floor((hi - fs.t0) / fs.dt + GRID_TOL)))
+        i0 = max(i0, int(np.ceil(lo - fs.t0 - GRID_TOL)))
+        i1 = min(i1, int(np.floor(hi - fs.t0 + GRID_TOL)))
     # a window wholly before the frame has i1 < 0, which a slice would
     # count from the end
     coarse = pca_leading_mode(autocovariance(fs, b=bin_size, cols=slice(i0, max(i0, i1))))
     fine = np.repeat(coarse.mode.samples, bin_size) / np.sqrt(bin_size)
     return PcaResult(
-        mode=ModeFunction(fine, fs.t0 + i0 * fs.dt, fs.dt),
+        mode=ModeFunction(fine, fs.t0 + i0),
         eigenvalue=coarse.eigenvalue,
         spectrum=coarse.spectrum,
     )
@@ -223,7 +224,7 @@ def matched_window_pca(fs: FrameSet) -> PcaResult:
     coarse = pca_from_frames(fs, bin_size=PCA_COARSE_BIN)
     peak_t = float(coarse.mode.times[int(np.argmax(np.abs(coarse.mode.samples)))])
     lo = max(fs.t0, peak_t - PCA_WINDOW_BEFORE_PEAK_NS)
-    hi = min(fs.t0 + fs.n_samples * fs.dt, peak_t + PCA_WINDOW_AFTER_PEAK_NS)
+    hi = min(fs.t0 + fs.n_samples, peak_t + PCA_WINDOW_AFTER_PEAK_NS)
     return pca_from_frames(fs, window=(lo, hi), bin_size=PCA_BIN)
 
 
@@ -571,14 +572,15 @@ def fit_exponential_decay(points) -> DecayFit:
     )
 
 
-def histogram_with_overlay(
-    samples: np.ndarray, state: FockDiagonalState, bins: int = 60
-) -> HistogramOverlay:
-    """Density-normalized histogram with the fitted mixture on the same grid."""
-    if bins < 10:
-        raise ValueError(f"need at least 10 bins, got {bins}")
+#: bins of the quadrature histogram in each condition's ``histogram.csv``
+HISTOGRAM_BINS = 60
+
+
+def histogram_with_overlay(samples: np.ndarray, state: FockDiagonalState) -> HistogramOverlay:
+    """Density-normalized histogram of ``HISTOGRAM_BINS`` bins with the
+    fitted mixture on the same grid."""
     x = np.asarray(samples, dtype=float).ravel()
-    density, edges = np.histogram(x, bins=bins, density=True)
+    density, edges = np.histogram(x, bins=HISTOGRAM_BINS, density=True)
     centers = (edges[:-1] + edges[1:]) / 2.0
     model = state.c @ (hermite_functions(state.n_max, centers) ** 2)
     return HistogramOverlay(edges=edges, density=density, centers=centers, model=model)

@@ -165,7 +165,15 @@ def g2_zero(state: FockDiagonalState) -> float:
     return float(np.dot(n * (n - 1), state.c)) / nbar**2
 
 
-def wigner_section(state: FockDiagonalState, r_max: float = 4.0, n_points: int = 161) -> WignerSection:
-    """Sectional side view through the origin, sampled on ``[-r_max, r_max]``."""
-    r = np.linspace(-r_max, r_max, n_points)
+#: the section in each condition's ``wigner_section.csv``: this many points
+#: on ``[-WIGNER_SECTION_R_MAX, WIGNER_SECTION_R_MAX]``
+WIGNER_SECTION_R_MAX = 4.0
+WIGNER_SECTION_POINTS = 161
+
+
+def wigner_section(state: FockDiagonalState) -> WignerSection:
+    """Sectional side view through the origin, sampled at
+    ``WIGNER_SECTION_POINTS`` points on
+    ``[-WIGNER_SECTION_R_MAX, WIGNER_SECTION_R_MAX]``."""
+    r = np.linspace(-WIGNER_SECTION_R_MAX, WIGNER_SECTION_R_MAX, WIGNER_SECTION_POINTS)
     return WignerSection(r, np.asarray(wigner(state, r, 0.0)))

@@ -37,7 +37,6 @@ from .fock import (
 from .modes import (
     ModeFunction,
     clip_and_renormalize,
-    orthonormalize,
     overlap_sq,
     time_shift,
 )
@@ -204,8 +203,8 @@ def _cross_validated_eigenvalue(p: float, seed: int) -> tuple[float, float]:
     )
     half = m // 2
     halves = [
-        FrameSet(fs.data[:half], fs.t0, fs.dt, fs.adc, fs.master_seed),
-        FrameSet(fs.data[half:], fs.t0, fs.dt, fs.adc, fs.master_seed),
+        FrameSet(fs.data[:half], fs.t0, fs.adc, fs.master_seed),
+        FrameSet(fs.data[half:], fs.t0, fs.adc, fs.master_seed),
     ]
     modes = [pca_from_frames(h).mode for h in halves]
 
@@ -243,13 +242,14 @@ def mode_mismatch_purities(
         t0=psi.t0, n_samples=psi.n_samples, adc=AdcSpec(16),
     )
     boxcar = np.where((psi.times >= 160.0) & (psi.times < 240.0), 1.0, 0.0)
-    partner = ModeFunction(boxcar / np.sqrt(boxcar.sum()), psi.t0, psi.dt)
-    _, partner = orthonormalize([psi, partner])
+    # Gram-Schmidt on (psi, boxcar): psi is renormalised before the projection
+    unit = psi.samples / np.sqrt(np.sum(psi.samples**2))
+    phi = boxcar / np.sqrt(boxcar.sum())
+    phi -= np.dot(unit, phi) * unit
+    phi /= np.sqrt(np.sum(phi**2))
     purities = []
     for ov in overlaps:
-        mixed = ModeFunction(
-            np.sqrt(ov) * psi.samples + np.sqrt(1.0 - ov) * partner.samples, psi.t0, psi.dt
-        )
+        mixed = ModeFunction(np.sqrt(ov) * psi.samples + np.sqrt(1.0 - ov) * phi, psi.t0)
         quads = extract_quadratures(fs, mixed)
         purities.append(float(mle_photon_distribution(quads, n_max=5).state.c[1]))
     return purities

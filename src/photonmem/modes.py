@@ -1,8 +1,9 @@
 """Discretized temporal mode functions and their inner-product algebra.
 
-A mode is stored as ``psi_i = psi(t_i) * sqrt(dt)`` so that normalization and
-inner products are plain dot products, directly comparable with eigenvectors
-of a sampled auto-covariance matrix.  Sample ``i`` sits at ``t_i = t0 + i*dt``
+Every mode lies on the 1 ns acquisition grid of the homodyne frames.  It is
+stored as ``psi_i = psi(t_i) * sqrt(1 ns)`` so that normalization and inner
+products are plain dot products, directly comparable with eigenvectors of a
+sampled auto-covariance matrix.  Sample ``i`` sits at ``t_i = t0 + i``
 (nanoseconds); values outside the stored window are exactly zero.
 """
 
@@ -15,17 +16,17 @@ import numpy as np
 from .errors import DegenerateInputError
 
 NORM_TOL = 1e-9
-#: fraction of dt by which times may miss the grid before we reject them
+#: ns by which times may miss the 1 ns grid before we reject them
 GRID_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class ModeFunction:
-    """Real temporal envelope, unit norm in the sqrt(dt) convention."""
+    """Real temporal envelope on the 1 ns grid, unit norm in the
+    sqrt(1 ns) convention."""
 
     samples: np.ndarray
     t0: float
-    dt: float = 1.0
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float, copy=True)
@@ -35,8 +36,6 @@ class ModeFunction:
             raise ValueError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("mode samples must be finite")
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
         norm = float(np.sum(self.samples**2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"mode is not normalized: sum(psi^2) = {norm!r}")
@@ -47,23 +46,23 @@ class ModeFunction:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
+        return self.t0 + np.arange(self.samples.size)
 
     @property
     def t_end(self) -> float:
         """Time of the last stored sample."""
-        return self.t0 + self.dt * (self.samples.size - 1)
+        return self.t0 + (self.samples.size - 1)
 
 
-def _grid_offset(a: ModeFunction, b: ModeFunction) -> int:
-    """Integer sample offset of b's grid relative to a's; error if misaligned."""
-    if abs(a.dt - b.dt) > GRID_TOL * a.dt:
-        raise ValueError(f"sample intervals differ: {a.dt} vs {b.dt}")
-    shift = (b.t0 - a.t0) / a.dt
-    offset = round(shift)
-    if abs(shift - offset) > GRID_TOL:
-        raise ValueError(f"grids misaligned by {shift - offset} samples")
-    return int(offset)
+def whole_ns(delta_t: float, what: str) -> int:
+    """``delta_t`` (ns) as a whole number of 1 ns samples; ``ValueError``,
+    naming ``what``, when it misses one by more than ``GRID_TOL``."""
+    steps = round(delta_t)
+    if abs(delta_t - steps) > GRID_TOL:
+        raise ValueError(
+            f"{what} of {delta_t} ns is not a multiple of 1 ns: misaligned by {delta_t - steps} ns"
+        )
+    return int(steps)
 
 
 def inner_product(a: ModeFunction, b: ModeFunction) -> float:
@@ -71,7 +70,7 @@ def inner_product(a: ModeFunction, b: ModeFunction) -> float:
 
     Supports may differ; non-overlapping parts contribute zero.
     """
-    off = _grid_offset(a, b)
+    off = whole_ns(b.t0 - a.t0, "grid offset")
     # b's sample j lies at a-grid index j + off
     lo = max(0, off)
     hi = min(a.n_samples, off + b.n_samples)
@@ -86,11 +85,8 @@ def overlap_sq(a: ModeFunction, b: ModeFunction) -> float:
 
 
 def time_shift(m: ModeFunction, delta_t: float) -> ModeFunction:
-    """Shift a mode by an integer multiple of its sample interval."""
-    steps = delta_t / m.dt
-    if abs(steps - round(steps)) > GRID_TOL:
-        raise ValueError(f"shift {delta_t} ns is not a multiple of dt = {m.dt} ns")
-    return ModeFunction(m.samples, m.t0 + round(steps) * m.dt, m.dt)
+    """Shift a mode by a whole number of ns."""
+    return ModeFunction(m.samples, m.t0 + whole_ns(delta_t, "shift"))
 
 
 def clip_and_renormalize(m: ModeFunction, window: tuple[float, float]) -> ModeFunction:
@@ -99,7 +95,7 @@ def clip_and_renormalize(m: ModeFunction, window: tuple[float, float]) -> ModeFu
     if not t_lo < t_hi:
         raise ValueError(f"empty window {window}")
     times = m.times
-    keep = np.nonzero((times >= t_lo - GRID_TOL * m.dt) & (times <= t_hi + GRID_TOL * m.dt))[0]
+    keep = np.nonzero((times >= t_lo - GRID_TOL) & (times <= t_hi + GRID_TOL))[0]
     if keep.size == 0:
         raise DegenerateInputError("window does not overlap the mode support")
     seg = m.samples[keep[0] : keep[-1] + 1]
@@ -108,7 +104,7 @@ def clip_and_renormalize(m: ModeFunction, window: tuple[float, float]) -> ModeFu
         raise DegenerateInputError(f"energy inside window is {norm!r}")
     if abs(norm - 1.0) > 1e-15:  # keep repeated clips bitwise stable
         seg = seg / np.sqrt(norm)
-    return ModeFunction(seg, float(times[keep[0]]), m.dt)
+    return ModeFunction(seg, float(times[keep[0]]))
 
 
 def _centroid_time(m: ModeFunction) -> float:
@@ -133,22 +129,4 @@ def detuned_effective_mode(
     norm = float(np.sum(raw**2))
     if norm < 1e-12:
         raise DegenerateInputError("detuned mode has no in-phase component")
-    return ModeFunction(raw / np.sqrt(norm), m.t0, m.dt), norm
-
-
-def orthonormalize(modes: list[ModeFunction]) -> list[ModeFunction]:
-    """Gram-Schmidt on modes sharing one grid (same t0, dt and length)."""
-    first = modes[0]
-    for m in modes[1:]:
-        if _grid_offset(first, m) != 0 or m.n_samples != first.n_samples:
-            raise ValueError("orthonormalize requires modes on an identical grid")
-    basis: list[np.ndarray] = []
-    for m in modes:
-        vec = m.samples.copy()
-        for prev in basis:
-            vec -= np.dot(prev, vec) * prev
-        norm = float(np.sum(vec**2))
-        if norm < 1e-12:
-            raise DegenerateInputError("modes are linearly dependent")
-        basis.append(vec / np.sqrt(norm))
-    return [ModeFunction(vec, first.t0, first.dt) for vec in basis]
+    return ModeFunction(raw / np.sqrt(norm), m.t0), norm

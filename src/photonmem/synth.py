@@ -1,7 +1,8 @@
 """Synthetic homodyne frames: one excited temporal mode inside multimode vacuum.
 
-Each frame is a length-N record of instantaneous quadratures on a 1 ns grid.
-In the sqrt(dt) sample convention the vacuum contributes i.i.d. Gaussian noise
+Each frame is a length-N record of instantaneous quadratures on the 1 ns
+acquisition grid, the grid every mode lies on (see :mod:`photonmem.modes`).
+In the sqrt(1 ns) sample convention the vacuum contributes i.i.d. Gaussian noise
 of variance 1/2 per bin; the excited mode's quadrature is drawn from the
 photon-number mixture and swapped in along the mode direction, and optional
 electronic noise ``e ~ N(0, sigma_e^2)^N`` adds to every sample::
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import seeds
 from .fock import FockDiagonalState, apply_loss, hermite_functions
-from .modes import GRID_TOL, ModeFunction, detuned_effective_mode
+from .modes import ModeFunction, detuned_effective_mode, whole_ns
 
 VACUUM_SIGMA = float(np.sqrt(0.5))
 #: oscilloscope range: 10 vacuum standard deviations keeps the saturation
@@ -44,6 +45,9 @@ DEFAULT_FULL_SCALE = float(10 * VACUUM_SIGMA)
 _MAGIC = b"HMFR"
 _VERSION = 2
 _HEADER = struct.Struct("<4sIQQddBBdQ")
+#: the header's sample-interval slot: frames lie on the 1 ns grid, so
+#: writers put 1.0 there and :func:`load_frames` reads no other value
+_HEADER_DT_NS = 1.0
 #: frames per random stream in :func:`synth_condition`, and the row block of
 #: every pass over a frame matrix; part of the seeded output format, not a
 #: tuning knob
@@ -155,22 +159,20 @@ def _check_block(block: np.ndarray, adc: AdcSpec) -> None:
 
 @dataclass(frozen=True)
 class FrameSet:
-    """M x N frames of ADC codes plus grid/ADC/seed metadata.
+    """M x N frames of ADC codes on the 1 ns grid from ``t0``, plus ADC and
+    seed metadata.
 
     ``data`` must be an integer array of codes in the ADC's range; it is
     stored in :attr:`AdcSpec.code_dtype`."""
 
     data: np.ndarray
     t0: float
-    dt: float
     adc: AdcSpec
     master_seed: int
 
     def __post_init__(self):
         if not math.isfinite(self.t0):
             raise ValueError(f"t0 must be finite, got {self.t0}")
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         arr = np.asarray(self.data)
         if arr.dtype.kind not in "iu":
             raise ValueError(f"frames must be integer codes, got {arr.dtype}")
@@ -219,14 +221,9 @@ def _fock_inverse_cdf(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cdf, x
 
 
-def _mode_indices(psi: ModeFunction, t0: float, n_samples: int, dt: float) -> slice:
+def _mode_indices(psi: ModeFunction, t0: float, n_samples: int) -> slice:
     """Column slice of the frame grid covered by psi; error on misalignment."""
-    if abs(psi.dt - dt) > GRID_TOL * dt:
-        raise ValueError(f"mode dt {psi.dt} does not match frame dt {dt}")
-    start = (psi.t0 - t0) / dt
-    if abs(start - round(start)) > GRID_TOL:
-        raise ValueError("mode grid is misaligned with the frame grid")
-    i0 = int(round(start))
+    i0 = whole_ns(psi.t0 - t0, "mode offset from the frame start")
     i1 = i0 + psi.n_samples
     if i0 < 0 or i1 > n_samples:
         raise ValueError(
@@ -286,7 +283,7 @@ def _block_filler(
     eff_psi, eta = detuned_effective_mode(psi, *imp.detuning) if imp.detuning else (psi, 1.0)
     eta *= imp.extra_loss
     eff_state = apply_loss(state, eta) if eta < 1.0 else state
-    cols = _mode_indices(eff_psi, t0, n_samples, 1.0)
+    cols = _mode_indices(eff_psi, t0, n_samples)
     mode = eff_psi.samples
     n_cdf = np.cumsum(eff_state.c)
     # the photon numbers a block can draw: those of nonzero weight, and
@@ -383,7 +380,7 @@ def synth_condition(
     out = np.empty((n_frames, n_samples), dtype=adc.code_dtype)
     with ThreadPoolExecutor(max_workers=_pool_size(threads, n_frames)) as pool:
         list(pool.map(lambda lo: fill(lo, out[lo : lo + FRAME_BLOCK]), range(0, n_frames, FRAME_BLOCK)))
-    return FrameSet(out, t0=t0, dt=1.0, adc=adc, master_seed=master_seed)
+    return FrameSet(out, t0=t0, adc=adc, master_seed=master_seed)
 
 
 def synth_to_file(
@@ -435,7 +432,7 @@ def synth_to_file(
         finally:
             pool.shutdown(cancel_futures=True)
 
-    _write_frame_file(path, n_frames, n_samples, t0, 1.0, adc, master_seed, write_blocks)
+    _write_frame_file(path, n_frames, n_samples, t0, adc, master_seed, write_blocks)
 
 
 def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
@@ -444,7 +441,7 @@ def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
     One float64 gemv per ``FRAME_BLOCK`` row block, so no M x N float64 copy
     of the frames is made; codes count at their exact ADC levels.
     """
-    cols = _mode_indices(psi0, fs.t0, fs.n_samples, fs.dt)
+    cols = _mode_indices(psi0, fs.t0, fs.n_samples)
     quads = np.empty(fs.n_frames)
     for lo in range(0, fs.n_frames, FRAME_BLOCK):
         block = fs.data[lo : lo + FRAME_BLOCK, cols].astype(np.float64)
@@ -458,7 +455,6 @@ def _write_frame_file(
     n_frames: int,
     n_samples: int,
     t0: float,
-    dt: float,
     adc: AdcSpec,
     master_seed: int,
     write_data: Callable[[BinaryIO], None],
@@ -481,7 +477,7 @@ def _write_frame_file(
         n_frames,
         n_samples,
         t0,
-        dt,
+        _HEADER_DT_NS,
         1,
         adc.bits,
         adc.full_scale,
@@ -506,8 +502,8 @@ def _write_frame_file(
 
 
 def save_frames(fs: FrameSet, path: str | Path) -> None:
-    """Write the frame format (version 2): fixed header, ADC flag 1, then the
-    row-major data as little-endian ADC codes.
+    """Write the frame format (version 2): fixed header, ``dt`` 1 ns, ADC
+    flag 1, then the row-major data as little-endian ADC codes.
 
     The file is written by :func:`_write_frame_file`: under a temporary
     name, renamed over ``path``, and refused before anything is written when
@@ -517,7 +513,6 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
         fs.n_frames,
         fs.n_samples,
         fs.t0,
-        fs.dt,
         fs.adc,
         fs.master_seed,
         fs.data.tofile,
@@ -527,9 +522,10 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
 def load_frames(path: str | Path) -> FrameSet:
     """Read a file written by :func:`save_frames`.
 
-    Only version 2 with ADC flag 1 is read; any other version, such as the
-    float32 version 1, or a version-2 file of float32 frames (ADC flag 0)
-    raises ``ValueError``.  The size the header implies must equal the
+    Only version 2 with ADC flag 1 and ``dt`` = 1 ns is read; any other
+    version, such as the float32 version 1, a version-2 file of float32
+    frames (ADC flag 0) or one of another sample interval raises
+    ``ValueError``.  The size the header implies must equal the
     file size, so a truncated file, trailing bytes or a corrupt header
     raise (naming the file) first.
     """
@@ -545,6 +541,8 @@ def load_frames(path: str | Path) -> FrameSet:
                 raise ValueError(f"unsupported version {version}")
             if flag != 1:
                 raise ValueError(f"ADC flag {flag}: only files of ADC codes (flag 1) are read")
+            if dt != _HEADER_DT_NS:
+                raise ValueError(f"dt {dt} ns: only frames on the 1 ns grid (dt 1) are read")
             adc = AdcSpec(bits, full_scale)
             dtype = adc.code_dtype
             expected = _HEADER.size + dtype.itemsize * m * n
@@ -554,6 +552,6 @@ def load_frames(path: str | Path) -> FrameSet:
             if size > expected:
                 raise ValueError(f"{size - expected} trailing bytes after the data section")
             data = np.frombuffer(fh.read(expected - _HEADER.size), dtype=dtype)
-        return FrameSet(data.reshape(m, n), t0=t0, dt=dt, adc=adc, master_seed=seed)
+        return FrameSet(data.reshape(m, n), t0=t0, adc=adc, master_seed=seed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

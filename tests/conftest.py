@@ -28,20 +28,19 @@ def base_release(params):
     return simulate_release(params, ShutterSchedule(t_release_ns=150.0))
 
 
-def unit_mode(samples, t0: float, dt: float = 1.0) -> ModeFunction:
+def unit_mode(samples, t0: float) -> ModeFunction:
     """The mode of ``samples`` scaled to unit norm."""
     arr = np.asarray(samples, dtype=float)
-    return ModeFunction(arr / np.sqrt(np.sum(arr**2)), t0, dt)
+    return ModeFunction(arr / np.sqrt(np.sum(arr**2)), t0)
 
 
-def boxcar(t0: float, width_ns: float, dt: float = 1.0) -> ModeFunction:
-    n = int(round(width_ns / dt))
-    return unit_mode(np.ones(n), t0, dt)
+def boxcar(t0: float, width_ns: float) -> ModeFunction:
+    return unit_mode(np.ones(int(round(width_ns))), t0)
 
 
-def gaussian_mode(center: float, sigma: float, t0: float, n: int, dt: float = 1.0) -> ModeFunction:
-    t = t0 + dt * np.arange(n)
-    return unit_mode(np.exp(-0.5 * ((t - center) / sigma) ** 2), t0, dt)
+def gaussian_mode(center: float, sigma: float, t0: float, n: int) -> ModeFunction:
+    t = t0 + np.arange(n)
+    return unit_mode(np.exp(-0.5 * ((t - center) / sigma) ** 2), t0)
 
 
 def detuning_overlap_penalty(m: ModeFunction, delta_rad_s: float, phase: float) -> float:

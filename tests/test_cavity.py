@@ -130,7 +130,7 @@ class TestRealMode:
         np.testing.assert_allclose(np.abs(mode.samples), np.abs(expected), atol=1e-12)
         assert abs(float(mode.samples @ expected)) == pytest.approx(1.0, abs=1e-12)
         assert mode.samples[np.argmax(np.abs(mode.samples))] > 0
-        assert (mode.t0, mode.dt) == (5.0, 1.0)
+        assert mode.t0 == 5.0
 
     def test_mixed_phase_splits_energy(self):
         # half the energy is in phase, half in quadrature: the mode keeps

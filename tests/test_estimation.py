@@ -102,7 +102,7 @@ class TestAutocovariance:
 
     def test_duplicated_frame_is_rank_deficient_but_valid(self, mode64):
         one = synth_condition(FockDiagonalState.vacuum(), mode64, 1, 33, n_samples=64)
-        fs = FrameSet(np.repeat(one.data, 10, axis=0), one.t0, one.dt, one.adc, 33)
+        fs = FrameSet(np.repeat(one.data, 10, axis=0), one.t0, one.adc, 33)
         v = autocovariance(fs)
         # mean subtraction removes the only component entirely
         assert np.max(np.abs(v)) < 1e-9
@@ -153,7 +153,7 @@ class TestBinnedAutocovariance:
                 FockDiagonalState.two_level(0.5), mode128, 2049, 43, n_samples=128, adc=adc
             )
             perm = np.random.default_rng(43).permutation(fs.n_frames)
-            shuffled = FrameSet(fs.data[perm], fs.t0, fs.dt, fs.adc, fs.master_seed)
+            shuffled = FrameSet(fs.data[perm], fs.t0, fs.adc, fs.master_seed)
             np.testing.assert_array_equal(autocovariance(shuffled), autocovariance(fs))
             np.testing.assert_array_equal(
                 autocovariance(shuffled, b=8, cols=slice(13, 101)),
@@ -195,7 +195,7 @@ class TestPcaLeadingMode:
         v = np.eye(64) / 2.0 + 0.582 * np.outer(mode64.samples, mode64.samples)
         pca = pca_leading_mode(v)
         assert pca.eigenvalue == pytest.approx(1.082, abs=1e-12)
-        assert overlap_sq(pca.mode, unit_mode(mode64.samples, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert overlap_sq(pca.mode, unit_mode(mode64.samples, 0.0)) == pytest.approx(1.0, abs=1e-12)
         # the photon number the eigenvalue implies: lambda - 1/2
         assert pca.eigenvalue - 0.5 == pytest.approx(0.582, abs=1e-12)
 
@@ -408,7 +408,7 @@ class TestBootstrap:
 
     def test_identical_frames_unstable(self, mode64):
         one = synth_condition(FockDiagonalState.vacuum(), mode64, 1, 41, n_samples=64)
-        fs = FrameSet(np.repeat(one.data, 2_000, axis=0), one.t0, one.dt, one.adc, 41)
+        fs = FrameSet(np.repeat(one.data, 2_000, axis=0), one.t0, one.adc, 41)
         quads = extract_quadratures(fs, mode64)
         with pytest.raises(UnstableEstimateError):
             bootstrap_purity(quads, FockDiagonalState.vacuum(), 20, master_seed=41)
@@ -534,7 +534,7 @@ class TestDecayFit:
 class TestHistogram:
     def test_vacuum_histogram_matches_gaussian(self):
         samples = sample_mixture(FockDiagonalState.vacuum(), 40_000, 43)
-        overlay = histogram_with_overlay(samples, FockDiagonalState.vacuum(), bins=40)
+        overlay = histogram_with_overlay(samples, FockDiagonalState.vacuum())
         widths = np.diff(overlay.edges)
         # chi^2 against the model at the 1% level
         expected = overlay.model * widths * samples.size
@@ -548,7 +548,7 @@ class TestHistogram:
     def test_bright_mixture_has_central_dip(self):
         state = FockDiagonalState.two_level(0.582)
         samples = sample_mixture(state, 43_000, 44)
-        overlay = histogram_with_overlay(samples, state, bins=60)
+        overlay = histogram_with_overlay(samples, state)
         at = lambda x: overlay.density[np.argmin(np.abs(overlay.centers - x))]
         assert at(0.0) < at(1.0)
         assert at(0.0) < at(-1.0)
@@ -561,10 +561,6 @@ class TestHistogram:
         total, _ = quad(lambda x: quadrature_pdf(state, x), -12, 12, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_bins_validated(self):
-        with pytest.raises(ValueError):
-            histogram_with_overlay(np.zeros(100), FockDiagonalState.vacuum(), bins=5)
-
 
 class TestSplitHalfReproducibility:
     def test_split_half_mode_match_at_full_scale(self, base_release):
@@ -575,8 +571,8 @@ class TestSplitHalfReproducibility:
             43_000, 45, n_samples=1000, adc=IDEAL_ADC,
         )
         half = fs.n_frames // 2
-        a = FrameSet(fs.data[:half], fs.t0, fs.dt, fs.adc, fs.master_seed)
-        b = FrameSet(fs.data[half:], fs.t0, fs.dt, fs.adc, fs.master_seed)
+        a = FrameSet(fs.data[:half], fs.t0, fs.adc, fs.master_seed)
+        b = FrameSet(fs.data[half:], fs.t0, fs.adc, fs.master_seed)
         window = (102.0, 102.0 + 336.0)
         mode_a = pca_from_frames(a, window=window, bin_size=8).mode
         mode_b = pca_from_frames(b, window=window, bin_size=8).mode

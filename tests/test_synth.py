@@ -57,11 +57,9 @@ def narrow():
 def ortho(mode):
     """A mode orthogonal to ``mode`` on the same grid."""
     # antisymmetric partner about the pulse center is nearly orthogonal
-    partner = unit_mode(mode.samples * np.sign(mode.times - 60.0 + 0.25), 0.0, 1.0)
+    partner = unit_mode(mode.samples * np.sign(mode.times - 60.0 + 0.25), 0.0)
     assert abs(np.dot(partner.samples, mode.samples)) < 0.05
-    return unit_mode(
-        partner.samples - np.dot(partner.samples, mode.samples) * mode.samples, 0.0, 1.0
-    )
+    return unit_mode(partner.samples - np.dot(partner.samples, mode.samples) * mode.samples, 0.0)
 
 
 class TestSynthFrame:
@@ -102,7 +100,7 @@ class TestExtract:
         codes = np.zeros((1, 128), np.int16)
         codes[0, 40:56] = 7
         assert (7 + 0.5) * adc.step == 3.75 * box.samples[0]
-        fs = FrameSet(codes, t0=0.0, dt=1.0, adc=adc, master_seed=0)
+        fs = FrameSet(codes, t0=0.0, adc=adc, master_seed=0)
         assert extract_quadratures(fs, box)[0] == pytest.approx(3.75, abs=1e-12)
 
     def test_orthogonal_frame_projects_to_zero(self, mode):
@@ -110,7 +108,7 @@ class TestExtract:
         # weight, moves the projection of a frame of code 0 by nearly nothing
         codes = np.zeros((2, 128), np.int16)
         codes[1, 0] = IDEAL_ADC.encode(np.array([5.0]))[0]
-        fs = FrameSet(codes, t0=0.0, dt=1.0, adc=IDEAL_ADC, master_seed=0)
+        fs = FrameSet(codes, t0=0.0, adc=IDEAL_ADC, master_seed=0)
         quads = extract_quadratures(fs, mode)
         assert abs(quads[1] - quads[0]) < 1e-5
 
@@ -136,7 +134,7 @@ class TestExtract:
 
     def test_grid_mismatch_rejected(self, mode):
         fs = synth_condition(FockDiagonalState.vacuum(), mode, 2, 15, n_samples=128)
-        shifted = ModeFunction(mode.samples, 0.5, 1.0)
+        shifted = ModeFunction(mode.samples, 0.5)
         with pytest.raises(ValueError, match="misaligned"):
             extract_quadratures(fs, shifted)
 
@@ -471,15 +469,15 @@ class TestFrameSet:
         assert fs.data.dtype == np.int8
         assert fs.frames is fs.frames  # decoded once
         with pytest.raises(ValueError, match="integer codes, got float32"):
-            FrameSet(fs.frames, fs.t0, fs.dt, fs.adc, fs.master_seed)
+            FrameSet(fs.frames, fs.t0, fs.adc, fs.master_seed)
 
     def test_codes_outside_the_adc_range_rejected(self):
         codes = np.zeros((3, 4), np.int64)
         codes[1, 2] = 128
         with pytest.raises(ValueError, match="outside the 8-bit ADC's range"):
-            FrameSet(codes, 0.0, 1.0, AdcSpec(), 0)
+            FrameSet(codes, 0.0, AdcSpec(), 0)
         codes[1, 2] = 127
-        assert FrameSet(codes, 0.0, 1.0, AdcSpec(), 0).data.dtype == np.int8
+        assert FrameSet(codes, 0.0, AdcSpec(), 0).data.dtype == np.int8
 
 
 class TestFrameIo:
@@ -492,14 +490,13 @@ class TestFrameIo:
         back = load_frames(path)
         np.testing.assert_array_equal(back.frames, fs.frames)
         assert back.t0 == fs.t0
-        assert back.dt == fs.dt
         assert back.master_seed == fs.master_seed
         assert back.adc == fs.adc
 
     @pytest.mark.parametrize("seed", [-1, 2**64 + 7])
     def test_seed_outside_64_bits_rejected(self, tmp_path, seed):
         # the header used to keep the low 64 bits, so 2**64 + 7 read back as 7
-        fs = FrameSet(np.zeros((2, 4), np.int8), 0.0, 1.0, AdcSpec(), seed)
+        fs = FrameSet(np.zeros((2, 4), np.int8), 0.0, AdcSpec(), seed)
         path = tmp_path / "frames.bin"
         with pytest.raises(ValueError, match="64 bits"):
             save_frames(fs, path)
@@ -568,7 +565,7 @@ class TestFrameIo:
         rng = np.random.default_rng(seed % 2**32)
         adc = AdcSpec(bits, full_scale)
         data = rng.integers(*adc.code_range, endpoint=True, size=(m, n))
-        fs = FrameSet(data, t0=-3.5, dt=0.25, adc=adc, master_seed=seed)
+        fs = FrameSet(data, t0=-3.5, adc=adc, master_seed=seed)
         path = tmp_path_factory.getbasetemp() / "round_trip.bin"
         save_frames(fs, path)
         back = load_frames(path)
@@ -576,13 +573,13 @@ class TestFrameIo:
         assert back.data.dtype == fs.data.dtype
         assert back.data.tobytes() == fs.data.tobytes()
         assert back.frames.tobytes() == fs.frames.tobytes()
-        assert (back.t0, back.dt, back.adc, back.master_seed) == (-3.5, 0.25, adc, seed)
+        assert (back.t0, back.adc, back.master_seed) == (-3.5, adc, seed)
 
     @staticmethod
     def _write(path, fs, *, version=2, adc_flag=1, bits=None, full_scale=None, data=None):
         """A hand-written frame file: header fields in the documented order."""
         header = struct.pack(
-            "<4sIQQddBBdQ", b"HMFR", version, fs.n_frames, fs.n_samples, fs.t0, fs.dt, adc_flag,
+            "<4sIQQddBBdQ", b"HMFR", version, fs.n_frames, fs.n_samples, fs.t0, 1.0, adc_flag,
             fs.adc.bits if bits is None else bits,
             fs.adc.full_scale if full_scale is None else full_scale, fs.master_seed,
         )
@@ -624,7 +621,7 @@ class TestFrameIo:
     )
     def test_codes_outside_the_adc_range_rejected(self, tmp_path, bits, dtype, code):
         # fewer bits than the storage type holds: a corrupt code can exceed them
-        fs = FrameSet(np.zeros((FRAME_BLOCK + 1, 8), dtype), 0.0, 1.0, AdcSpec(bits, 1.0), 0)
+        fs = FrameSet(np.zeros((FRAME_BLOCK + 1, 8), dtype), 0.0, AdcSpec(bits, 1.0), 0)
         data = fs.data.copy()
         data[-1, 3] = code  # in the partial last block
         path = tmp_path / "range.bin"
@@ -642,9 +639,7 @@ class TestFrameIo:
         with pytest.raises(ValueError, match="1 trailing bytes"):
             load_frames(saved)
 
-    @pytest.mark.parametrize(
-        "field, offset, value", [("t0", 24, math.nan), ("t0", 24, -math.inf), ("dt", 32, math.inf)]
-    )
+    @pytest.mark.parametrize("field, offset, value", [("t0", 24, math.nan), ("t0", 24, -math.inf)])
     def test_non_finite_grid_rejected(self, saved, field, offset, value):
         # a NaN t0 used to load, and estimate then failed with "cannot
         # convert float NaN to integer", naming neither file nor field
@@ -653,6 +648,18 @@ class TestFrameIo:
         saved.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=rf"frames\.bin: {field} must be .*finite, got {value}"):
             load_frames(saved)
+
+    def test_dt_other_than_1_rejected(self, saved, tmp_path, capsys):
+        # frames lie on the 1 ns grid: a file of another sample interval is
+        # refused, not read as if its samples were 1 ns apart
+        raw = bytearray(saved.read_bytes())
+        struct.pack_into("<d", raw, 32, 0.5)
+        saved.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"frames\.bin: dt 0\.5 ns: only frames on the 1 ns grid"):
+            load_frames(saved)
+        assert cli_entry(["estimate", str(saved), "--out", str(tmp_path / "est")]) == 1
+        assert "dt 0.5 ns" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
 
     def test_huge_header_rejected_before_reading(self, saved):
         # m = n = 2^31 claims 2^64 data bytes; the size check must catch it
