@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, FitFailureError, NumericFailureError
-from .modes import ModeFunction
+from .modes import ModeFunction, whole_ns
 
 SPEED_OF_LIGHT = 299792458.0
 NS = 1e-9
@@ -101,9 +101,7 @@ class ShutterSchedule:
         rel = (self.t_release_ns - self.t_start_ns) / self.dt_int_ns
         if abs(rel - round(rel)) > 1e-6:
             raise ValueError("t_release - t_start must be a multiple of dt_int")
-        span = self.t_end_ns - self.t_start_ns
-        if abs(span - round(span)) > 1e-9:
-            raise ValueError("the window length must be a whole number of ns")
+        whole_ns(self.t_end_ns - self.t_start_ns, "the window length")
 
 
 @dataclass(frozen=True)

@@ -145,8 +145,8 @@ def _cmd_synth(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
-    fs = load_frames(args.frames_file)
-    report = estimate_frames(fs, n_max=cfg.n_max, bootstrap_resamples=cfg.bootstrap_resamples)
+    with load_frames(args.frames_file) as fs:
+        report = estimate_frames(fs, n_max=cfg.n_max, bootstrap_resamples=cfg.bootstrap_resamples)
     text = json_text({**tomography_fields(report), "n_frames": fs.n_frames})
     write_files(args.out, {"tomography.json": text, **tomography_files(report)})
     print(text, end="")

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .fock import DEFAULT_N_MAX, FockDiagonalState, hermite_functions, wigner_origin
 from .modes import GRID_TOL, ModeFunction
-from .synth import FRAME_BLOCK, FrameSet
+from .synth import FrameSet
 
 MIN_MLE_SAMPLES = 1000
 #: the MLE's Fock cutoff range is [1, MAX_N_MAX]
@@ -109,16 +109,16 @@ class DecayFit:
 
 
 def autocovariance(fs: FrameSet, *, b: int = 1, cols: slice = slice(None)) -> np.ndarray:
-    """Covariance (normalization 1/M) of the frames' columns ``cols``,
-    binned to sums of ``b`` samples over sqrt(b): an isometry onto the
-    coarse subspace, so vacuum bins stay at variance 1/2.  A partial last
-    bin is dropped.  Centring keeps coherent contamination (e.g. scattered
-    LO light) out of the mode estimate.
+    """Covariance (normalization 1/M) of the frames' columns ``cols``, a
+    slice of unit step, binned to sums of ``b`` samples over sqrt(b): an
+    isometry onto the coarse subspace, so vacuum bins stay at variance 1/2.
+    A partial last bin is dropped.  Centring keeps coherent contamination
+    (e.g. scattered LO light) out of the mode estimate.
 
-    One uncentred pass over the ``FRAME_BLOCK`` row blocks: each block's
-    bin sums of codes, exact integers, are cast to float64 and add their
-    column sums to ``total`` and their Gram matrix to ``v``; the result is
-    ``(v - total total^T / M) / (M b)`` times step².  A bin sum has
+    One uncentred pass over the row blocks of :meth:`FrameSet.blocks`:
+    each block's bin sums of codes, exact integers, are cast to float64 and
+    add their column sums to ``total`` and their Gram matrix to ``v``; the
+    result is ``(v - total total^T / M) / (M b)`` times step².  A bin sum has
     magnitude at most ``b 2^(bits-1)``, so every product and partial sum is
     an integer below 2^53 while ``M b² 4^(bits-1) < 2^53``: ``M b² < 2^39``
     for 8-bit codes, ``M b² < 2^23`` for 16-bit ones (131 072 frames at
@@ -128,20 +128,18 @@ def autocovariance(fs: FrameSet, *, b: int = 1, cols: slice = slice(None)) -> np
     """
     if b < 1:
         raise ValueError(f"bin size must be a positive whole number of samples, got {b}")
-    seg = fs.data[:, cols]
-    m, n = seg.shape[0], seg.shape[1] // b
+    start, stop, _ = cols.indices(fs.n_samples)
+    m, n = fs.n_frames, max(stop - start, 0) // b
     if m < 2:
         raise InsufficientDataError("need at least 2 frames for an auto-covariance")
     if n < 2:
         raise ValueError("window too short for the requested binning")
-    seg = seg[:, : n * b]
     # codes sum exactly in the narrowest integer type that holds b of them
     acc_type = np.min_scalar_type(-(b << (fs.adc.bits - 1)))
     v, gram, total = np.zeros((n, n)), np.empty((n, n)), np.zeros(n)
-    for lo in range(0, m, FRAME_BLOCK):
+    for _, rows in fs.blocks(slice(start, start + n * b)):
         # b strided column passes: a reduction over a short last axis
         # (reshape + sum(axis=2)) is several times slower
-        rows = seg[lo : lo + FRAME_BLOCK]
         acc = rows[:, 0::b].astype(acc_type)
         for k in range(1, b):
             acc += rows[:, k::b]

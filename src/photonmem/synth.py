@@ -24,9 +24,9 @@ import os
 import shutil
 import struct
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import BinaryIO
@@ -151,10 +151,42 @@ class ImperfectionConfig:
             object.__setattr__(self, "detuning", None)
 
 
-def _check_block(block: np.ndarray, adc: AdcSpec) -> None:
-    """Raise ``ValueError`` unless ``block`` holds codes in the ADC's range."""
+def _check_block(block: np.ndarray, adc: AdcSpec, what: str = "frame codes") -> None:
+    """Raise ``ValueError``, naming ``what``, unless ``block`` holds codes in
+    the ADC's range."""
     if block.min() < adc.code_range[0] or block.max() > adc.code_range[1]:
-        raise ValueError(f"frame codes outside the {adc.bits}-bit ADC's range")
+        raise ValueError(f"{what} outside the {adc.bits}-bit ADC's range")
+
+
+def _array_blocks(data: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(lo, rows)`` for the ``FRAME_BLOCK`` row blocks of ``data``, as views."""
+    for lo in range(0, len(data), FRAME_BLOCK):
+        yield lo, data[lo : lo + FRAME_BLOCK]
+
+
+class _FrameFile:
+    """The data section of an open frame file, read one ``FRAME_BLOCK`` row
+    block at a time.
+
+    Holding the file open pins its contents: a file renamed over ``path``
+    later is not read."""
+
+    def __init__(self, fh: BinaryIO, path: str | Path, shape: tuple[int, int], dtype: np.dtype):
+        self.fh, self.path, self.shape, self.dtype = fh, path, shape, dtype
+
+    def row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(lo, rows)`` for each row block, read with ``readinto`` into a
+        buffer that this pass owns and each next block overwrites; a file
+        that ends before the block raises ``ValueError`` naming it."""
+        m, n = self.shape
+        buf = np.empty((min(FRAME_BLOCK, m), n), self.dtype)
+        for lo in range(0, m, FRAME_BLOCK):
+            rows = buf[: min(FRAME_BLOCK, m - lo)]
+            self.fh.seek(_HEADER.size + lo * n * self.dtype.itemsize)
+            # a buffered reader fills the whole buffer unless the file ends
+            if self.fh.readinto(rows) != rows.nbytes:
+                raise ValueError(f"{self.path}: the data section ends inside frames {lo}-{lo + len(rows) - 1}")
+            yield lo, rows
 
 
 @dataclass(frozen=True)
@@ -162,52 +194,88 @@ class FrameSet:
     """M x N frames of ADC codes on the 1 ns grid from ``t0``, plus ADC and
     seed metadata.
 
-    ``data`` must be an integer array of codes in the ADC's range; it is
-    stored in :attr:`AdcSpec.code_dtype`."""
+    The codes come from one of two sources: ``data``, an in-memory integer
+    matrix of codes in the ADC's range, stored in :attr:`AdcSpec.code_dtype`,
+    or the open frame file of a set that :func:`load_frames` returns, whose
+    ``data`` is None.  Every pass reads them through :meth:`blocks`.
+    Construction makes one pass that refuses codes outside the ADC's range
+    and counts the saturated ones."""
 
-    data: np.ndarray
+    data: np.ndarray | None
     t0: float
     adc: AdcSpec
     master_seed: int
+    file: _FrameFile | None = field(default=None, repr=False)
+    #: share of samples at the ADC's two outermost codes
+    adc_saturated_fraction: float = field(init=False)
 
     def __post_init__(self):
+        # a file-backed set names its file in every error
+        where = "" if self.file is None else f"{self.file.path}: "
         if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
-        arr = np.asarray(self.data)
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"frames must be integer codes, got {arr.dtype}")
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("frames must be a non-empty M x N matrix")
-        # block by block: whole-matrix checks make M x N temporaries
-        for lo in range(0, arr.shape[0], FRAME_BLOCK):
-            _check_block(arr[lo : lo + FRAME_BLOCK], self.adc)
-        data = np.ascontiguousarray(arr, dtype=self.adc.code_dtype)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+            raise ValueError(f"{where}t0 must be finite, got {self.t0}")
+        if self.file is None:
+            arr = np.asarray(self.data)
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"frames must be integer codes, got {arr.dtype}")
+            shape, source = arr.shape, _array_blocks(arr)
+        else:
+            shape, source = self.file.shape, self.file.row_blocks()
+        if len(shape) != 2 or 0 in shape:
+            raise ValueError(f"{where}frames must be a non-empty M x N matrix")
+        # the codes as given: a cast first would wrap a code outside the
+        # range into it
+        lo, hi = self.adc.code_range
+        saturated = 0
+        for _, rows in source:
+            _check_block(rows, self.adc, f"{where}frame codes")
+            saturated += np.count_nonzero(rows == lo) + np.count_nonzero(rows == hi)
+        object.__setattr__(self, "adc_saturated_fraction", saturated / (shape[0] * shape[1]))
+        if self.file is None:
+            data = np.ascontiguousarray(arr, dtype=self.adc.code_dtype)
+            data.flags.writeable = False
+            object.__setattr__(self, "data", data)
+
+    def blocks(self, cols: slice = slice(None)) -> Iterator[tuple[int, np.ndarray]]:
+        """``(lo, rows)``: the codes in columns ``cols`` of the frames from
+        ``lo``, a ``FRAME_BLOCK`` of them or the rest.  In memory ``rows`` is
+        a view of ``data``; from a file it lies in a buffer of this pass,
+        which the next block overwrites."""
+        source = _array_blocks(self.data) if self.file is None else self.file.row_blocks()
+        for lo, rows in source:
+            yield lo, rows[:, cols]
 
     @cached_property
     def frames(self) -> np.ndarray:
-        """float32 quadratures: the ADC levels of ``data``, decoded once."""
-        out = np.empty(self.data.shape, np.float32)
-        for lo in range(0, self.n_frames, FRAME_BLOCK):
-            self.adc.decode(self.data[lo : lo + FRAME_BLOCK], out=out[lo : lo + FRAME_BLOCK])
+        """float32 quadratures: the ADC levels of the codes, decoded once."""
+        out = np.empty((self.n_frames, self.n_samples), np.float32)
+        for lo, rows in self.blocks():
+            self.adc.decode(rows, out=out[lo : lo + len(rows)])
         out.flags.writeable = False
         return out
 
     @property
     def n_frames(self) -> int:
-        return self.data.shape[0]
+        return self._shape[0]
 
     @property
     def n_samples(self) -> int:
-        return self.data.shape[1]
+        return self._shape[1]
 
     @property
-    def adc_saturated_fraction(self) -> float:
-        """Share of samples at the ADC's two outermost codes."""
-        lo, hi = self.adc.code_range
-        blocks = (self.data[i : i + FRAME_BLOCK] for i in range(0, self.n_frames, FRAME_BLOCK))
-        return sum(np.count_nonzero(b == lo) + np.count_nonzero(b == hi) for b in blocks) / self.data.size
+    def _shape(self) -> tuple[int, int]:
+        return self.data.shape if self.file is None else self.file.shape
+
+    def close(self) -> None:
+        """Close the frame file of a loaded set; an in-memory set has none."""
+        if self.file is not None:
+            self.file.fh.close()
+
+    def __enter__(self) -> FrameSet:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 @lru_cache(maxsize=64)
@@ -441,11 +509,9 @@ def extract_quadratures(fs: FrameSet, psi0: ModeFunction) -> np.ndarray:
     One float64 gemv per ``FRAME_BLOCK`` row block, so no M x N float64 copy
     of the frames is made; codes count at their exact ADC levels.
     """
-    cols = _mode_indices(psi0, fs.t0, fs.n_samples)
     quads = np.empty(fs.n_frames)
-    for lo in range(0, fs.n_frames, FRAME_BLOCK):
-        block = fs.data[lo : lo + FRAME_BLOCK, cols].astype(np.float64)
-        np.matmul(block, psi0.samples, out=quads[lo : lo + FRAME_BLOCK])
+    for lo, rows in fs.blocks(_mode_indices(psi0, fs.t0, fs.n_samples)):
+        np.matmul(rows.astype(np.float64), psi0.samples, out=quads[lo : lo + len(rows)])
     # code k stands for the level (k + 1/2) step
     return (quads + 0.5 * psi0.samples.sum()) * fs.adc.step
 
@@ -502,8 +568,9 @@ def _write_frame_file(
 
 
 def save_frames(fs: FrameSet, path: str | Path) -> None:
-    """Write the frame format (version 2): fixed header, ``dt`` 1 ns, ADC
-    flag 1, then the row-major data as little-endian ADC codes.
+    """Write the in-memory frame set ``fs`` in the frame format (version 2):
+    fixed header, ``dt`` 1 ns, ADC flag 1, then the row-major data as
+    little-endian ADC codes.
 
     The file is written by :func:`_write_frame_file`: under a temporary
     name, renamed over ``path``, and refused before anything is written when
@@ -520,17 +587,24 @@ def save_frames(fs: FrameSet, path: str | Path) -> None:
 
 
 def load_frames(path: str | Path) -> FrameSet:
-    """Read a file written by :func:`save_frames`.
+    """Open a file written by :func:`save_frames` as a frame set that reads
+    its codes from the file, block by block (see :meth:`FrameSet.blocks`).
 
     Only version 2 with ADC flag 1 and ``dt`` = 1 ns is read; any other
     version, such as the float32 version 1, a version-2 file of float32
     frames (ADC flag 0) or one of another sample interval raises
     ``ValueError``.  The size the header implies must equal the
     file size, so a truncated file, trailing bytes or a corrupt header
-    raise (naming the file) first.
+    raise (naming the file) first.  Then one pass refuses codes outside the
+    ADC's range and counts the saturated ones, as for any frame set.
+
+    The set holds the file open until :meth:`FrameSet.close` (or the end of
+    a ``with`` block); a pass that finds the file shorter than at load
+    raises ``ValueError`` naming it.
     """
+    fh = open(path, "rb")
     try:
-        with open(path, "rb") as fh:
+        try:
             raw = fh.read(_HEADER.size)
             if len(raw) != _HEADER.size:
                 raise ValueError("truncated header")
@@ -544,14 +618,15 @@ def load_frames(path: str | Path) -> FrameSet:
             if dt != _HEADER_DT_NS:
                 raise ValueError(f"dt {dt} ns: only frames on the 1 ns grid (dt 1) are read")
             adc = AdcSpec(bits, full_scale)
-            dtype = adc.code_dtype
-            expected = _HEADER.size + dtype.itemsize * m * n
+            expected = _HEADER.size + adc.code_dtype.itemsize * m * n
             size = os.fstat(fh.fileno()).st_size
             if size < expected:
                 raise ValueError(f"truncated data section ({size} of {expected} bytes)")
             if size > expected:
                 raise ValueError(f"{size - expected} trailing bytes after the data section")
-            data = np.frombuffer(fh.read(expected - _HEADER.size), dtype=dtype)
-        return FrameSet(data.reshape(m, n), t0=t0, adc=adc, master_seed=seed)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return FrameSet(None, t0, adc, seed, file=_FrameFile(fh, path, (m, n), adc.code_dtype))
+    except BaseException:
+        fh.close()
+        raise

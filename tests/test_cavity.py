@@ -22,6 +22,7 @@ from photonmem.cavity import (
     simulate_release,
     storage_lifetime,
 )
+from photonmem.config import ExperimentConfig
 from photonmem.errors import DegenerateInputError, FitFailureError, NumericFailureError
 from photonmem.fock import FockDiagonalState, wigner
 from photonmem.modes import clip_and_renormalize, overlap_sq, time_shift
@@ -116,6 +117,15 @@ class TestSimulateRelease:
             ShutterSchedule(t_release_ns=150.0, dt_int_ns=0.3)  # does not divide 1 ns
         with pytest.raises(ValueError):
             ShutterSchedule(t_release_ns=150.05, dt_int_ns=0.1)  # off the step grid
+
+    def test_window_length_follows_the_whole_ns_rule(self, params):
+        # the one whole-ns rule of modes.whole_ns: a window 1e-7 ns off a
+        # whole length lies on the grid, as every offset within GRID_TOL does
+        sched = ShutterSchedule(t_release_ns=150.0, t_end_ns=1000.0000001)
+        assert simulate_release(params, sched).envelope.n_samples == 1000
+        assert ExperimentConfig(window_end_ns=1000.0000001).n_samples == 1000
+        with pytest.raises(ValueError, match=r"^the window length of 1000\.01 ns is not a multiple of 1 ns"):
+            ShutterSchedule(t_release_ns=150.0, t_end_ns=1000.01)
 
 
 class TestRealMode:

@@ -1,7 +1,10 @@
 import errno
 import hashlib
 import json
+import os
 import re
+import shutil
+import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonmem import estimation, pipeline
-from photonmem.cavity import CavityParams
+from photonmem.cavity import CavityParams, simulate_release
 from photonmem.cli import cli_entry
 from photonmem.config import ExperimentConfig, load_config
 from photonmem.errors import InsufficientDataError, PhotonMemError
@@ -793,16 +796,19 @@ class TestCli:
         cfg_path.write_text(f"{_SHORT_WINDOW}[adc]\n{adc_section}\n")
         assert cli_entry(["synth", "--config", str(cfg_path), "--frames", "200", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert load_frames(tmp_path / "frames.bin").adc == expected
+        with load_frames(tmp_path / "frames.bin") as fs:
+            assert fs.adc == expected
 
     def test_synth_adc_flags_override_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(f"{_SHORT_WINDOW}[adc]\nbits = 12\n")
         argv = ["synth", "--config", str(cfg_path), "--frames", "200", "--out", str(tmp_path)]
         assert cli_entry(argv + ["--adc-bits", "10"]) == 0
-        assert load_frames(tmp_path / "frames.bin").adc == AdcSpec(10)
+        with load_frames(tmp_path / "frames.bin") as fs:
+            assert fs.adc == AdcSpec(10)
         assert cli_entry(argv + ["--full-scale", "3.0"]) == 0
-        assert load_frames(tmp_path / "frames.bin").adc == AdcSpec(12, 3.0)
+        with load_frames(tmp_path / "frames.bin") as fs:
+            assert fs.adc == AdcSpec(12, 3.0)
         capsys.readouterr()
 
     def test_missing_frames_file_fails(self, tmp_path, capsys):
@@ -811,6 +817,10 @@ class TestCli:
         capsys.readouterr()
 
     def test_synth_then_estimate_matches_in_process(self, tmp_path, capsys):
+        # two code paths, one result: the CLI streams its estimate from the
+        # synth file, the sweep estimates the code matrix that
+        # synth_condition builds in memory for the same arguments; 8-bit
+        # codes are read as int8, 16-bit ones as little-endian int16
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(
             "[sweep]\nframes_per_condition = 3000\n"
@@ -818,38 +828,42 @@ class TestCli:
             "[estimation]\nbootstrap_resamples = 20\n"
             "[run]\nmaster_seed = 123\n"
         )
-        synth_dir = tmp_path / "synth"
-        assert cli_entry([
-            "synth", "--config", str(cfg_path), "--out", str(synth_dir), "--purity", "0.582",
-        ]) == 0
-        est_dir = tmp_path / "est"
-        assert cli_entry([
-            "estimate", str(synth_dir / "frames.bin"), "--config", str(cfg_path), "--out", str(est_dir),
-        ]) == 0
-        capsys.readouterr()
+        cfg = load_config(cfg_path)
+        release = simulate_release(cfg.cavity, cfg.schedule(150.0))
+        for bits in (8, 16):
+            synth_dir, est_dir = tmp_path / f"synth{bits}", tmp_path / f"est{bits}"
+            assert cli_entry([
+                "synth", "--config", str(cfg_path), "--out", str(synth_dir), "--purity", "0.582",
+                "--adc-bits", str(bits),
+            ]) == 0
+            argv = ["estimate", str(synth_dir / "frames.bin"), "--config", str(cfg_path), "--out"]
+            assert cli_entry(argv + [str(est_dir)]) == 0
+            capsys.readouterr()
 
-        # the file-mediated result equals the in-process pipeline exactly
-        fs = load_frames(synth_dir / "frames.bin")
-        report = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
-        assert report.quadratures.tobytes() == extract_quadratures(fs, report.pca.mode).tobytes()
-        payload = json.loads((est_dir / "tomography.json").read_text())
-        assert payload["purity"] == report.purity
-        assert payload["purity_err"] == report.bootstrap.std
-        assert payload["pca_eigenvalue"] == report.pca.eigenvalue
-        assert payload["photon_number_distribution"] == [float(v) for v in report.mle.state.c]
-        assert payload["mle_converged"] is True
-        assert payload["mle_kkt_residual"] == report.mle.kkt_residual
-        assert payload["mle_n_evals"] == report.mle.n_evals
-        assert payload["bootstrap_failures"] == report.bootstrap.failures == 0
-        assert payload["adc_saturated_fraction"] == report.adc_saturated_fraction == 0.0
+            fs = synth_condition(
+                FockDiagonalState.two_level(0.582), release.envelope, 3000, 123,
+                t0=cfg.window_start_ns, n_samples=cfg.n_samples, adc=AdcSpec(bits),
+            )
+            report = estimate_frames(fs, n_max=cfg.n_max, bootstrap_resamples=20)
+            text = pipeline.json_text({**pipeline.tomography_fields(report), "n_frames": 3000})
+            mem_dir = tmp_path / f"in-memory{bits}"
+            pipeline.write_files(mem_dir, {"tomography.json": text, **pipeline.tomography_files(report)})
+            assert {p.name: p.read_bytes() for p in est_dir.iterdir()} == {
+                p.name: p.read_bytes() for p in mem_dir.iterdir()
+            }
+            with load_frames(synth_dir / "frames.bin") as loaded:
+                streamed = extract_quadratures(loaded, report.pca.mode)
+            assert streamed.tobytes() == report.quadratures.tobytes()
+            payload = json.loads(text)
+            assert payload["mle_converged"] is True
+            assert payload["bootstrap_failures"] == 0
+            assert payload["adc_saturated_fraction"] == 0.0
 
-        # a rerun writes the same bytes
-        again = tmp_path / "again"
-        assert cli_entry([
-            "estimate", str(synth_dir / "frames.bin"), "--config", str(cfg_path), "--out", str(again),
-        ]) == 0
-        capsys.readouterr()
-        assert (again / "tomography.json").read_bytes() == (est_dir / "tomography.json").read_bytes()
+            # a rerun writes the same bytes
+            again = tmp_path / f"again{bits}"
+            assert cli_entry(argv + [str(again)]) == 0
+            capsys.readouterr()
+            assert (again / "tomography.json").read_bytes() == (est_dir / "tomography.json").read_bytes()
 
     def test_simulate_synth_estimate_load_no_scipy_submodule(self, tmp_path):
         # a fresh interpreter: this one has imported scipy for other tests
@@ -961,3 +975,95 @@ class TestEstimateFramesWindowing:
         # mode support starts near the release time for every condition
         for cond, t_rel in zip(smoke_report.conditions, (150.0, 250.0)):
             assert cond.tomography.pca.mode.t0 == pytest.approx(t_rel - 50.0, abs=30.0)
+
+
+class TestStreamedEstimate:
+    """``photonmem estimate`` reads its frame file block by block: the file
+    stays open from load to the last pass, and no pass holds the matrix."""
+
+    @pytest.fixture
+    def frame_files(self, tmp_path, capsys):
+        """Two frame files of 1500 frames, seeds 7 and 8."""
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text(_SHORT_WINDOW)
+        paths = []
+        for seed in (7, 8):
+            out = tmp_path / f"synth{seed}"
+            argv = ["synth", "--config", str(cfg_path), "--frames", "1500", "--seed", str(seed), "--out", str(out)]
+            assert cli_entry(argv) == 0
+            paths.append(out / "frames.bin")
+        capsys.readouterr()
+        return paths
+
+    @staticmethod
+    def _before_pass(monkeypatch, name, action):
+        """Run ``action()`` when ``estimate_frames`` starts its pass ``name``."""
+        original = getattr(pipeline, name)
+
+        def wrapped(*args, **kwargs):
+            action()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    def test_file_truncated_after_load_raises_naming_it(self, monkeypatch, frame_files, tmp_path, capsys):
+        path = frame_files[0]
+        size = path.stat().st_size
+        self._before_pass(monkeypatch, "matched_window_pca", lambda: os.truncate(path, size // 2))
+        with load_frames(path) as fs:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: the data section ends inside"):
+                estimate_frames(fs, n_max=5, bootstrap_resamples=20)
+        # the command fails the same way, and writes no --out
+        shutil.copyfile(frame_files[1], path)
+        assert cli_entry(["estimate", str(path), "--out", str(tmp_path / "est")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: the data section ends inside")
+        assert not (tmp_path / "est").exists()
+
+    def test_file_renamed_over_the_path_mid_estimate_is_not_read(self, monkeypatch, frame_files):
+        path, other = frame_files
+        with load_frames(path) as fs:
+            expected = pipeline.tomography_fields(estimate_frames(fs, n_max=5, bootstrap_resamples=20))
+        with load_frames(other) as fs:
+            replacement = pipeline.tomography_fields(estimate_frames(fs, n_max=5, bootstrap_resamples=20))
+        assert replacement != expected
+        # after both PCA passes, before extraction
+        self._before_pass(monkeypatch, "extract_quadratures", lambda: os.replace(other, path))
+        with load_frames(path) as fs:
+            report = estimate_frames(fs, n_max=5, bootstrap_resamples=20)
+        assert not other.exists()
+        assert pipeline.tomography_fields(report) == expected
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
+    def test_estimate_leaks_no_file_descriptor(self, frame_files, tmp_path, capsys):
+        before = len(os.listdir("/proc/self/fd"))
+        for k in range(3):
+            assert cli_entry(["estimate", str(frame_files[0]), "--out", str(tmp_path / f"est{k}")]) == 0
+        capsys.readouterr()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+    def test_peak_rss_does_not_grow_with_frames(self, tmp_path, capsys):
+        # each size in a fresh interpreter on one CPU, 8-bit codes of 1000
+        # samples: 32 768 frames are 30 MiB more codes than 2 048, which
+        # load_frames used to read whole; what still grows is the fits'
+        # float64 state per frame (quadratures, likelihood matrix, resample
+        # weights), about 175 B a frame or 5 MiB here
+        code = textwrap.dedent(
+            """
+            import os, resource, sys
+            from photonmem.cli import cli_entry
+
+            os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+            assert cli_entry(["estimate", sys.argv[1], "--out", sys.argv[2]]) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        peak = {}
+        for n in (2048, 32768):
+            synth_dir = tmp_path / f"synth{n}"
+            assert cli_entry(["synth", "--frames", str(n), "--seed", "7", "--out", str(synth_dir)]) == 0
+            run = run_fresh_python(code, str(synth_dir / "frames.bin"), str(tmp_path / f"est{n}"))
+            assert run.returncode == 0, run.stderr
+            peak[n] = int(run.stdout.splitlines()[-1]) / 1024
+        capsys.readouterr()
+        assert peak[32768] - peak[2048] < 8.0, peak

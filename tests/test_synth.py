@@ -487,8 +487,8 @@ class TestFrameIo:
         )
         path = tmp_path / "frames.bin"
         save_frames(fs, path)
-        back = load_frames(path)
-        np.testing.assert_array_equal(back.frames, fs.frames)
+        with load_frames(path) as back:
+            np.testing.assert_array_equal(back.frames, fs.frames)
         assert back.t0 == fs.t0
         assert back.master_seed == fs.master_seed
         assert back.adc == fs.adc
@@ -539,7 +539,7 @@ class TestFrameIo:
         # version 2: fixed 58-byte header, then the row-major little-endian
         # codes: one int8 per sample with the 8-bit ADC ...
         raw = saved.read_bytes()
-        fs = load_frames(saved)
+        fs = synth_condition(FockDiagonalState.vacuum(), mode, 20, 36, n_samples=128)
         assert struct.unpack_from("<4sI", raw) == (b"HMFR", 2)
         assert len(raw) == 58 + 20 * 128
         assert raw[58:] == fs.data.astype("<i1").tobytes()
@@ -568,11 +568,14 @@ class TestFrameIo:
         fs = FrameSet(data, t0=-3.5, adc=adc, master_seed=seed)
         path = tmp_path_factory.getbasetemp() / "round_trip.bin"
         save_frames(fs, path)
-        back = load_frames(path)
         assert path.stat().st_size == 58 + adc.code_dtype.itemsize * m * n
-        assert back.data.dtype == fs.data.dtype
-        assert back.data.tobytes() == fs.data.tobytes()
-        assert back.frames.tobytes() == fs.frames.tobytes()
+        with load_frames(path) as back:
+            # each block is read when the pass reaches it, into one buffer
+            blocks = [(lo, rows.dtype, rows.tobytes()) for lo, rows in back.blocks()]
+            assert [lo for lo, _, _ in blocks] == list(range(0, m, FRAME_BLOCK))
+            assert {dtype for _, dtype, _ in blocks} == {fs.data.dtype}
+            assert b"".join(raw for _, _, raw in blocks) == fs.data.tobytes()
+            assert back.frames.tobytes() == fs.frames.tobytes()
         assert (back.t0, back.adc, back.master_seed) == (-3.5, adc, seed)
 
     @staticmethod
