@@ -243,19 +243,78 @@ _MIN_STEP = 1e-12
 #: cap on Newton iterations per fit; fits take 3-20 evaluations
 _MAX_ITER = 100
 
+#: width of the quadrature grid every fit runs on (the vacuum's standard
+#: deviation is 0.71): bin k holds the samples x with floor(x / QUAD_BIN) = k
+QUAD_BIN = 0.01
+#: a quadrature set spanning more bins than this is refused rather than
+#: counted on a grid of that length
+_MAX_GRID_BINS = 1 << 20
+
+
+@dataclass(frozen=True)
+class QuadratureBins:
+    """One quadrature set on the fixed grid of width :data:`QUAD_BIN`,
+    anchored at 0: each sample's bin, the occupied bins' sample counts and
+    the Fock densities ``P_n`` at those bins' midpoints.  Built once per set
+    by :meth:`of`; every fit reads it."""
+
+    #: index into ``counts`` of each sample's bin (intp)
+    bin_of: np.ndarray
+    #: samples per occupied bin, in grid order
+    counts: np.ndarray
+    #: ``P_n(x) = phi_n(x)^2`` at the occupied bins' midpoints, for
+    #: n = 0..MAX_N_MAX, shape (MAX_N_MAX + 1, bins)
+    pdf: np.ndarray
+
+    @property
+    def n_samples(self) -> int:
+        return self.bin_of.size
+
+    @classmethod
+    def of(cls, samples) -> "QuadratureBins":
+        """Bin ``samples`` (at least :data:`MIN_MLE_SAMPLES`, finite, not all
+        equal): one ``bincount`` over the grid range between the lowest and
+        highest sample's bin, of which the occupied bins are kept."""
+        x = np.asarray(samples, dtype=float).ravel()
+        if x.size < MIN_MLE_SAMPLES:
+            raise InsufficientDataError(f"need >= {MIN_MLE_SAMPLES} samples, got {x.size}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("samples must be finite")
+        if float(np.var(x)) < 1e-12:
+            raise FitFailureError("degenerate samples: zero variance")
+        k = x / QUAD_BIN
+        np.floor(k, out=k)
+        lo, hi = k.min(), k.max()
+        if hi - lo >= _MAX_GRID_BINS:
+            raise ValueError(
+                f"samples span [{x.min():.6g}, {x.max():.6g}], more than "
+                f"{_MAX_GRID_BINS} bins of {QUAD_BIN}"
+            )
+        k -= lo
+        bin_of = k.astype(np.intp)
+        counts = np.bincount(bin_of)
+        occupied = np.flatnonzero(counts)
+        # grid bin -> its index among the occupied bins
+        rank = np.cumsum(counts > 0) - 1
+        np.take(rank, bin_of, out=bin_of)
+        midpoints = (lo + occupied + 0.5) * QUAD_BIN
+        return cls(bin_of, counts[occupied], hermite_functions(MAX_N_MAX, midpoints) ** 2)
+
 
 def _objective(
     c: np.ndarray, pdf_matrix: np.ndarray, w: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """``-sum_j w_j log(c . P_j) + sum_n c_n``, its gradient in ``c`` and
-    the mixture density ``c . P_j``.
+    the mixture density ``c . P_j``; column j is a quadrature bin.
 
-    Built from einsum rather than ``@``, which hands these (n_max+1) x N
-    products to a threaded BLAS: on a 2-core host a 40-resample bootstrap of
-    15 000 samples took 7.0 s that way against 1.0 s with einsum.  The sum
-    over samples is numpy's pairwise one, whose rounding (~1e-16 relative;
-    einsum's running sum reached 2e-15 at 15 000 samples) stays inside the
-    Armijo allowance ``_ROUNDING`` of :func:`_fit_weighted`.
+    Built from einsum, which calls no BLAS, so a fit's bytes do not depend
+    on the BLAS library or its thread count.  ``@`` would save little: on
+    the ~600 bins of a 15 000-sample set, a 40-resample bootstrap took
+    19-29 ms either way on a 2-core host, and one call 13 us with einsum
+    against 9.4 us with ``@``.  The value's sum is numpy's pairwise one,
+    whose rounding (~1e-16 relative; einsum's running sum reached 2e-15
+    over 15 000 terms) stays inside the Armijo allowance ``_ROUNDING`` of
+    :func:`_fit_weighted`.
     """
     mix = np.maximum(np.einsum("n,nj->j", c, pdf_matrix), 1e-300)
     value = float(c.sum() - (w * np.log(mix)).sum())
@@ -352,47 +411,41 @@ def _fit_weighted(
     return c, n_evals, _kkt_of_gradient(c, grad)
 
 
-def _checked_samples(samples: np.ndarray, n_max: int) -> np.ndarray:
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < MIN_MLE_SAMPLES:
-        raise InsufficientDataError(f"need >= {MIN_MLE_SAMPLES} samples, got {x.size}")
+def _check_n_max(n_max: int) -> None:
     if not 1 <= n_max <= MAX_N_MAX:
         raise ValueError(f"n_max must lie in [1, {MAX_N_MAX}], got {n_max}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    if float(np.var(x)) < 1e-12:
-        raise FitFailureError("degenerate samples: zero variance")
-    return x
 
 
-def mle_photon_distribution(samples: np.ndarray, n_max: int = DEFAULT_N_MAX) -> MleResult:
+def mle_photon_distribution(bins: QuadratureBins, n_max: int = DEFAULT_N_MAX) -> MleResult:
     """Maximum-likelihood photon-number distribution from quadrature samples.
 
-    Maximizes ``sum_j log sum_n c_n P_n(x_j)`` over the probability simplex,
-    which is concave in ``c``.  It is solved as one minimization of
-    ``-mean_j log(c . P_j) + sum_n c_n`` over ``c >= 0`` by the active-set
-    Newton method of :func:`_fit_weighted` (exact gradient and Hessian),
-    started from the uniform distribution; the optimum of that problem lies
-    on the simplex.  ``n_evals`` counts its objective evaluations, and
-    ``converged`` means the KKT residual is at most :data:`MLE_KKT_TOL`.
+    Maximizes the grouped-data likelihood of the samples' bins on the
+    :data:`QUAD_BIN` grid, ``sum_k N_k log sum_n c_n P_n(m_k)`` with ``N_k``
+    samples in bin k of midpoint ``m_k``, over the probability simplex; it
+    is concave in ``c``.  It is solved as one minimization of
+    ``-sum_k (N_k / N) log(c . P_k) + sum_n c_n`` over ``c >= 0`` by the
+    active-set Newton method of :func:`_fit_weighted` (exact gradient and
+    Hessian), started from the uniform distribution; the optimum of that
+    problem lies on the simplex.  ``loglik`` is the binned sum, ``n_evals``
+    counts the objective evaluations, and ``converged`` means the KKT
+    residual on the bins is at most :data:`MLE_KKT_TOL`.
 
     Parameters
     ----------
-    samples:
-        Quadrature values; at least 1000 are required.
+    bins:
+        The quadrature samples' bins, from :meth:`QuadratureBins.of`.
     n_max:
         Fock cutoff in [1, MAX_N_MAX].
     """
-    x = _checked_samples(samples, n_max)
-    # P_n(x_j), fixed throughout the optimization
-    pdf_matrix = hermite_functions(n_max, x) ** 2
-    w = np.full(x.size, 1.0 / x.size)
+    _check_n_max(n_max)
+    pdf_matrix = bins.pdf[: n_max + 1]
+    w = bins.counts / bins.n_samples
     c, n_evals, kkt = _fit_weighted(pdf_matrix, w, np.full(n_max + 1, 1.0 / (n_max + 1)))
     state = FockDiagonalState(c / c.sum())
     mix = np.maximum(np.einsum("n,nj->j", state.c, pdf_matrix), 1e-300)
     return MleResult(
         state=state,
-        loglik=float(np.log(mix).sum()),
+        loglik=float(bins.counts @ np.log(mix)),
         n_evals=n_evals,
         converged=kkt <= MLE_KKT_TOL,
         kkt_residual=kkt,
@@ -400,7 +453,7 @@ def mle_photon_distribution(samples: np.ndarray, n_max: int = DEFAULT_N_MAX) -> 
 
 
 def bootstrap_purity(
-    quads: np.ndarray,
+    bins: QuadratureBins,
     point: FockDiagonalState,
     n_resamples: int = 40,
     *,
@@ -411,24 +464,20 @@ def bootstrap_purity(
     the Wigner value at the origin, ``W(0,0) = sum_n (-1)^n c_n / pi``.
 
     Frames are resampled with replacement; extraction commutes with the
-    resampling, so resample ``b`` is the weight vector ``bincount(idx) / N``
-    over the extracted quadratures ``quads``, with ``idx`` drawn from stream
-    ``(master_seed, DOMAIN_BOOTSTRAP, b)``.  Each refit is the active-set
-    Newton fit of :func:`_fit_weighted` on the resample's distinct samples,
-    warm-started at the full-data estimate ``point`` on one shared
-    ``P_n(x_j)`` matrix.  A refit fails when its KKT residual exceeds
-    :data:`MLE_KKT_TOL`; failed refits are counted and left out of the
-    spread.  More than 10% failed refits, or degenerate quadratures, raise
-    :class:`UnstableEstimateError`.
+    resampling, so resample ``b`` draws frame indices ``idx`` from stream
+    ``(master_seed, DOMAIN_BOOTSTRAP, b)`` and weighs the ``bins`` of the
+    extracted quadratures by ``bincount(bin_of[idx]) / N``.  Each refit is
+    the active-set Newton fit of :func:`_fit_weighted` on the bins the
+    resample occupies, warm-started at the full-data estimate ``point``.  A
+    refit fails when its KKT residual exceeds :data:`MLE_KKT_TOL`; failed
+    refits are counted and left out of the spread.  More than 10% failed
+    refits raise :class:`UnstableEstimateError`.
     """
     if n_resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise ValueError(f"need >= {MIN_BOOTSTRAP_RESAMPLES} resamples, got {n_resamples}")
-    try:
-        x = _checked_samples(quads, n_max)
-    except FitFailureError as exc:
-        raise UnstableEstimateError(f"cannot resample: {exc}") from exc
-
-    pdf_matrix = hermite_functions(n_max, x) ** 2
+    _check_n_max(n_max)
+    pdf_matrix = bins.pdf[: n_max + 1]
+    n = bins.n_samples
     c0 = np.zeros(n_max + 1)
     take = min(point.c.size, n_max + 1)
     c0[:take] = point.c[:take]
@@ -436,8 +485,8 @@ def bootstrap_purity(
     failures = 0
     for b in range(n_resamples):
         rng = seeds.stream(master_seed, seeds.DOMAIN_BOOTSTRAP, b)
-        idx = rng.integers(0, x.size, size=x.size)
-        w = np.bincount(idx, minlength=x.size) / x.size
+        idx = rng.integers(0, n, size=n)
+        w = np.bincount(bins.bin_of[idx], minlength=bins.counts.size) / n
         c, _, kkt = _fit_weighted(pdf_matrix, w, c0)
         if kkt > MLE_KKT_TOL:
             failures += 1

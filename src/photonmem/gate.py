@@ -25,7 +25,12 @@ from .config import (
     ExperimentConfig,
 )
 from .counting import g2_from_counts, simulate_heralded_clicks
-from .estimation import fit_exponential_decay, mle_photon_distribution, pca_from_frames
+from .estimation import (
+    QuadratureBins,
+    fit_exponential_decay,
+    mle_photon_distribution,
+    pca_from_frames,
+)
 from .fock import (
     FockDiagonalState,
     apply_loss,
@@ -250,8 +255,8 @@ def mode_mismatch_purities(
     purities = []
     for ov in overlaps:
         mixed = ModeFunction(np.sqrt(ov) * psi.samples + np.sqrt(1.0 - ov) * phi, psi.t0)
-        quads = extract_quadratures(fs, mixed)
-        purities.append(float(mle_photon_distribution(quads, n_max=5).state.c[1]))
+        bins = QuadratureBins.of(extract_quadratures(fs, mixed))
+        purities.append(float(mle_photon_distribution(bins, n_max=5).state.c[1]))
     return purities
 
 

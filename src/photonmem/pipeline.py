@@ -28,6 +28,7 @@ from .estimation import (
     MLE_KKT_TOL,
     DecayFit,
     MleResult,
+    QuadratureBins,
     TomographyReport,
     bootstrap_purity,
     fit_exponential_decay,
@@ -92,16 +93,18 @@ def estimate_frames(
 ) -> TomographyReport:
     """PCA mode + quadrature extraction + MLE + bootstrap for one frame set.
 
-    This is the single estimation path used in-process by :func:`run_sweep`
-    and the acceptance gate and by the file-mediated CLI, so staged runs
-    reproduce in-process results exactly.  Its passes run on the calling
-    thread.
+    The quadratures are binned once (:class:`QuadratureBins`); the point fit
+    and the bootstrap refits both run on those bins.  This is the single
+    estimation path used in-process by :func:`run_sweep` and the acceptance
+    gate and by the file-mediated CLI, so staged runs reproduce in-process
+    results exactly.  Its passes run on the calling thread.
     """
     pca = matched_window_pca(fs)
     quads = extract_quadratures(fs, pca.mode)
-    mle = mle_photon_distribution(quads, n_max)
+    bins = QuadratureBins.of(quads)
+    mle = mle_photon_distribution(bins, n_max)
     boot = bootstrap_purity(
-        quads,
+        bins,
         mle.state,
         bootstrap_resamples,
         n_max=n_max,
@@ -171,7 +174,7 @@ def run_sweep(cfg: ExperimentConfig, *, threads: int | None = None) -> SweepRepo
                     (cfg.window_start_ns, cfg.window_start_ns + cfg.n_samples - 1),
                 )
                 shifted_quads = extract_quadratures(frames, shifted_mode)
-                shifted = mle_photon_distribution(shifted_quads, cfg.n_max)
+                shifted = mle_photon_distribution(QuadratureBins.of(shifted_quads), cfg.n_max)
             return ConditionRecord(
                 storage_time_ns=storage,
                 t_release_ns=t_release,

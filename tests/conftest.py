@@ -8,7 +8,8 @@ import pytest
 
 import photonmem
 from photonmem import CavityParams, ShutterSchedule, simulate_release
-from photonmem.estimation import _kkt_of_gradient, _objective
+from photonmem.estimation import QUAD_BIN, _kkt_of_gradient, _objective
+from photonmem.fock import hermite_functions
 from photonmem.modes import ModeFunction
 from photonmem.synth import AdcSpec
 
@@ -74,3 +75,39 @@ def kkt_residual(c: np.ndarray, pdf_matrix: np.ndarray, w: np.ndarray) -> float:
     them out."""
     keep = np.flatnonzero(w > 0)
     return _kkt_of_gradient(c, _objective(c, pdf_matrix.take(keep, axis=1), w.take(keep))[1])
+
+
+def _density_ratios(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``f_n(x_j) = P_n(x_j) / sum_m c_m P_m(x_j)``, shape (c.size, x.size)."""
+    pdf = hermite_functions(c.size - 1, x) ** 2
+    return pdf / (c @ pdf)
+
+
+def frame_gradient(c: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Oracle: the gradient in ``c`` of the per-frame objective
+    ``-mean_j log(c . P(x_j)) + sum_n c_n``, one term per sample, which the
+    fit on the binned samples approximates."""
+    return 1.0 - _density_ratios(c, np.asarray(samples, dtype=float)).mean(axis=1)
+
+
+def binning_bound(c: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Per n, a bound on how far the per-frame gradient :func:`frame_gradient`
+    lies from the gradient on the bins of width ``h = QUAD_BIN`` at ``c``:
+    ``4 (h / sqrt(12)) rms_j |f_n'(x_j)| / sqrt(N) + (h^2 / 24) mean_j |f_n''(x_j)|``
+    with ``f_n = P_n / mix``.
+
+    Moving a sample to its bin's midpoint moves ``f_n`` by
+    ``f_n' u + f_n'' u^2 / 2`` for an offset ``u`` that is close to uniform
+    on ``[-h/2, h/2)``: the first term averages out with a standard error of
+    ``(h / sqrt(12)) rms |f_n'| / sqrt(N)``, taken 4 times, and the second
+    leaves ``(h^2 / 24) f_n''``.  The derivatives are central differences of
+    step 1e-3."""
+    x = np.asarray(samples, dtype=float)
+    h, d = QUAD_BIN, 1e-3
+    f0, fp, fm = (_density_ratios(c, x + s) for s in (0.0, d, -d))
+    d1 = (fp - fm) / (2.0 * d)
+    d2 = (fp - 2.0 * f0 + fm) / d**2
+    return (
+        4.0 * h / np.sqrt(12.0) * np.sqrt(np.mean(d1**2, axis=1) / x.size)
+        + h**2 / 24.0 * np.mean(np.abs(d2), axis=1)
+    )

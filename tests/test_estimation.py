@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,10 +10,10 @@ from photonmem import estimation, seeds
 from photonmem.errors import (
     FitFailureError,
     InsufficientDataError,
-    UnstableEstimateError,
 )
 from photonmem.estimation import (
     MLE_KKT_TOL,
+    QuadratureBins,
     _fit_weighted,
     _kkt_of_gradient,
     _objective,
@@ -37,7 +38,7 @@ from photonmem.synth import (
     synth_condition,
 )
 
-from conftest import IDEAL_ADC, gaussian_mode, kkt_residual, unit_mode
+from conftest import IDEAL_ADC, binning_bound, frame_gradient, gaussian_mode, kkt_residual, unit_mode
 
 
 @pytest.fixture(scope="module")
@@ -224,24 +225,24 @@ class TestPcaLeadingMode:
 class TestMle:
     def test_vacuum_recovery(self):
         samples = sample_mixture(FockDiagonalState.vacuum(), 20_000, 35)
-        result = mle_photon_distribution(samples, 5)
+        result = mle_photon_distribution(QuadratureBins.of(samples), 5)
         assert result.state.c[0] >= 0.99
 
     def test_full_scale_mixture(self):
         # synthetic-sampling oracle at full acquisition scale and target weight
         truth = FockDiagonalState(np.array([0.418, 0.582]))
         samples = sample_mixture(truth, 43_000, 51)
-        result = mle_photon_distribution(samples, 5)
+        result = mle_photon_distribution(QuadratureBins.of(samples), 5)
         assert float(result.state.c[1]) == pytest.approx(0.582, abs=0.01)
 
     def test_two_photon_recovery(self):
         samples = sample_mixture(FockDiagonalState.fock(2), 43_000, 37)
-        result = mle_photon_distribution(samples, 5)
+        result = mle_photon_distribution(QuadratureBins.of(samples), 5)
         assert float(result.state.c[2]) >= 0.95
 
     def test_output_on_simplex(self):
         samples = sample_mixture(FockDiagonalState.two_level(0.3), 5_000, 38)
-        c = mle_photon_distribution(samples, 7).state.c
+        c = mle_photon_distribution(QuadratureBins.of(samples), 7).state.c
         assert np.all(c >= 0)
         assert float(c.sum()) == pytest.approx(1.0, abs=1e-12)
 
@@ -252,7 +253,7 @@ class TestMle:
             errors = []
             for rep in range(4):
                 samples = sample_mixture(truth, size, 1000 + rep)
-                c1 = float(mle_photon_distribution(samples, 5).state.c[1])
+                c1 = float(mle_photon_distribution(QuadratureBins.of(samples), 5).state.c[1])
                 errors.append(abs(c1 - 0.582))
             errs[size] = np.mean(errors)
         # 16x the data should cut the error ~4x; require at least 2x
@@ -260,27 +261,63 @@ class TestMle:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
-            mle_photon_distribution(np.zeros(100), 5)
+            QuadratureBins.of(np.zeros(100))
 
     def test_degenerate_samples_rejected(self):
         with pytest.raises(FitFailureError):
-            mle_photon_distribution(np.full(2000, 1.3), 5)
+            QuadratureBins.of(np.full(2000, 1.3))
+
+    def test_samples_beyond_the_grid_rejected(self):
+        # one sample in the wrong units would make the bin count's grid
+        # 1e7 bins long
+        samples = sample_mixture(FockDiagonalState.vacuum(), 2_000, 64)
+        samples[7] = 1e5
+        with pytest.raises(ValueError, match="more than 1048576 bins"):
+            QuadratureBins.of(samples)
 
     def test_kkt_conditions_hold_on_stock_like_data(self):
-        # optimality checked directly, not against another optimizer: the
-        # log-likelihood gradient is zero on the support and <= 0 off it
+        # optimality checked directly, not against another optimizer, on the
+        # bins the fit solves: the log-likelihood gradient is zero on the
+        # support and <= 0 off it.  Per frame, the gradient at that optimum
+        # lies within the binning bound of the bins' one
         truth = FockDiagonalState(np.array([0.418, 0.582]))
         samples = sample_mixture(truth, 15_000, 52)
-        result = mle_photon_distribution(samples, 5)
+        bins = QuadratureBins.of(samples)
+        result = mle_photon_distribution(bins, 5)
         c = result.state.c
-        pdf = hermite_functions(5, samples) ** 2
-        grad = np.sum(pdf / (c @ pdf), axis=1) / samples.size - 1.0
+        pdf = bins.pdf[:6]
+        grad = pdf @ (bins.counts / (c @ pdf)) / samples.size - 1.0
         assert np.all(np.abs(grad[c > 0]) <= 1e-6)
         assert np.all(grad[c == 0] <= 1e-6)
         assert np.any(c == 0)  # the optimum sits on the simplex boundary
         assert result.converged
         assert result.kkt_residual <= MLE_KKT_TOL
-        assert result.loglik == pytest.approx(float(np.sum(np.log(c @ pdf))), rel=1e-12)
+        assert result.loglik == pytest.approx(float(bins.counts @ np.log(c @ pdf)), rel=1e-12)
+        frame_grad = -frame_gradient(c, samples)
+        bound = binning_bound(c, samples)
+        assert np.all(np.abs(frame_grad[c > 0]) <= 1e-6 + bound[c > 0])
+        assert np.all(frame_grad[c == 0] <= 1e-6 + bound[c == 0])
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            FockDiagonalState.vacuum(),
+            FockDiagonalState(np.array([0.418, 0.582])),
+            FockDiagonalState(np.array([0.3, 0.5, 0.2])),
+        ],
+        ids=["vacuum", "stock", "two-photon"],
+    )
+    def test_binned_fit_is_within_the_binning_bound_of_the_frame_likelihood(self, state):
+        # at the binned optimum, the per-frame gradient of each c_n lies
+        # within binning_bound of the bins' gradient (1e-12: rounding, for
+        # the vacuum's f_0 = 1, whose bound is 0)
+        for size, seed in ((3_000, 70), (10_000, 71), (43_000, 72)):
+            samples = sample_mixture(state, size, seed)
+            bins = QuadratureBins.of(samples)
+            c = mle_photon_distribution(bins, 5).state.c
+            bins_grad = _objective(c, bins.pdf[:6], bins.counts / size)[1]
+            bound = binning_bound(c, samples)
+            assert np.all(np.abs(frame_gradient(c, samples) - bins_grad) <= bound + 1e-12)
 
     def test_kkt_residual_flags_a_non_optimal_point(self):
         samples = sample_mixture(FockDiagonalState.two_level(0.582), 5_000, 53)
@@ -296,13 +333,14 @@ class TestMle:
         truth = FockDiagonalState(np.array([0.418, 0.582]))
         samples = sample_mixture(truth, 5_000, 904)
         pdf = hermite_functions(5, samples) ** 2
-        point = mle_photon_distribution(samples, 5).state
+        bins = QuadratureBins.of(samples)
+        point = mle_photon_distribution(bins, 5).state
         idx = seeds.stream(4, seeds.DOMAIN_BOOTSTRAP, 25).integers(0, samples.size, size=samples.size)
         w = np.bincount(idx, minlength=samples.size) / samples.size
         c, _, kkt = _fit_weighted(pdf, w, point.c)
         assert kkt <= MLE_KKT_TOL
         assert kkt == kkt_residual(c, pdf, w)
-        boot = bootstrap_purity(samples, point, 40, n_max=5, master_seed=4)
+        boot = bootstrap_purity(bins, point, 40, n_max=5, master_seed=4)
         assert boot.std > 0.0
         assert boot.failures == 0
 
@@ -341,7 +379,7 @@ class TestMle:
     )
     def test_point_fit_from_uniform(self, state, n_max, n):
         samples = sample_mixture(state, 20_000, 60)
-        result = mle_photon_distribution(samples, n_max)
+        result = mle_photon_distribution(QuadratureBins.of(samples), n_max)
         assert result.converged
         assert result.kkt_residual <= MLE_KKT_TOL
         assert result.state.c.size == n_max + 1
@@ -382,7 +420,7 @@ class TestMle:
         # and a worst refit of 40)
         samples = sample_mixture(FockDiagonalState(np.array([0.418, 0.582])), 10_000, 1)
         pdf = hermite_functions(5, samples) ** 2
-        point = mle_photon_distribution(samples, 5).state
+        point = mle_photon_distribution(QuadratureBins.of(samples), 5).state
         evals = []
         for b in range(40):
             _, n_evals, kkt = _fit_weighted(pdf, self._resample_weights(samples.size, 1, b), point.c)
@@ -394,41 +432,64 @@ class TestMle:
     def test_n_max_validated(self):
         samples = sample_mixture(FockDiagonalState.vacuum(), 2_000, 39)
         with pytest.raises(ValueError):
-            mle_photon_distribution(samples, 0)
+            mle_photon_distribution(QuadratureBins.of(samples), 0)
 
 
 class TestBootstrap:
     def test_resample_count_consistency(self, mode64):
         fs = synth_condition(FockDiagonalState.two_level(0.582), mode64, 6_000, 40, n_samples=64, adc=IDEAL_ADC)
-        quads = extract_quadratures(fs, mode64)
-        point = mle_photon_distribution(quads, 5).state
-        std_small = bootstrap_purity(quads, point, 20, n_max=5, master_seed=40).std
-        std_large = bootstrap_purity(quads, point, 100, n_max=5, master_seed=40).std
+        bins = QuadratureBins.of(extract_quadratures(fs, mode64))
+        point = mle_photon_distribution(bins, 5).state
+        std_small = bootstrap_purity(bins, point, 20, n_max=5, master_seed=40).std
+        std_large = bootstrap_purity(bins, point, 100, n_max=5, master_seed=40).std
         assert std_small == pytest.approx(std_large, rel=0.5)
 
     def test_identical_frames_unstable(self, mode64):
         one = synth_condition(FockDiagonalState.vacuum(), mode64, 1, 41, n_samples=64)
         fs = FrameSet(np.repeat(one.data, 2_000, axis=0), one.t0, one.adc, 41)
         quads = extract_quadratures(fs, mode64)
-        with pytest.raises(UnstableEstimateError):
-            bootstrap_purity(quads, FockDiagonalState.vacuum(), 20, master_seed=41)
-        # the estimation path stops at the point fit and never returns a number
+        # identical quadratures have no spread to resample: they are refused
+        # when binned, so the estimation path never returns a number
+        with pytest.raises(FitFailureError):
+            QuadratureBins.of(quads)
         with pytest.raises(FitFailureError):
             estimate_frames(fs, n_max=5, bootstrap_resamples=20)
 
     def test_minimum_resamples(self, mode64):
         fs = synth_condition(FockDiagonalState.vacuum(), mode64, 1_500, 42, n_samples=64)
-        quads = extract_quadratures(fs, mode64)
+        bins = QuadratureBins.of(extract_quadratures(fs, mode64))
         with pytest.raises(ValueError):
-            bootstrap_purity(quads, FockDiagonalState.vacuum(), 10, master_seed=42)
+            bootstrap_purity(bins, FockDiagonalState.vacuum(), 10, master_seed=42)
+
+    def test_fits_hold_no_per_frame_matrix(self):
+        # the fits run on the quadratures' bins: at 43 000 samples, binning
+        # plus the point fit, and 40 refits, each peak below 5 float64
+        # arrays of one value per sample (the samples, their bin indices and
+        # one resample's frame draws), where a likelihood matrix of one
+        # column per sample alone is 6 of them
+        samples = sample_mixture(FockDiagonalState(np.array([0.418, 0.582])), 43_000, 906)
+        limit = 5 * 8 * samples.size
+        tracemalloc.start()
+        try:
+            bins = QuadratureBins.of(samples)
+            point = mle_photon_distribution(bins, 5).state
+            point_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            bootstrap_purity(bins, point, 40, n_max=5, master_seed=906)
+            boot_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert point_peak < limit
+        assert boot_peak < limit
 
 
     def test_wigner_origin_spread_over_the_same_refits(self):
         # with n_max = 1, W(0,0) = (1 - 2 c_1) / pi on every refit, so its
         # spread is 2/pi that of c_1
         samples = sample_mixture(FockDiagonalState(np.array([0.418, 0.582])), 5_000, 905)
-        point = mle_photon_distribution(samples, 1).state
-        boot = bootstrap_purity(samples, point, 20, n_max=1, master_seed=5)
+        bins = QuadratureBins.of(samples)
+        point = mle_photon_distribution(bins, 1).state
+        boot = bootstrap_purity(bins, point, 20, n_max=1, master_seed=5)
         assert boot.std > 0.0
         assert boot.wigner_origin_std == pytest.approx(2.0 / np.pi * boot.std, rel=1e-9)
 

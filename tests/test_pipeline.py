@@ -6,7 +6,7 @@ import re
 import shutil
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +34,17 @@ from photonmem.pipeline import (
     run_sweep,
 )
 from photonmem.fock import FockDiagonalState
-from photonmem.synth import AdcSpec, ImperfectionConfig, extract_quadratures, load_frames, synth_condition
+from photonmem.synth import (
+    FRAME_BLOCK,
+    AdcSpec,
+    ImperfectionConfig,
+    extract_quadratures,
+    load_frames,
+    save_frames,
+    synth_condition,
+)
 
-from conftest import kkt_residual, run_fresh_python
+from conftest import gaussian_mode, kkt_residual, run_fresh_python
 
 #: the stock config's canonical dump: every digest and report.json's
 #: config_text are built from these bytes
@@ -439,15 +447,17 @@ class TestRunSweep:
 
 
 def _stop_early(monkeypatch, stopped: set[int]) -> None:
-    """Fault injection: the point fits (uniform weights) numbered in
+    """Fault injection: the point fits (uniform start) numbered in
     ``stopped``, counted from 1 in run order, return their start unfitted;
     a sweep runs condition k's point fit as number 2k+1 and its shifted
-    fit as 2k+2."""
+    fit as 2k+2.  The numbering holds up to the first stopped fit: a
+    stopped point fit's bootstrap refits start from its uniform start too
+    and count on."""
     real = estimation._fit_weighted
     count = []
 
     def fit(pdf_matrix, w, c0):
-        if np.all(w == w[0]):  # bootstrap refits have unequal weights
+        if np.all(c0 == c0[0]):  # bootstrap refits warm-start at the point fit
             count.append(None)
             if len(count) in stopped:
                 c = np.array(c0, dtype=float)
@@ -1033,6 +1043,34 @@ class TestStreamedEstimate:
         assert not other.exists()
         assert pipeline.tomography_fields(report) == expected
 
+    @staticmethod
+    def _outcome(fs):
+        """``estimate_frames`` of ``fs`` as nested fields, or the error it raised."""
+        try:
+            return asdict(estimate_frames(fs, n_max=5, bootstrap_resamples=MIN_BOOTSTRAP_RESAMPLES))
+        except (PhotonMemError, ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+    @given(
+        m=st.integers(MIN_MLE_SAMPLES, 3 * FRAME_BLOCK).filter(lambda m: m % FRAME_BLOCK),
+        n=st.integers(24, 81),
+        bits=st.integers(2, 16),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_streamed_estimate_equals_the_in_memory_one(self, tmp_path_factory, m, n, bits, seed):
+        # frame counts with a partial last row block, odd and even sample
+        # counts (below 32 the PCA runs on the whole frame), every ADC width
+        mode = gaussian_mode(center=n / 2, sigma=n / 8, t0=0.0, n=n)
+        fs = synth_condition(
+            FockDiagonalState.two_level(0.582), mode, m, seed, n_samples=n, adc=AdcSpec(bits), threads=1
+        )
+        path = tmp_path_factory.getbasetemp() / "streamed.bin"
+        save_frames(fs, path)
+        with load_frames(path) as loaded:
+            streamed = self._outcome(loaded)
+        np.testing.assert_equal(streamed, self._outcome(fs))
+
     @pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
     def test_estimate_leaks_no_file_descriptor(self, frame_files, tmp_path, capsys):
         before = len(os.listdir("/proc/self/fd"))
@@ -1045,9 +1083,9 @@ class TestStreamedEstimate:
     def test_peak_rss_does_not_grow_with_frames(self, tmp_path, capsys):
         # each size in a fresh interpreter on one CPU, 8-bit codes of 1000
         # samples: 32 768 frames are 30 MiB more codes than 2 048, which
-        # load_frames used to read whole; what still grows is the fits'
-        # float64 state per frame (quadratures, likelihood matrix, resample
-        # weights), about 175 B a frame or 5 MiB here
+        # load_frames used to read whole; what still grows is the state of
+        # one value per frame (quadratures, bin indices, a resample's
+        # frame draws)
         code = textwrap.dedent(
             """
             import os, resource, sys

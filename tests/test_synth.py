@@ -15,7 +15,7 @@ from scipy.stats import kstest, norm
 
 from photonmem import seeds, synth
 from photonmem.cli import cli_entry
-from photonmem.estimation import mle_photon_distribution
+from photonmem.estimation import QuadratureBins, mle_photon_distribution
 from photonmem.fock import FockDiagonalState
 from photonmem.modes import ModeFunction
 from photonmem.synth import (
@@ -33,6 +33,11 @@ from photonmem.synth import (
 )
 
 from conftest import IDEAL_ADC, boxcar, detuning_overlap_penalty, gaussian_mode, run_fresh_python, unit_mode
+
+
+def _mle(fs, mode):
+    """The Fock cutoff 5 fit of ``fs``'s quadratures along ``mode``."""
+    return mle_photon_distribution(QuadratureBins.of(extract_quadratures(fs, mode)), 5)
 
 
 def p1_cdf(x):
@@ -182,8 +187,8 @@ class TestQuantizeAdc:
         state = FockDiagonalState.two_level(0.582)
         raw = synth_condition(state, mode, 15_000, 17, n_samples=128, adc=IDEAL_ADC)
         q = synth_condition(state, mode, 15_000, 17, n_samples=128, adc=AdcSpec())
-        c1_raw = float(mle_photon_distribution(extract_quadratures(raw, mode), 5).state.c[1])
-        c1_q = float(mle_photon_distribution(extract_quadratures(q, mode), 5).state.c[1])
+        c1_raw = float(_mle(raw, mode).state.c[1])
+        c1_q = float(_mle(q, mode).state.c[1])
         assert abs(c1_raw - c1_q) <= 0.01
 
     def test_bits_validated(self):
@@ -309,7 +314,7 @@ class TestImperfections:
         state = FockDiagonalState.two_level(0.8)
         imp = ImperfectionConfig(extra_loss=0.5)
         fs = synth_condition(state, mode, 30_000, 19, n_samples=128, imperfections=imp, adc=IDEAL_ADC)
-        c1 = float(mle_photon_distribution(extract_quadratures(fs, mode), 5).state.c[1])
+        c1 = float(_mle(fs, mode).state.c[1])
         assert c1 == pytest.approx(0.4, abs=0.02)
 
     @pytest.mark.parametrize(
@@ -322,7 +327,7 @@ class TestImperfections:
         imp = ImperfectionConfig(detuning=(delta, phase))
         state = FockDiagonalState.two_level(p)
         fs = synth_condition(state, mode, 30_000, seed, n_samples=128, imperfections=imp, adc=IDEAL_ADC)
-        c1 = float(mle_photon_distribution(extract_quadratures(fs, mode), 5).state.c[1])
+        c1 = float(_mle(fs, mode).state.c[1])
         penalty = detuning_overlap_penalty(mode, delta, phase)
         assert penalty < 0.99  # 3 MHz over a wide pulse is no longer harmless
         assert c1 == pytest.approx(p * penalty, abs=0.025)
