@@ -31,7 +31,7 @@ def main() -> int:
     for delta in np.geomspace(2e8, 2e10, 25):
         sched = ShutterSchedule(t_release_ns=args.release, delta_closed_rad_s=float(delta))
         res = simulate_release(params, sched)
-        tau_ns = storage_lifetime(params, sched)
+        tau_ns = storage_lifetime(params, float(delta))
         rows.append(
             {
                 "delta_rad_s": f"{delta:.6g}",

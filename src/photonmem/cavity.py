@@ -14,7 +14,10 @@ inter-cavity coupling ``g = sqrt(t_c/(tau_M tau_S))``.
 The system is piecewise linear and time-invariant, so each shutter segment is
 propagated exactly by the closed-form exponential of its 2 x 2 drift matrix,
 critical damping included.  This is unconditionally stable for arbitrarily
-large closed-shutter detunings and reproducible to the last bit.
+large closed-shutter detunings and reproducible to the last bit.  The state
+is sampled on the 1 ns grid that every mode and frame set uses, and the
+release's energy fractions are integrated over it by the trapezoid rule.  The
+storage lifetime is read off the closed drift matrix's slower eigenvalue.
 """
 
 from __future__ import annotations
@@ -32,10 +35,6 @@ NS = 1e-9
 #: shutter detuning (rad/s) calibrated so that ~3% of the photon pre-leaks
 #: through the closed shutter over the longest stock release time (450 ns)
 DEFAULT_SHUTTER_DETUNING_RAD_S = 1.6388e9
-#: a stored population that the fit finds decaying by less than this share
-#: over the window is constant to the propagator's rounding (a few 1e-16
-#: per sample), so :func:`storage_lifetime` counts it as not decaying
-_ROUNDING_DECAY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,16 +74,16 @@ class CavityRates:
 
 @dataclass(frozen=True)
 class ShutterSchedule:
-    """Release time, closed-shutter detuning and the integration window."""
+    """Release time, closed-shutter detuning and the window ``[t_start,
+    t_end)`` of the release, on the 1 ns grid: the window's length and the
+    release's offset from its start are whole numbers of ns."""
 
     t_release_ns: float
     delta_closed_rad_s: float = DEFAULT_SHUTTER_DETUNING_RAD_S
     t_start_ns: float = 0.0
     t_end_ns: float = 1000.0
-    dt_int_ns: float = 0.1
 
     def __post_init__(self):
-        # a non-finite dt_int fails its range check below
         for name in ("t_start_ns", "t_end_ns"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -93,14 +92,7 @@ class ShutterSchedule:
                 f"need t_start < t_release < t_end, got "
                 f"{self.t_start_ns}, {self.t_release_ns}, {self.t_end_ns}"
             )
-        if not 0 < self.dt_int_ns <= 1.0:
-            raise ValueError("dt_int must lie in (0, 1.0] ns")
-        per_bin = 1.0 / self.dt_int_ns
-        if abs(per_bin - round(per_bin)) > 1e-9:
-            raise ValueError("dt_int must divide the 1 ns output grid")
-        rel = (self.t_release_ns - self.t_start_ns) / self.dt_int_ns
-        if abs(rel - round(rel)) > 1e-6:
-            raise ValueError("t_release - t_start must be a multiple of dt_int")
+        whole_ns(self.t_release_ns - self.t_start_ns, "the release offset")
         whole_ns(self.t_end_ns - self.t_start_ns, "the window length")
 
 
@@ -135,6 +127,17 @@ def _drift_matrix(rates: CavityRates, delta: float) -> np.ndarray:
     )
 
 
+def _mu_nu(a_matrix: np.ndarray) -> tuple[complex, complex]:
+    """``mu = tr A / 2`` and ``nu = sqrt(mu^2 - det A)`` of a 2 x 2 matrix,
+    whose eigenvalues are ``mu +- nu``."""
+    if not np.all(np.isfinite(a_matrix.view(float))):
+        raise NumericFailureError("drift matrix contains non-finite entries")
+    mu = 0.5 * (a_matrix[0, 0] + a_matrix[1, 1])
+    half_diff = 0.5 * (a_matrix[0, 0] - a_matrix[1, 1])
+    # mu^2 - det A, without the cancellation of forming both terms
+    return mu, np.sqrt(half_diff * half_diff + a_matrix[0, 1] * a_matrix[1, 0])
+
+
 #: below this |nu t| the 2 x 2 exponential takes cosh and sinh(z)/z from
 #: their series through z^8, whose first omitted term is below 3e-17 there
 _SERIES_LIMIT = 0.1
@@ -147,19 +150,14 @@ def _propagate_segment(a_matrix: np.ndarray, a0: np.ndarray, seg_times_s: np.nda
 
         exp(A t) = e^{mu t} [cosh(nu t) I + t shc(nu t) (A - mu I)]
 
-    with ``mu = tr A / 2``, ``nu^2 = mu^2 - det A`` and ``shc(z) = sinh z / z``.
+    with ``mu``, ``nu`` from :func:`_mu_nu` and ``shc(z) = sinh z / z``.
     Both are even in ``nu``, so either square root serves, and the form is
     exact at critical damping (``nu = 0``), where ``A`` has no eigenbasis.
     ``e^{mu t} cosh(nu t)`` is evaluated as the mean of the two modal
     exponentials ``e^{(mu +- nu) t}``, which cannot overflow for a damped
     ``A``, and ``shc`` by its series where ``|nu t|`` is small.
     """
-    if not np.all(np.isfinite(a_matrix.view(float))):
-        raise NumericFailureError("drift matrix contains non-finite entries")
-    mu = 0.5 * (a_matrix[0, 0] + a_matrix[1, 1])
-    half_diff = 0.5 * (a_matrix[0, 0] - a_matrix[1, 1])
-    # mu^2 - det A, without the cancellation of forming both terms
-    nu = np.sqrt(half_diff * half_diff + a_matrix[0, 1] * a_matrix[1, 0])
+    mu, nu = _mu_nu(a_matrix)
     t = np.asarray(seg_times_s, dtype=float)
     z = nu * t
     series = np.abs(z) < _SERIES_LIMIT
@@ -177,69 +175,10 @@ def _propagate_segment(a_matrix: np.ndarray, a0: np.ndarray, seg_times_s: np.nda
     return cosh_part[:, None] * a0[None, :] + sinh_part[:, None] * shifted[None, :]
 
 
-def _solve(params: CavityParams, schedule: ShutterSchedule, *, hold_closed: bool = False):
-    """Fine-grid trajectory of (a_M, a_S) over the schedule window."""
-    rates = derive_rates(params)
-    n_steps = int(round((schedule.t_end_ns - schedule.t_start_ns) / schedule.dt_int_ns))
-    t_ns = schedule.t_start_ns + schedule.dt_int_ns * np.arange(n_steps + 1)
-    k_rel = n_steps if hold_closed else int(
-        round((schedule.t_release_ns - schedule.t_start_ns) / schedule.dt_int_ns)
-    )
-
-    a = np.empty((n_steps + 1, 2), dtype=complex)
-    state = np.array([1.0, 0.0], dtype=complex)
-    for (i0, i1, delta) in (
-        (0, k_rel, schedule.delta_closed_rad_s),
-        (k_rel, n_steps, 0.0),
-    ):
-        if i1 < i0:
-            continue
-        seg_t = (t_ns[i0 : i1 + 1] - t_ns[i0]) * NS
-        a[i0 : i1 + 1] = _propagate_segment(_drift_matrix(rates, delta), state, seg_t)
-        state = a[i1]
-    if not np.all(np.isfinite(a.view(float))):
-        raise NumericFailureError("cavity state became non-finite during integration")
-    return t_ns, a, rates, k_rel
-
-
-def simpson(y, x) -> np.ndarray | float:
-    """Composite Simpson integral of ``y`` over its last axis, sampled at the
-    strictly increasing points ``x``.
-
-    Repeats ``scipy.integrate.simpson(y, x=x, axis=-1)`` operation for
-    operation, with the same operand shapes, so the result is the same to the
-    last bit: the non-uniform three-point rule over pairs of intervals, and
-    for an even number of points Cartwright's correction for the last
-    interval (the trapezoid for two points).  It needs numpy only, like the
-    rest of photonmem; the tests check it against scipy's.
-    """
-    y = np.asarray(y, dtype=float)
-    # x broadcast against y as scipy reshapes it
-    x = np.asarray(x, dtype=float).reshape((1,) * (y.ndim - 1) + (-1,))
-    h = np.diff(x, axis=-1)
-    n = y.shape[-1]
-    if n == 2:
-        return 0.0 + 0.5 * h[..., -1] * (y[..., -1] + y[..., -2])
-    # pairs of intervals over every point, or all but the last for even n
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[..., 0:stop:2], h[..., 1 : stop + 1 : 2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    pairs = hsum / 6.0 * (
-        y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
-        + y[..., 1 : stop + 1 : 2] * (hsum * (hsum / hprod))
-        + y[..., 2 : stop + 2 : 2] * (2.0 - h0divh1)
-    )
-    result = np.sum(pairs, axis=-1)
-    if n % 2:
-        return result
-    h0, h1 = h[..., -2], h[..., -1]
-    alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = h1**3 / (6 * h0 * (h0 + h1))
-    # scipy adds a zero last, which turns a -0.0 result into 0.0
-    return result + (alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]) + 0.0
+def trapezoid(y: np.ndarray, dx: float) -> np.ndarray | float:
+    """Trapezoid-rule integral of ``y`` over its last axis, sampled every
+    ``dx``."""
+    return dx * (np.sum(y, axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
 
 
 def _fwhm_ns(times: np.ndarray, intensity: np.ndarray) -> float:
@@ -286,34 +225,44 @@ def _real_mode(values: np.ndarray, t0: float) -> ModeFunction:
 
 
 def simulate_release(params: CavityParams, schedule: ShutterSchedule) -> ReleaseResult:
-    """Integrate the release dynamics and return the emitted temporal mode.
+    """Propagate the release dynamics on the 1 ns grid and return the emitted
+    temporal mode.
 
-    The output field is ``sqrt(kappa_out) a_S(t)``; it is sampled on the 1 ns
-    envelope grid and projected onto a real mode by a global phase (see
-    :func:`_real_mode`).  Metrics are energy fractions of the initially
-    stored photon: ``preleak_fraction`` escaped before the release time,
+    The output field is ``sqrt(kappa_out) a_S(t)``; its samples over the
+    half-open window ``[t_start, t_end)`` are projected onto a real mode by a
+    global phase (see :func:`_real_mode`).  Metrics are energy fractions of
+    the initially stored photon, integrated by the trapezoid rule over the
+    closed window: ``preleak_fraction`` escaped before the release time,
     ``emitted_fraction`` in total, ``loss_fraction`` absorbed inside the
     cavities, ``residual_fraction`` still stored at the window end.
     """
-    t_ns, a, rates, k_rel = _solve(params, schedule)
+    rates = derive_rates(params)
+    # whole numbers of ns, as ShutterSchedule checks
+    n = round(schedule.t_end_ns - schedule.t_start_ns)
+    k_rel = round(schedule.t_release_ns - schedule.t_start_ns)
+    a = np.empty((n + 1, 2), dtype=complex)
+    a[: k_rel + 1] = _propagate_segment(
+        _drift_matrix(rates, schedule.delta_closed_rad_s),
+        np.array([1.0, 0.0], dtype=complex),
+        np.arange(k_rel + 1) * NS,
+    )
+    a[k_rel:] = _propagate_segment(_drift_matrix(rates, 0.0), a[k_rel], np.arange(n - k_rel + 1) * NS)
+    if not np.all(np.isfinite(a.view(float))):
+        raise NumericFailureError("cavity state became non-finite during propagation")
     pop_m = np.abs(a[:, 0]) ** 2
     pop_s = np.abs(a[:, 1]) ** 2
 
     out_rate = rates.kappa_out * pop_s  # per second
-    t_s = t_ns * NS
-    emitted = float(simpson(out_rate, x=t_s))
-    preleak = float(simpson(out_rate[: k_rel + 1], x=t_s[: k_rel + 1]))
-    loss = float(simpson(rates.gamma_m * pop_m + rates.gamma_s * pop_s, x=t_s))
+    emitted = float(trapezoid(out_rate, NS))
+    preleak = float(trapezoid(out_rate[: k_rel + 1], NS))
+    loss = float(trapezoid(rates.gamma_m * pop_m + rates.gamma_s * pop_s, NS))
     residual = float(pop_m[-1] + pop_s[-1])
 
     if emitted < 1e-15:
         raise DegenerateInputError(
             "no field leaves the shutter cavity (decoupled or permanently closed)"
         )
-    stride = int(round(1.0 / schedule.dt_int_ns))
-    # half-open window [t_start, t_end): one sample per ns, matching frame grids
-    coarse = slice(0, t_ns.size - 1, stride)
-    mode = _real_mode(np.sqrt(rates.kappa_out) * a[coarse, 1], schedule.t_start_ns)
+    mode = _real_mode(np.sqrt(rates.kappa_out) * a[:n, 1], schedule.t_start_ns)
 
     intensity = mode.samples**2
     peak_idx = int(np.argmax(intensity))
@@ -325,22 +274,24 @@ def simulate_release(params: CavityParams, schedule: ShutterSchedule) -> Release
         "loss_fraction": loss,
         "residual_fraction": residual,
     }
-    return ReleaseResult(envelope=mode, mc_population=pop_m[coarse].copy(), metrics=metrics)
+    return ReleaseResult(envelope=mode, mc_population=pop_m[:n], metrics=metrics)
 
 
-def storage_lifetime(params: CavityParams, schedule: ShutterSchedule) -> float:
-    """1/e decay time (ns) of the stored population with the shutter held closed.
+def storage_lifetime(
+    params: CavityParams, delta_closed_rad_s: float = DEFAULT_SHUTTER_DETUNING_RAD_S
+) -> float:
+    """1/e decay time (ns) of the stored population with the shutter held
+    closed at detuning ``delta_closed_rad_s``.
 
-    Fits ``log |a_M(t)|^2`` linearly over the schedule window.  Raises
-    :class:`FitFailureError` when the population does not decay by more than
-    ``_ROUNDING_DECAY`` over the window.
+    The closed drift matrix has eigenvalues ``mu +- nu`` (:func:`_mu_nu`).
+    Once the faster mode has rung down, the stored population decays as
+    ``exp(2 Re(lambda) t)`` with ``lambda`` the eigenvalue of larger real
+    part, so the lifetime is ``1 / (-2 max Re lambda)``.  Raises
+    :class:`FitFailureError` where that rate is not positive, as for a
+    lossless memory decoupled from its shutter (rate exactly -0).
     """
-    t_ns, a, _, _ = _solve(params, schedule, hold_closed=True)
-    pop = np.abs(a[:, 0]) ** 2
-    if np.any(pop <= 0.0):
-        raise FitFailureError("stored population vanished; cannot fit a decay")
-    slope = float(np.polyfit(t_ns, np.log(pop), 1)[0])  # per ns
-    window = schedule.t_end_ns - schedule.t_start_ns
-    if slope * window >= -_ROUNDING_DECAY:
-        raise FitFailureError(f"population does not decay (slope {slope:.3e}/ns)")
-    return -1.0 / slope
+    mu, nu = _mu_nu(_drift_matrix(derive_rates(params), delta_closed_rad_s))
+    rate = -2.0 * float(max((mu + nu).real, (mu - nu).real))  # per second
+    if not rate > 0.0:
+        raise FitFailureError(f"stored population does not decay (rate {rate:.3e}/s)")
+    return 1.0 / rate / NS

@@ -44,7 +44,6 @@ class ExperimentConfig:
     delta_closed_rad_s: float = DEFAULT_SHUTTER_DETUNING_RAD_S
     window_start_ns: float = 0.0
     window_end_ns: float = 1000.0
-    dt_int_ns: float = 0.1
     imperfections: ImperfectionConfig = field(default_factory=ImperfectionConfig)
     adc: AdcSpec = field(default_factory=AdcSpec)
     n_max: int = DEFAULT_N_MAX
@@ -87,14 +86,14 @@ class ExperimentConfig:
         if self.bootstrap_resamples < MIN_BOOTSTRAP_RESAMPLES:
             raise ValueError(f"bootstrap_resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}")
         for storage, t in zip(self.storage_times_ns, self.release_times_ns):
-            try:  # ShutterSchedule checks window and grid
+            try:  # ShutterSchedule checks the window and the 1 ns grid
                 self.schedule(t)
             except ValueError as exc:
                 raise ValueError(
                     f"release at {t!r} ns ([sweep] storage_times_ns {storage!r} + "
                     f"intrinsic_delay_ns {self.intrinsic_delay_ns!r}) does not fit "
                     f"[schedule] window_start_ns {self.window_start_ns!r}, window_end_ns "
-                    f"{self.window_end_ns!r}, dt_int_ns {self.dt_int_ns!r}: {exc}"
+                    f"{self.window_end_ns!r}: {exc}"
                 ) from None
         if self.frames_per_condition < MIN_MLE_SAMPLES:
             raise ValueError(
@@ -112,9 +111,7 @@ class ExperimentConfig:
 
     def schedule(self, t_release_ns: float) -> ShutterSchedule:
         """Shutter schedule of a release at ``t_release_ns`` in this window."""
-        return ShutterSchedule(
-            t_release_ns, self.delta_closed_rad_s, self.window_start_ns, self.window_end_ns, self.dt_int_ns
-        )
+        return ShutterSchedule(t_release_ns, self.delta_closed_rad_s, self.window_start_ns, self.window_end_ns)
 
     def to_text(self) -> str:
         """Canonical key=value dump (also the provenance/hashing format)."""
@@ -148,16 +145,15 @@ _FIELDS = (
     ("schedule", "delta_closed_rad_s", float, lambda c: c.delta_closed_rad_s),
     ("schedule", "window_start_ns", float, lambda c: c.window_start_ns),
     ("schedule", "window_end_ns", float, lambda c: c.window_end_ns),
-    ("schedule", "dt_int_ns", float, lambda c: c.dt_int_ns),
     ("sweep", "storage_times_ns", _floats, lambda c: c.storage_times_ns),
     ("sweep", "intrinsic_delay_ns", float, lambda c: c.intrinsic_delay_ns),
     ("sweep", "frames_per_condition", int, lambda c: c.frames_per_condition),
     ("sweep", "purity_model", str, lambda c: c.purity_model),
     ("sweep", "purities", _floats, lambda c: c.purities),
     ("sweep", "release_purity_p0", float, lambda c: c.release_purity_p0),
-    ("imperfections", "displacement_re", float, lambda c: c.imperfections.displacement or 0.0),
-    ("imperfections", "detuning_rad_s", float, lambda c: (c.imperfections.detuning or (0.0, 0.0))[0]),
-    ("imperfections", "detuning_phase_rad", float, lambda c: (c.imperfections.detuning or (0.0, 0.0))[1]),
+    ("imperfections", "displacement_re", float, lambda c: c.imperfections.displacement_re),
+    ("imperfections", "detuning_rad_s", float, lambda c: c.imperfections.detuning_rad_s),
+    ("imperfections", "detuning_phase_rad", float, lambda c: c.imperfections.detuning_phase_rad),
     ("imperfections", "extra_loss", float, lambda c: c.imperfections.extra_loss),
     ("imperfections", "electronic_noise_std", float, lambda c: c.imperfections.electronic_noise_std),
     ("adc", "bits", int, lambda c: c.adc.bits),
@@ -174,13 +170,8 @@ _FORMAT = {
 }
 
 #: builders of the object-valued fields, called with their section's values
-#: in table order (ImperfectionConfig maps a zero displacement or detuning
-#: to None)
-_OBJECTS = {
-    "cavity": CavityParams,
-    "imperfections": lambda re, rad_s, phase, *rest: ImperfectionConfig(re, (rad_s, phase), *rest),
-    "adc": AdcSpec,
-}
+#: in table order
+_OBJECTS = {"cavity": CavityParams, "imperfections": ImperfectionConfig, "adc": AdcSpec}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cavity import CavityParams, ShutterSchedule, simpson, simulate_release, storage_lifetime
+from .cavity import CavityParams, ShutterSchedule, simulate_release, storage_lifetime, trapezoid
 from .config import (
     STOCK_FRAMES_PER_CONDITION,
     STOCK_PURITIES,
@@ -138,7 +138,7 @@ def criterion_tomography_round_trip() -> tuple[bool, str]:
 def criterion_cavity_physics() -> tuple[bool, str]:
     """Lifetime, pulse width, under-damped overshoot, shape invariance."""
     params = CavityParams()
-    tau_us = storage_lifetime(params, ShutterSchedule(t_release_ns=500.0)) / 1000.0
+    tau_us = storage_lifetime(params) / 1000.0
 
     base = _release_base()
     fwhm = base.metrics["fwhm_ns"]
@@ -331,12 +331,12 @@ def criterion_marginal_consistency() -> tuple[bool, str]:
     """Integrating W over p reproduces the quadrature density to 1e-5."""
     rng = np.random.default_rng(GATE_SEED + 400)
     x = np.linspace(-3.5, 3.5, 29)
-    p_grid = np.linspace(-8.0, 8.0, 3201)
+    p_grid, dp = np.linspace(-8.0, 8.0, 3201, retstep=True)
     worst = 0.0
     for _ in range(10):
         state = FockDiagonalState.from_weights(rng.random(6))
         w = wigner(state, x[:, None], p_grid[None, :])
-        marginal = simpson(w, p_grid)
+        marginal = trapezoid(w, dp)
         worst = max(worst, float(np.max(np.abs(marginal - quadrature_pdf(state, x)))))
     return worst <= 1e-5, f"max |integral W dp - pdf| = {worst:.2e} (<= 1e-5)"
 

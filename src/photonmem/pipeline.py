@@ -116,7 +116,7 @@ def estimate_frames(
 def _target_purities(cfg: ExperimentConfig) -> tuple[list[float], dict]:
     if cfg.purity_model == "explicit":
         return list(cfg.purities), {}
-    tau_ns = storage_lifetime(cfg.cavity, cfg.schedule(cfg.release_times_ns[0]))
+    tau_ns = storage_lifetime(cfg.cavity, cfg.delta_closed_rad_s)
     p = [
         min(1.0, cfg.release_purity_p0 * float(np.exp(-t / tau_ns)))
         for t in cfg.release_times_ns

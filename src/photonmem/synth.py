@@ -112,11 +112,12 @@ class AdcSpec:
 
 @dataclass(frozen=True)
 class ImperfectionConfig:
-    """Optional measurement imperfections.
+    """Measurement imperfections, one field per ``[imperfections]`` key; the
+    defaults switch each one off.
 
-    displacement: real coherent amplitude alpha contaminating the excited
+    displacement_re: real coherent amplitude alpha contaminating the excited
         mode (adds sqrt(2) alpha to its quadrature).
-    detuning: (delta rad/s, phase rad) rotation of the excited mode relative
+    detuning_rad_s, detuning_phase_rad: rotation of the excited mode relative
         to the LO frame; the embedded mode becomes its normalised in-phase
         projection, which carries only its weight of the photon (a loss,
         composed with extra_loss).
@@ -125,8 +126,9 @@ class ImperfectionConfig:
         quadrature units (off by default: shot noise dominates by ~20 dB).
     """
 
-    displacement: float | None = None
-    detuning: tuple[float, float] | None = None
+    displacement_re: float = 0.0
+    detuning_rad_s: float = 0.0
+    detuning_phase_rad: float = 0.0
     extra_loss: float = 1.0
     electronic_noise_std: float = 0.0
 
@@ -137,18 +139,10 @@ class ImperfectionConfig:
             raise ValueError(
                 f"electronic_noise_std must be finite and non-negative, got {self.electronic_noise_std}"
             )
-        if isinstance(self.displacement, complex):
-            raise ValueError(f"displacement must be a real amplitude, got {self.displacement}")
-        for name in ("displacement", "detuning"):
+        for name in ("displacement_re", "detuning_rad_s", "detuning_phase_rad"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value}")
-        # a zero displacement or detuning is no imperfection: one spelling
-        # keeps configs that synthesise alike equal, with equal INI dumps
-        if self.displacement == 0:
-            object.__setattr__(self, "displacement", None)
-        if self.detuning == (0.0, 0.0):
-            object.__setattr__(self, "detuning", None)
+            if isinstance(value, complex) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value}")
 
 
 def _check_block(block: np.ndarray, adc: AdcSpec, what: str = "frame codes") -> None:
@@ -337,7 +331,7 @@ def _block_filler(
     *,
     t0: float,
     n_samples: int,
-    imperfections: ImperfectionConfig | None,
+    imperfections: ImperfectionConfig,
     adc: AdcSpec,
 ) -> Callable[[int, np.ndarray], None]:
     """Check the arguments of :func:`synth_condition`, make its set-up once
@@ -347,9 +341,10 @@ def _block_filler(
     at once."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    imp = imperfections or ImperfectionConfig()
-    eff_psi, eta = detuned_effective_mode(psi, *imp.detuning) if imp.detuning else (psi, 1.0)
-    eta *= imp.extra_loss
+    # both detuning values 0 (either sign) is no detuning
+    delta, phase = imperfections.detuning_rad_s, imperfections.detuning_phase_rad
+    eff_psi, eta = detuned_effective_mode(psi, delta, phase) if delta or phase else (psi, 1.0)
+    eta *= imperfections.extra_loss
     eff_state = apply_loss(state, eta) if eta < 1.0 else state
     cols = _mode_indices(eff_psi, t0, n_samples)
     mode = eff_psi.samples
@@ -359,8 +354,8 @@ def _block_filler(
     # here, as two threads that miss the cache together would both build one
     drawn = {*np.flatnonzero(eff_state.c).tolist(), eff_state.n_max}
     tables = {k: _fock_inverse_cdf(k) for k in drawn}
-    shift = np.sqrt(2.0) * (imp.displacement or 0.0)
-    noise = imp.electronic_noise_std
+    shift = np.sqrt(2.0) * imperfections.displacement_re
+    noise = imperfections.electronic_noise_std
     sigma = math.sqrt(0.5 + noise**2)
 
     def fill(lo: int, dest: np.ndarray) -> None:
@@ -406,7 +401,7 @@ def synth_condition(
     *,
     t0: float = 0.0,
     n_samples: int = 1000,
-    imperfections: ImperfectionConfig | None = None,
+    imperfections: ImperfectionConfig = ImperfectionConfig(),
     adc: AdcSpec = AdcSpec(),
     threads: int | None = None,
 ) -> FrameSet:
@@ -460,7 +455,7 @@ def synth_to_file(
     *,
     t0: float = 0.0,
     n_samples: int = 1000,
-    imperfections: ImperfectionConfig | None = None,
+    imperfections: ImperfectionConfig = ImperfectionConfig(),
     adc: AdcSpec = AdcSpec(),
 ) -> None:
     """Write the frames :func:`synth_condition` returns for these arguments

@@ -2,10 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
-from scipy.integrate import simpson as scipy_simpson
+from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from photonmem.cavity import (
@@ -14,13 +11,13 @@ from photonmem.cavity import (
     SPEED_OF_LIGHT,
     CavityParams,
     ShutterSchedule,
+    _drift_matrix,
     _propagate_segment,
     _real_mode,
-    _solve,
     derive_rates,
-    simpson,
     simulate_release,
     storage_lifetime,
+    trapezoid,
 )
 from photonmem.config import ExperimentConfig
 from photonmem.errors import DegenerateInputError, FitFailureError, NumericFailureError
@@ -98,13 +95,6 @@ class TestSimulateRelease:
         with pytest.raises(NumericFailureError):
             simulate_release(params, ShutterSchedule(t_release_ns=150.0, delta_closed_rad_s=np.inf))
 
-    def test_integration_step_convergence(self, params, base_release):
-        fine = simulate_release(
-            params, ShutterSchedule(t_release_ns=150.0, dt_int_ns=0.05)
-        )
-        l2 = float(np.sqrt(np.sum((fine.envelope.samples - base_release.envelope.samples) ** 2)))
-        assert l2 < 1e-4
-
     def test_deterministic(self, params, base_release):
         again = simulate_release(params, ShutterSchedule(t_release_ns=150.0))
         np.testing.assert_array_equal(again.envelope.samples, base_release.envelope.samples)
@@ -113,10 +103,14 @@ class TestSimulateRelease:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ShutterSchedule(t_release_ns=0.0)  # not inside the window
-        with pytest.raises(ValueError):
-            ShutterSchedule(t_release_ns=150.0, dt_int_ns=0.3)  # does not divide 1 ns
-        with pytest.raises(ValueError):
-            ShutterSchedule(t_release_ns=150.05, dt_int_ns=0.1)  # off the step grid
+
+    @pytest.mark.parametrize("t_release_ns", [150.5, 150.05])
+    def test_release_off_the_1ns_grid_rejected(self, t_release_ns):
+        # the release is propagated on the 1 ns grid of the modes and frames
+        with pytest.raises(ValueError, match=rf"^the release offset of {t_release_ns} ns is not a multiple of 1 ns"):
+            ShutterSchedule(t_release_ns=t_release_ns)
+        # an offset within GRID_TOL of whole ns is on the grid
+        assert ShutterSchedule(t_release_ns=150.0000001).t_release_ns == 150.0000001
 
     def test_window_length_follows_the_whole_ns_rule(self, params):
         # the one whole-ns rule of modes.whole_ns: a window 1e-7 ns off a
@@ -153,27 +147,41 @@ class TestRealMode:
             _real_mode(np.zeros(4, dtype=complex), 0.0)
 
 
+def _held_closed_slope_lifetime(params: CavityParams) -> float:
+    """1/e time (ns) of the stored population from a log-linear fit over
+    1000 ns held closed at the default detuning, on a 0.1 ns grid."""
+    t_ns = np.linspace(0.0, 1000.0, 10001)
+    a_matrix = _drift_matrix(derive_rates(params), DEFAULT_SHUTTER_DETUNING_RAD_S)
+    a = _propagate_segment(a_matrix, np.array([1.0, 0.0], dtype=complex), t_ns * NS)
+    return -1.0 / float(np.polyfit(t_ns, np.log(np.abs(a[:, 0]) ** 2), 1)[0])
+
+
 class TestStorageLifetime:
     def test_stock_hardware_lifetime(self, params):
-        tau_ns = storage_lifetime(params, ShutterSchedule(t_release_ns=500.0))
+        tau_ns = storage_lifetime(params)
         assert 1500.0 <= tau_ns <= 2500.0
 
     def test_doubling_loss_halves_lifetime(self, params):
         # single-cavity analytic oracle: tau ~ 1/gamma_M when leakage is small
-        sched = ShutterSchedule(t_release_ns=500.0)
-        tau_1 = storage_lifetime(params, sched)
-        tau_2 = storage_lifetime(CavityParams(mc_loss=2 * params.mc_loss), sched)
+        tau_1 = storage_lifetime(params)
+        tau_2 = storage_lifetime(CavityParams(mc_loss=2 * params.mc_loss))
         assert tau_2 == pytest.approx(tau_1 / 2.0, rel=0.10)
+
+    @pytest.mark.parametrize("loss_factor", [1.0, 2.0])
+    def test_matches_held_closed_population_slope(self, params, loss_factor):
+        # the slower eigenvalue sets the decay that the held-closed
+        # population shows over the window
+        lossy = CavityParams(mc_loss=loss_factor * params.mc_loss)
+        assert storage_lifetime(lossy) == pytest.approx(_held_closed_slope_lifetime(lossy), rel=1e-5)
 
     def test_lossless_high_detuning_flagged(self):
         lossless = CavityParams(mc_loss=0.0)
-        sched = ShutterSchedule(t_release_ns=500.0, delta_closed_rad_s=1e12)
-        assert storage_lifetime(lossless, sched) > 100 * 1000.0
+        assert storage_lifetime(lossless, 1e12) > 100 * 1000.0
 
     def test_non_decaying_population_rejected(self):
         frozen = CavityParams(mc_loss=0.0, t_mc_sc=0.0)
         with pytest.raises(FitFailureError):
-            storage_lifetime(frozen, ShutterSchedule(t_release_ns=500.0))
+            storage_lifetime(frozen)
 
 
 class TestEnvelopeFamily:
@@ -217,63 +225,42 @@ class TestReleaseIo:
         assert loaded["fwhm_ns"] == pytest.approx(base_release.metrics["fwhm_ns"])
 
 
-def _same_as_scipy(y, x):
-    ours = simpson(y, x)
-    ref = scipy_simpson(y, x=x, axis=-1)
-    assert type(ours) is type(ref)
-    assert np.shape(ours) == np.shape(ref)
-    assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
-
-
 class TestSimpson:
-    """``simpson`` repeats ``scipy.integrate.simpson(y, x=x, axis=-1)`` bit
-    for bit, so the release metrics and criterion 7 keep their bytes."""
+    """The trapezoid integrals of the release and of criterion 7 against
+    ``scipy.integrate.simpson``."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_matches_scipy(self, data):
-        n = data.draw(st.integers(2, 64), label="n")
-        rows = data.draw(st.sampled_from([(), (1,), (3,)]), label="rows")
-        steps = data.draw(arrays(float, n - 1, elements=st.floats(1e-3, 1e3)), label="steps")
-        x = data.draw(st.floats(-1e3, 1e3), label="x0") + np.concatenate(([0.0], np.cumsum(steps)))
-        assert np.all(np.diff(x) > 0)
-        y = data.draw(arrays(float, rows + (n,), elements=st.floats(-1e6, 1e6)), label="y")
-        _same_as_scipy(y, x)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_end_correction_matches_scipy(self, data):
-        # samples on the last three points only, so that the even-length
-        # correction carries the result
-        n = 2 * data.draw(st.integers(2, 32), label="n/2")
-        steps = data.draw(arrays(float, n - 1, elements=st.floats(1e-3, 1e3)), label="steps")
-        x = np.concatenate(([0.0], np.cumsum(steps)))
-        y = np.zeros(n)
-        y[-3:] = data.draw(arrays(float, 3, elements=st.floats(-1e6, 1e6)), label="tail")
-        _same_as_scipy(y, x)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_signed_zero(self, n):
-        _same_as_scipy(np.full(n, -0.0), np.arange(float(n)))
-
-    @pytest.mark.parametrize("t_release_ns", [150.0, 250.0, 350.0, 450.0, 150.1])
+    @pytest.mark.parametrize("t_release_ns", [150.0, 250.0, 350.0, 450.0])
     def test_release_grids(self, params, t_release_ns):
-        # the three integrals of simulate_release; 150.1 ns makes the
-        # pre-leak grid even
-        t_ns, a, rates, k_rel = _solve(params, ShutterSchedule(t_release_ns))
+        # the three integrals of simulate_release on the 1 ns grid, against
+        # Simpson's rule on a 0.01 ns grid of the same trajectory
+        rates = derive_rates(params)
+        closed_t = np.linspace(0.0, t_release_ns, round(100 * t_release_ns) + 1)
+        open_t = np.linspace(0.0, 1000.0 - t_release_ns, round(100 * (1000.0 - t_release_ns)) + 1)
+        closed = _propagate_segment(
+            _drift_matrix(rates, DEFAULT_SHUTTER_DETUNING_RAD_S), np.array([1.0, 0.0], dtype=complex), closed_t * NS
+        )
+        opened = _propagate_segment(_drift_matrix(rates, 0.0), closed[-1], open_t * NS)
+        a = np.concatenate([closed, opened[1:]])
+        t_s = np.concatenate([closed_t, t_release_ns + open_t[1:]]) * NS
         pop_m, pop_s = np.abs(a[:, 0]) ** 2, np.abs(a[:, 1]) ** 2
         out_rate = rates.kappa_out * pop_s
-        t_s = t_ns * NS
-        _same_as_scipy(out_rate, t_s)
-        _same_as_scipy(out_rate[: k_rel + 1], t_s[: k_rel + 1])
-        _same_as_scipy(rates.gamma_m * pop_m + rates.gamma_s * pop_s, t_s)
+        k_rel = closed_t.size - 1
+        expected = {
+            "emitted_fraction": simpson(out_rate, x=t_s),
+            "preleak_fraction": simpson(out_rate[: k_rel + 1], x=t_s[: k_rel + 1]),
+            "loss_fraction": simpson(rates.gamma_m * pop_m + rates.gamma_s * pop_s, x=t_s),
+        }
+        metrics = simulate_release(params, ShutterSchedule(t_release_ns)).metrics
+        for name, value in expected.items():
+            assert metrics[name] == pytest.approx(value, abs=2e-7), name
 
     def test_wigner_marginal_grid(self):
         # criterion 7's grid: W(x, p) integrated over p, one row per x
         x = np.linspace(-3.5, 3.5, 29)
-        p_grid = np.linspace(-8.0, 8.0, 3201)
+        p_grid, dp = np.linspace(-8.0, 8.0, 3201, retstep=True)
         state = FockDiagonalState.from_weights(np.random.default_rng(3).random(6))
-        _same_as_scipy(wigner(state, x[:, None], p_grid[None, :]), p_grid)
+        w = wigner(state, x[:, None], p_grid[None, :])
+        np.testing.assert_allclose(trapezoid(w, dp), simpson(w, x=p_grid, axis=-1), rtol=0.0, atol=1e-12)
 
 
 def _expm_states(a_matrix, a0, times):

@@ -61,7 +61,6 @@ t_sc_out = 0.17
 delta_closed_rad_s = 1638800000.0
 window_start_ns = 0.0
 window_end_ns = 1000.0
-dt_int_ns = 0.1
 
 [sweep]
 storage_times_ns = 0.0, 100.0, 200.0, 300.0
@@ -100,21 +99,20 @@ _unit = st.floats(0.0, 1.0, allow_nan=False)
 
 @st.composite
 def valid_configs(draw):
-    # storage times are whole ns; every release must sit on the dt_int grid
-    # strictly inside a window of whole nanoseconds, and dt_int must divide 1 ns
-    per_ns = draw(st.integers(1, 20))
-    dt = 1.0 / per_ns
+    # storage times and the intrinsic delay are whole ns, so every release
+    # sits on the 1 ns grid strictly inside a window of whole nanoseconds
     start = draw(st.integers(-10**4, 10**4))
     times = sorted(draw(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=4, unique=True)))
-    # the first release, times[0] + delay_steps * dt, lies after start
-    first = (start - times[0]) * per_ns + 1
-    delay_steps = draw(st.integers(first, first + 10**5))
-    end = start + np.ceil(times[-1] - start + delay_steps * dt) + draw(st.integers(1, 1000))
+    # the first release, times[0] + delay, lies after start
+    first = start - times[0] + 1
+    delay = draw(st.integers(first, first + 10**4))
+    end = times[-1] + delay + draw(st.integers(1, 1000))
     model = draw(st.sampled_from(["explicit", "lifetime"]))
     n_purities = len(times) if model == "explicit" else draw(st.integers(0, 4))
     imperfections = ImperfectionConfig(
-        displacement=draw(st.none() | st.just(0.0) | st.floats(-10.0, 10.0)),
-        detuning=draw(st.none() | st.just((0.0, 0.0)) | st.tuples(_finite, _finite)),
+        displacement_re=draw(st.just(0.0) | st.floats(-10.0, 10.0)),
+        detuning_rad_s=draw(st.just(0.0) | _finite),
+        detuning_phase_rad=draw(st.just(0.0) | _finite),
         extra_loss=draw(_unit),
         electronic_noise_std=draw(st.floats(0.0, 10.0)),
     )
@@ -125,7 +123,7 @@ def valid_configs(draw):
     return ExperimentConfig(
         cavity=cavity,
         storage_times_ns=tuple(float(t) for t in times),
-        intrinsic_delay_ns=delay_steps * dt,
+        intrinsic_delay_ns=float(delay),
         frames_per_condition=draw(st.integers(MIN_MLE_SAMPLES, 10**6)),
         purity_model=model,
         purities=tuple(draw(st.lists(_unit, min_size=n_purities, max_size=n_purities))),
@@ -133,7 +131,6 @@ def valid_configs(draw):
         delta_closed_rad_s=draw(_finite),
         window_start_ns=float(start),
         window_end_ns=float(end),
-        dt_int_ns=dt,
         imperfections=imperfections,
         adc=adc,
         n_max=draw(st.integers(1, MAX_N_MAX)),
@@ -167,11 +164,11 @@ class TestConfig:
         assert back == smoke_config
 
     def test_phase_only_detuning_round_trip(self, tmp_path, smoke_config):
-        cfg = replace(smoke_config, imperfections=ImperfectionConfig(detuning=(0.0, 0.7)))
+        cfg = replace(smoke_config, imperfections=ImperfectionConfig(detuning_phase_rad=0.7))
         path = tmp_path / "phase.cfg"
         path.write_text(cfg.to_text())
         back = load_config(path)
-        assert back.imperfections.detuning == (0.0, 0.7)
+        assert (back.imperfections.detuning_rad_s, back.imperfections.detuning_phase_rad) == (0.0, 0.7)
         assert back == cfg
         assert back.digest() == cfg.digest()
 
@@ -193,7 +190,9 @@ class TestConfig:
 
     def test_zero_imperfections_round_trip(self, tmp_path):
         # a zero displacement or detuning is stock: same digest, same config
-        cfg = ExperimentConfig(imperfections=ImperfectionConfig(displacement=0.0, detuning=(0.0, 0.0)))
+        cfg = ExperimentConfig(
+            imperfections=ImperfectionConfig(displacement_re=0.0, detuning_rad_s=0.0, detuning_phase_rad=0.0)
+        )
         path = tmp_path / "zero.cfg"
         path.write_text(cfg.to_text())
         assert load_config(path) == cfg == ExperimentConfig()
@@ -270,8 +269,7 @@ class TestConfig:
             ({"n_max": 30}, r"n_max must lie in \[1, 10\]"),
             ({"window_end_ns": 400.0}, "t_release < t_end"),
             ({"window_start_ns": 200.0}, "t_start < t_release"),
-            ({"dt_int_ns": 0.3}, "divide the 1 ns output grid"),
-            ({"intrinsic_delay_ns": 150.05}, "multiple of dt_int"),
+            ({"intrinsic_delay_ns": 150.5}, "the release offset of 150.5 ns is not a multiple of 1 ns"),
             ({"purities": (0.582, 0.546, -0.1, 0.497)}, r"\[sweep\] purities must lie in \[0, 1\]"),
             # used to fail the 0.4 ns condition at its shifted reanalysis,
             # after its raw estimate had succeeded
@@ -284,7 +282,7 @@ class TestConfig:
             ({"storage_times_ns": (0.0, 5e-8), "purities": (0.582, 0.546)}, "strictly increasing"),
         ],
         ids=[
-            "few-resamples", "n_max-0", "n_max-30", "release-after-end", "release-before-start", "dt-grid", "off-grid",
+            "few-resamples", "n_max-0", "n_max-30", "release-after-end", "release-before-start", "off-grid",
             "negative-purity", "fractional-storage", "storage-same-ns",
         ],
     )
@@ -683,6 +681,11 @@ class TestCli:
             (["synth", "--purity", "1.5"], "p must lie in [0, 1], got 1.5"),
             (["simulate", "--release", "1e9"], "need t_start < t_release < t_end"),
             (["simulate", "--release", "-5"], "need t_start < t_release < t_end"),
+            # the release is propagated on the 1 ns grid: 150.5 ns used to
+            # run on the 0.1 ns integration grid
+            (["simulate", "--release", "150.5"], "the release offset of 150.5 ns is not a multiple of 1 ns"),
+            (["sweep", "--config", "{delay_off_grid}"], "the release offset of 150.5 ns is not a multiple of 1 ns"),
+            (["simulate", "--config", "{dt_int}"], "unknown section or key: [schedule] dt_int_ns"),
             (["synth", "--release", "1e9"], "need t_start < t_release < t_end"),
             (["sweep", "--seed", "-1"], "master_seed ([run] master_seed, --seed) must be >= 0, got -1"),
             (["synth", "--seed", "-1"], "must be >= 0, got -1"),
@@ -701,18 +704,18 @@ class TestCli:
             # time with exit 1
             (["synth", "--config", "{noise_nan}"], "electronic_noise_std must be finite and non-negative, got nan"),
             (["synth", "--config", "{noise_inf}"], "electronic_noise_std must be finite and non-negative, got inf"),
-            (["synth", "--config", "{displacement_nan}"], "displacement must be finite, got nan"),
+            (["synth", "--config", "{displacement_nan}"], "displacement_re must be a finite real number, got nan"),
             # the imaginary part of the displacement used to be read and
             # then left out of every frame
             (["synth", "--config", "{displacement_im_inf}"], "unknown section or key: [imperfections] displacement_im"),
             (["synth", "--config", "{displacement_im}"], "unknown section or key: [imperfections] displacement_im"),
-            (["synth", "--config", "{detuning_nan}"], "detuning must be finite, got (nan, 0.0)"),
+            (["synth", "--config", "{detuning_nan}"], "detuning_rad_s must be a finite real number, got nan"),
             (["synth", "--config", "{round_trip_nan}"], "round-trip lengths must be positive and finite, got nan"),
             (["synth", "--config", "{delta_nan}"], "[schedule] delta_closed_rad_s must be finite, got nan"),
             (["sweep", "--config", "{delta_nan}"], "[schedule] delta_closed_rad_s must be finite, got nan"),
             # an infinite window bound used to escape as an OverflowError
             # traceback with exit 1
-            (["simulate", "--config", "{window_end_inf}"], "window_end_ns inf, dt_int_ns 0.1: t_end_ns must be finite"),
+            (["simulate", "--config", "{window_end_inf}"], "window_end_ns inf: t_end_ns must be finite"),
             (["sweep", "--config", "{window_start_inf}"], "t_start_ns must be finite, got -inf"),
             (["sweep", "--config", "{workers}"], "unknown section or key: [run] n_workers"),
             # flags that were accepted and changed no output byte: estimate
@@ -738,6 +741,9 @@ class TestCli:
             "synth-purity",
             "simulate-release-late",
             "simulate-release-negative",
+            "simulate-release-off-grid",
+            "sweep-delay-off-grid",
+            "simulate-dt-int-key",
             "synth-release-late",
             "sweep-negative-seed",
             "synth-negative-seed",
@@ -784,6 +790,8 @@ class TestCli:
             "window_end_inf": "[schedule]\nwindow_end_ns = inf\n",
             "window_start_inf": "[schedule]\nwindow_start_ns = -inf\n",
             "workers": "[run]\nn_workers = 2\n",
+            "delay_off_grid": "[sweep]\nintrinsic_delay_ns = 150.5\n",
+            "dt_int": "[schedule]\ndt_int_ns = 0.1\n",
         }
         paths = {"missing": tmp_path / "missing.cfg"}
         for name, text in texts.items():

@@ -303,7 +303,7 @@ class TestGaussianDraw:
 class TestImperfections:
     def test_displacement_shifts_mode_quadrature(self, mode):
         alpha = 0.5
-        imp = ImperfectionConfig(displacement=alpha)
+        imp = ImperfectionConfig(displacement_re=alpha)
         fs = synth_condition(
             FockDiagonalState.vacuum(), mode, 20_000, 18, n_samples=128, imperfections=imp, adc=IDEAL_ADC
         )
@@ -318,13 +318,25 @@ class TestImperfections:
         assert c1 == pytest.approx(0.4, abs=0.02)
 
     @pytest.mark.parametrize(
+        "delta, phase, detuned", [(-0.0, 0.0, False), (0.0, -0.0, False), (0.0, 0.3, True)]
+    )
+    def test_detuning_off_only_when_both_values_are_zero(self, mode, delta, phase, detuned):
+        # a zero detuning of either sign synthesises the stock frames; a
+        # phase alone rotates the mode
+        imp = ImperfectionConfig(detuning_rad_s=delta, detuning_phase_rad=phase)
+        kw = dict(n_samples=128, adc=AdcSpec())
+        stock = synth_condition(FockDiagonalState.two_level(0.5), mode, 300, 23, **kw).data
+        frames = synth_condition(FockDiagonalState.two_level(0.5), mode, 300, 23, imperfections=imp, **kw).data
+        assert (frames.tobytes() != stock.tobytes()) == detuned
+
+    @pytest.mark.parametrize(
         "p, phase, seed", [(1.0, 0.0, 20), (1.0, 0.0, 21), (1.0, 0.0, 22), (0.8, 0.3, 20)]
     )
     def test_detuning_attenuates_purity(self, mode, p, phase, seed):
         # the in-phase part carries only its weight of the photon, so along
         # the undetuned mode the single-photon weight is p times the penalty
         delta = 2 * math.pi * 3e6
-        imp = ImperfectionConfig(detuning=(delta, phase))
+        imp = ImperfectionConfig(detuning_rad_s=delta, detuning_phase_rad=phase)
         state = FockDiagonalState.two_level(p)
         fs = synth_condition(state, mode, 30_000, seed, n_samples=128, imperfections=imp, adc=IDEAL_ADC)
         c1 = float(_mle(fs, mode).state.c[1])
@@ -358,8 +370,8 @@ class TestImperfections:
     def test_complex_displacement_rejected(self):
         # the displacement is real: a complex one used to construct and then
         # fail inside the synthesis threads with a numpy casting error
-        with pytest.raises(ValueError, match=r"real amplitude, got 0\.5j"):
-            ImperfectionConfig(displacement=0.5j)
+        with pytest.raises(ValueError, match=r"displacement_re must be a finite real number, got 0\.5j"):
+            ImperfectionConfig(displacement_re=0.5j)
 
     def test_loss_range_validated(self):
         with pytest.raises(ValueError):
@@ -386,7 +398,7 @@ class TestDeterminism:
         # a block's uniforms come first and its normals row by row: a shorter
         # run is a prefix
         state = FockDiagonalState.two_level(0.5)
-        imp = ImperfectionConfig(displacement=0.2, electronic_noise_std=0.1)
+        imp = ImperfectionConfig(displacement_re=0.2, electronic_noise_std=0.1)
         short = synth_condition(state, mode, 1500, 35, n_samples=128, imperfections=imp)
         long = synth_condition(state, mode, 2049, 35, n_samples=128, imperfections=imp)
         np.testing.assert_array_equal(short.frames, long.frames[:1500])
@@ -395,7 +407,7 @@ class TestDeterminism:
     def test_sub_block_does_not_change_bytes(self, monkeypatch, mode, adc):
         state = FockDiagonalState.two_level(0.5)
         imp = ImperfectionConfig(
-            displacement=0.2, detuning=(2e7, 0.3), extra_loss=0.9, electronic_noise_std=0.1
+            displacement_re=0.2, detuning_rad_s=2e7, detuning_phase_rad=0.3, extra_loss=0.9, electronic_noise_std=0.1
         )
         kw = dict(n_samples=128, imperfections=imp, adc=adc)
         ref = synth_condition(state, mode, 2049, 44, **kw).data.tobytes()
@@ -407,7 +419,9 @@ class TestDeterminism:
         # 127 samples: each row's last word drops its sine; a shorter run is
         # still a prefix, and no sub-block size or thread count moves a byte
         state = FockDiagonalState.two_level(0.5)
-        imp = ImperfectionConfig(displacement=0.2, detuning=(2e7, 0.3), electronic_noise_std=0.1)
+        imp = ImperfectionConfig(
+            displacement_re=0.2, detuning_rad_s=2e7, detuning_phase_rad=0.3, electronic_noise_std=0.1
+        )
         kw = dict(n_samples=127, imperfections=imp, adc=AdcSpec())
         ref = synth_condition(state, narrow, 2049, 45, threads=1, **kw).data
         short = synth_condition(state, narrow, 1500, 45, **kw).data
@@ -684,7 +698,7 @@ class TestSynthToFile:
 
     STATE = FockDiagonalState.two_level(0.5)
     ALL_IMPERFECTIONS = ImperfectionConfig(
-        displacement=0.2, detuning=(2e7, 0.3), extra_loss=0.9, electronic_noise_std=0.1
+        displacement_re=0.2, detuning_rad_s=2e7, detuning_phase_rad=0.3, extra_loss=0.9, electronic_noise_std=0.1
     )
 
     @pytest.mark.parametrize("threads", [1, 3])
